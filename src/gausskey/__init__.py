@@ -17,8 +17,11 @@ from .attack import (
     BoundaryCurve,
     attack_cm,
     boundary_curve,
+    boundary_curve_arrays,
     check_constraints,
+    lens_mask,
     physical_grid,
+    physical_grid_arrays,
     violated_constraint,
 )
 from .gaussian import (
@@ -29,6 +32,7 @@ from .gaussian import (
     beamsplitter_apply,
     direct_sum,
     entropy_h,
+    entropy_h_array,
     entropy_h_asymptotic,
     heterodyne_condition,
     homodyne_condition,
@@ -52,6 +56,7 @@ from .landscape import (
     find_zero_rate_transmissivity,
     finite_diff_gradient,
     hessian_at_origin,
+    origin_is_strict_minimum,
     rate_function,
     second_derivative_inequality_noswitching,
     verify_minimality,
@@ -77,6 +82,7 @@ from .rates import (
     key_rate_numeric,
     key_rate_switching,
     key_rate_switching_mixed,
+    key_rates,
     mutual_information,
     rate_report,
     total_cm,

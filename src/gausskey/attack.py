@@ -61,14 +61,20 @@ def attack_cm(omega: float, g: float, g_prime: float) -> CovMat:
     return CovMat(np.block([[omega * eye2, G], [G, omega * eye2]]))
 
 
-def _constraints_hold(omega: float, g: float, g_prime: float, strict: bool) -> bool:
-    if abs(g) >= omega or abs(g_prime) >= omega:
-        return False
-    lhs = omega * abs(g + g_prime)
-    rhs = omega * omega + g * g_prime - 1.0
-    if strict:
-        return lhs < rhs - CONSTRAINT_TOL
-    return lhs <= rhs + CONSTRAINT_TOL
+def lens_mask(omega: float, g, g_prime, strict: bool = False) -> np.ndarray:
+    """Elementwise membership of (g, g') in the physical lens at this omega.
+
+    Takes floats or broadcastable arrays and returns a boolean array.
+    strict=False admits the boundary (within CONSTRAINT_TOL); strict=True
+    keeps only the open interior.  Non-finite entries are outside.
+    """
+    g = np.asarray(g, dtype=float)
+    g_prime = np.asarray(g_prime, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = omega * np.abs(g + g_prime)
+        rhs = omega * omega + g * g_prime - 1.0
+        edge = lhs < rhs - CONSTRAINT_TOL if strict else lhs <= rhs + CONSTRAINT_TOL
+        return (np.abs(g) < omega) & (np.abs(g_prime) < omega) & edge
 
 
 def check_constraints(params: AttackParams, strict: bool = False) -> bool:
@@ -77,7 +83,7 @@ def check_constraints(params: AttackParams, strict: bool = False) -> bool:
     strict=False admits the boundary (within CONSTRAINT_TOL); strict=True
     keeps only the open interior.
     """
-    return _constraints_hold(params.omega, params.g, params.g_prime, strict)
+    return bool(lens_mask(params.omega, params.g, params.g_prime, strict))
 
 
 def violated_constraint(params: AttackParams) -> str | None:
@@ -97,16 +103,17 @@ def violated_constraint(params: AttackParams) -> str | None:
     return None
 
 
-def boundary_curve(omega: float, n_samples: int) -> BoundaryCurve:
-    """Sample the constraint boundary in the (g, g') plane.
+def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the constraint boundary in the (g, g') plane, as (g, g') arrays.
 
     For each sign branch of |g + g'| the saturation condition is linear
     in g', so each g on a uniform open grid of (-omega, omega) yields a
     candidate g' = (omega^2 - 1 - s*omega*g) / (s*omega - g).  Candidates
     are kept only if they satisfy |g'| < omega and actually saturate the
     constraint (solving one branch can land in the other branch's sign
-    region, where the candidate is spurious).  Both branches are covered
-    and duplicates removed.
+    region, where the candidate is spurious).  Both branches are covered;
+    where both give the same point to 12 decimals, the s = -1 candidate
+    stands for it.  Points are sorted by (g, g').
     """
     if omega <= 1.0:
         raise DomainError(
@@ -116,41 +123,55 @@ def boundary_curve(omega: float, n_samples: int) -> BoundaryCurve:
         raise DomainError(f"need at least 2 samples, got {n_samples}")
     grid = np.linspace(-omega, omega, n_samples + 2)[1:-1]
     scale = max(1.0, omega * omega)
-    points: dict[tuple[float, float], tuple[float, float]] = {}
+    branches = []
     for s in (1.0, -1.0):
-        for g in grid:
-            den = s * omega - g
-            if abs(den) < 1e-12:
-                continue
-            gp = (omega * omega - 1.0 - s * omega * g) / den
-            if abs(gp) >= omega:
-                continue
-            residual = omega * abs(g + gp) - (omega * omega + g * gp - 1.0)
-            if abs(residual) > CONSTRAINT_TOL * scale:
-                continue
-            key = (round(float(g), 12), round(float(gp), 12))
-            points[key] = (float(g), float(gp))
-    return BoundaryCurve(omega=float(omega), samples=tuple(sorted(points.values())))
+        den = s * omega - grid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gp = (omega * omega - 1.0 - s * omega * grid) / den
+            residual = omega * np.abs(grid + gp) - (omega * omega + grid * gp - 1.0)
+        keep = (
+            (np.abs(den) >= 1e-12)
+            & (np.abs(gp) < omega)
+            & (np.abs(residual) <= CONSTRAINT_TOL * scale)
+        )
+        branches.append((gp, keep))
+    (gp_pos, keep_pos), (gp_neg, keep_neg) = branches
+    for i in np.flatnonzero(keep_pos & keep_neg).tolist():
+        if round(float(gp_pos[i]), 12) == round(float(gp_neg[i]), 12):
+            keep_pos[i] = False
+    g = np.concatenate([grid[keep_pos], grid[keep_neg]])
+    gp = np.concatenate([gp_pos[keep_pos], gp_neg[keep_neg]])
+    order = np.lexsort((gp, g))
+    return g[order], gp[order]
 
 
-def physical_grid(omega: float, resolution: int) -> list[tuple[float, float]]:
+def boundary_curve(omega: float, n_samples: int) -> BoundaryCurve:
+    """Boundary samples of boundary_curve_arrays as a tuple of (g, g') pairs."""
+    g, gp = boundary_curve_arrays(omega, n_samples)
+    return BoundaryCurve(omega=float(omega), samples=tuple(zip(g.tolist(), gp.tolist())))
+
+
+def physical_grid_arrays(omega: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform grid over (-omega, omega)^2 filtered to the physical region.
 
     The grid is open at +-omega (the marginal constraints are strict
-    there) and always contains the origin.  Points are returned sorted
-    by (g, g').
+    there) and always contains the origin.  Returns the (g, g') arrays
+    of the kept points, sorted by (g, g').
     """
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
     axis = np.linspace(-omega, omega, resolution + 2)[1:-1]
     axis[np.abs(axis) < 1e-15 * max(1.0, omega)] = 0.0
-    points = [
-        (float(g), float(gp))
-        for g in axis
-        for gp in axis
-        if _constraints_hold(omega, float(g), float(gp), strict=False)
-    ]
-    if (0.0, 0.0) not in points:
-        points.append((0.0, 0.0))
-    points.sort()
-    return points
+    g, gp = np.meshgrid(axis, axis, indexing="ij")  # row-major order is (g, g') order
+    keep = lens_mask(omega, g, gp)
+    g, gp = g[keep], gp[keep]
+    if not np.any((g == 0.0) & (gp == 0.0)):
+        at = int(np.count_nonzero((g < 0.0) | ((g == 0.0) & (gp < 0.0))))
+        g, gp = np.insert(g, at, 0.0), np.insert(gp, at, 0.0)
+    return g, gp
+
+
+def physical_grid(omega: float, resolution: int) -> list[tuple[float, float]]:
+    """Points of physical_grid_arrays as a sorted list of (g, g') pairs."""
+    g, gp = physical_grid_arrays(omega, resolution)
+    return list(zip(g.tolist(), gp.tolist()))

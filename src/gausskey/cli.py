@@ -7,27 +7,34 @@ against the closed form).
 
 Exit codes: 0 success, 1 configuration error (bad flags or config
 file), 2 domain/physicality error (the offending constraint is named).
-Identical configurations produce byte-identical output; the only
-environment dependence is ``GAUSSKEY_THREADS``, which sets the worker
-count for scans.
+Identical configurations produce byte-identical output, whatever the
+environment.  ``GAUSSKEY_THREADS`` is still accepted and has no effect:
+an asymptotic ``scan``/``boundary`` evaluates every point in one call of
+the array rate kernel (``rates.key_rates``); finite-``mu`` scans and
+``converge`` run the covariance-matrix pipeline point by point.
+
+The scan verdict says whether the origin is the strict minimum of the
+unclamped rates (``landscape.origin_is_strict_minimum``, as in
+``verify_minimality``); ``--clamp-nonnegative`` changes only the emitted
+``rate`` and ``origin_rate`` values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
+
+import numpy as np
 
 from . import landscape as _landscape
 from . import rates as _rates
 from .attack import (
     AttackParams,
-    boundary_curve,
-    physical_grid,
+    boundary_curve_arrays,
+    physical_grid_arrays,
     violated_constraint,
 )
 from .gaussian import DomainError
@@ -213,23 +220,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GAUSSKEY_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"GAUSSKEY_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    workers = _worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _params(cfg: RunConfig) -> AttackParams:
     params = AttackParams(tau=cfg.tau, omega=cfg.omega, g=cfg.g, g_prime=cfg.g_prime)
     violated = violated_constraint(params)
@@ -296,60 +286,65 @@ def cmd_rate(cfg: RunConfig) -> str:
     return _kv_csv(pairs)
 
 
-def _scan_rows(cfg: RunConfig, include_grid: bool) -> list[dict]:
+def _scan_points(cfg: RunConfig, include_grid: bool) -> tuple[np.ndarray, ...]:
+    """Grid and boundary points merged and sorted by (g, g'), with raw rates.
+
+    Returns (g, g', rate, on_boundary) arrays.  A grid point that equals
+    a boundary sample appears once, marked on the boundary.
+    """
     _params(cfg)  # the configured point obeys the same domain checks
-    spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu, asymptotic=cfg.asymptotic)
-
-    def rate_at(point: tuple[float, float]) -> float:
-        g, gp = point
-        p = AttackParams(tau=cfg.tau, omega=cfg.omega, g=g, g_prime=gp)
-        if cfg.asymptotic:
-            return _rates.key_rate_asymptotic(p, cfg.protocol)
-        return _rates.key_rate_numeric(p, spec).rate
-
-    boundary_points: list[tuple[float, float]] = []
+    empty = np.empty(0)
+    edge_g, edge_gp = empty, empty
     if cfg.omega > 1.0:
-        boundary_points = list(boundary_curve(cfg.omega, cfg.grid_resolution).samples)
-    boundary_set = set(boundary_points)
-
-    points: list[tuple[float, float]] = []
+        edge_g, edge_gp = boundary_curve_arrays(cfg.omega, cfg.grid_resolution)
+    grid_g, grid_gp = empty, empty
     if include_grid:
-        points = physical_grid(cfg.omega, cfg.grid_resolution)
-    merged: dict[tuple[float, float], bool] = {}
-    for point in points:
-        merged[point] = point in boundary_set or _on_boundary(cfg.omega, point)
-    for point in boundary_points:
-        merged[point] = True
-    ordered = sorted(merged)
-    rates_list = _map_ordered(rate_at, ordered)
-    return [
-        {
-            "g": point[0],
-            "g_prime": point[1],
-            "rate": _clamp(cfg, rate),
-            "physical": True,
-            "on_boundary": merged[point],
-        }
-        for point, rate in zip(ordered, rates_list)
-    ]
+        grid_g, grid_gp = physical_grid_arrays(cfg.omega, cfg.grid_resolution)
+    g = np.concatenate([grid_g, edge_g])
+    gp = np.concatenate([grid_gp, edge_gp])
+    on_boundary = np.concatenate(
+        [_on_boundary(cfg.omega, grid_g, grid_gp), np.ones(edge_g.size, dtype=bool)]
+    )
+    order = np.lexsort((gp, g))  # stable: a grid point precedes its equal boundary sample
+    g, gp, on_boundary = g[order], gp[order], on_boundary[order]
+    first = np.ones(g.size, dtype=bool)
+    first[1:] = (g[1:] != g[:-1]) | (gp[1:] != gp[:-1])
+    if g.size:
+        on_boundary = np.logical_or.reduceat(on_boundary, np.flatnonzero(first))
+    g, gp = g[first], gp[first]
 
-
-def _on_boundary(omega: float, point: tuple[float, float]) -> bool:
-    g, gp = point
-    residual = omega * abs(g + gp) - (omega * omega + g * gp - 1.0)
-    return abs(residual) <= 1e-9 * max(1.0, omega * omega)
-
-
-def _render_rows(cfg: RunConfig, rows: list[dict]) -> str:
-    origin = [row for row in rows if row["g"] == 0.0 and row["g_prime"] == 0.0]
-    origin_rate = origin[0]["rate"] if origin else None
-    verdict = None
-    if origin_rate is not None:
-        verdict = all(
-            row["rate"] > origin_rate
-            for row in rows
-            if (row["g"], row["g_prime"]) != (0.0, 0.0)
+    if cfg.asymptotic:
+        rates = _rates.key_rates(cfg.protocol, cfg.tau, cfg.omega, g, gp)
+    else:
+        spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu, asymptotic=False)
+        rates = np.array(
+            [
+                _rates.key_rate_numeric(
+                    AttackParams(tau=cfg.tau, omega=cfg.omega, g=a, g_prime=b), spec
+                ).rate
+                for a, b in zip(g.tolist(), gp.tolist())
+            ]
         )
+    return g, gp, rates, on_boundary
+
+
+def _on_boundary(omega: float, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    residual = omega * np.abs(g + gp) - (omega * omega + g * gp - 1.0)
+    return np.abs(residual) <= 1e-9 * max(1.0, omega * omega)
+
+
+def _render_rows(cfg: RunConfig, points: tuple[np.ndarray, ...]) -> str:
+    g, gp, rates, on_boundary = points
+    at_origin = np.flatnonzero((g == 0.0) & (gp == 0.0))
+    origin_rate = verdict = None
+    if at_origin.size:
+        raw_origin = float(rates[at_origin[0]])
+        origin_rate = _clamp(cfg, raw_origin)
+        verdict = _landscape.origin_is_strict_minimum(g, gp, rates, raw_origin)
+    rows = [
+        {"g": a, "g_prime": b, "rate": _clamp(cfg, rate), "physical": True, "on_boundary": edge}
+        for a, b, rate, edge in zip(g.tolist(), gp.tolist(), rates.tolist(), on_boundary.tolist())
+    ]
     if cfg.format == "json":
         payload = {
             "params": {
@@ -383,7 +378,7 @@ def _render_rows(cfg: RunConfig, rows: list[dict]) -> str:
 def cmd_scan(cfg: RunConfig) -> str:
     if cfg.omega < 1.0:
         raise DomainError(f"scan needs omega >= 1, got {cfg.omega}")
-    return _render_rows(cfg, _scan_rows(cfg, include_grid=True))
+    return _render_rows(cfg, _scan_points(cfg, include_grid=True))
 
 
 def cmd_boundary(cfg: RunConfig) -> str:
@@ -391,7 +386,7 @@ def cmd_boundary(cfg: RunConfig) -> str:
         raise DomainError(
             f"the physical region at omega = {cfg.omega} is a point; boundary is empty"
         )
-    return _render_rows(cfg, _scan_rows(cfg, include_grid=False))
+    return _render_rows(cfg, _scan_points(cfg, include_grid=False))
 
 
 def cmd_critical(cfg: RunConfig) -> str:
@@ -449,7 +444,7 @@ def cmd_converge(cfg: RunConfig) -> str:
         numeric = _rates.key_rate_numeric(params, spec).rate
         return mu, numeric, rate_closed, abs(numeric - rate_closed)
 
-    table = _map_ordered(row, CONVERGE_SWEEP)
+    table = [row(mu) for mu in CONVERGE_SWEEP]
     if cfg.format == "json":
         payload = {
             "params": {

@@ -21,9 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, boundary_curve, physical_grid
+from .attack import AttackParams, boundary_curve_arrays, physical_grid_arrays
 from .gaussian import DomainError, NumericalDegeneracyError
-from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic
+from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic, key_rates
 
 LN2 = math.log(2.0)
 
@@ -286,6 +286,18 @@ def critical_point_report(
     )
 
 
+def origin_is_strict_minimum(
+    g: np.ndarray, g_prime: np.ndarray, rates: np.ndarray, origin_rate: float
+) -> bool:
+    """True iff every sampled point other than the origin rates strictly above origin_rate."""
+    off_origin = (g != 0.0) | (g_prime != 0.0)
+    return bool(np.all(rates[off_origin] - origin_rate > 0.0))
+
+
+def _rows(*columns: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    return tuple(zip(*(column.tolist() for column in columns)))
+
+
 def verify_minimality(
     protocol: str, tau: float, omega: float, resolution: int
 ) -> LandscapeReport:
@@ -297,8 +309,7 @@ def verify_minimality(
     """
     if omega < 1.0:
         raise DomainError(f"need omega >= 1, got {omega}")
-    rate_fn = rate_function(protocol, tau, omega)
-    origin_rate = rate_fn(0.0, 0.0)
+    origin_rate = rate_function(protocol, tau, omega)(0.0, 0.0)
     if omega == 1.0:
         return LandscapeReport(
             protocol=protocol,
@@ -312,25 +323,24 @@ def verify_minimality(
             degenerate=True,
             near_origin_flags=(),
         )
-    grid = [(g, gp, rate_fn(g, gp)) for g, gp in physical_grid(omega, resolution)]
-    boundary = [
-        (g, gp, rate_fn(g, gp))
-        for g, gp in boundary_curve(omega, resolution).samples
-    ]
-    nonzero = [row for row in grid + boundary if (row[0], row[1]) != (0.0, 0.0)]
-    verdict = all(rate - origin_rate > 0.0 for _, _, rate in nonzero)
-    flags = tuple(row for row in nonzero if row[2] - origin_rate < 1e-9)
+    grid_g, grid_gp = physical_grid_arrays(omega, resolution)
+    edge_g, edge_gp = boundary_curve_arrays(omega, resolution)
+    g = np.concatenate([grid_g, edge_g])
+    gp = np.concatenate([grid_gp, edge_gp])
+    rates = key_rates(protocol, tau, omega, g, gp)
+    n_grid = grid_g.size
+    flagged = ((g != 0.0) | (gp != 0.0)) & (rates - origin_rate < 1e-9)
     return LandscapeReport(
         protocol=protocol,
         tau=tau,
         omega=omega,
-        grid_rates=tuple(grid),
-        boundary_rates=tuple(boundary),
+        grid_rates=_rows(grid_g, grid_gp, rates[:n_grid]),
+        boundary_rates=_rows(edge_g, edge_gp, rates[n_grid:]),
         origin_rate=origin_rate,
-        min_over_grid=min(rate for _, _, rate in grid),
-        verdict=verdict,
+        min_over_grid=float(rates[:n_grid].min()),
+        verdict=origin_is_strict_minimum(g, gp, rates, origin_rate),
         degenerate=False,
-        near_origin_flags=flags,
+        near_origin_flags=_rows(g[flagged], gp[flagged], rates[flagged]),
     )
 
 

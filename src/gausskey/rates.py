@@ -26,19 +26,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, attack_cm, violated_constraint
+from .attack import AttackParams, attack_cm, lens_mask, violated_constraint
 from .gaussian import (
+    _LOG2_E_HALF,
     CovMat,
     DomainError,
     beamsplitter_apply,
     direct_sum,
     entropy_h,
+    entropy_h_array,
     heterodyne_condition,
     homodyne_condition,
     keep_modes,
+    log2_array,
     symplectic_spectrum,
     tmsv_cm,
 )
@@ -53,7 +57,36 @@ VARIANTS = (NO_SWITCHING, SWITCHING, SWITCHING_MIXED)
 # for 1e-3 convergence, small enough to keep 64-bit conditioning.
 DEFAULT_MU = 1.0e6
 
-_LOG2_E_HALF = math.log2(math.e / 2.0)
+
+@dataclass(frozen=True)
+class _Elementwise:
+    """Elementwise primitives of the closed forms: one set for floats, one for arrays.
+
+    entropies(*xs) returns h of each argument and checks them in point
+    order, each point's arguments in the order given, so that the first
+    unphysical eigenvalue raises the same DomainError either way.
+    """
+
+    sqrt: Callable
+    log2: Callable
+    maximum: Callable
+    minimum: Callable
+    entropies: Callable
+
+
+def _entropies_array(*xs: np.ndarray) -> list[np.ndarray]:
+    h = entropy_h_array(np.stack(xs, axis=1))
+    return [h[:, k] for k in range(len(xs))]
+
+
+_SCALAR = _Elementwise(
+    math.sqrt, math.log2, max, min, lambda *xs: [entropy_h(x) for x in xs]
+)
+_ARRAY = _Elementwise(np.sqrt, log2_array, np.maximum, np.minimum, _entropies_array)
+
+# Points per kernel pass: bounds the temporaries (about a dozen arrays of
+# four entries per point) whatever the grid size.
+_KERNEL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -139,19 +172,29 @@ def total_spectrum_asymptotic(params: AttackParams, mu: float) -> np.ndarray:
     doubly degenerate (1-tau)*mu, sorted descending.
     """
     _require_physical(params)
-    om, g, gp = params.omega, params.g, params.g_prime
-    nu_plus = math.sqrt((om + g) * (om + gp))
-    nu_minus = math.sqrt((om - g) * (om - gp))
+    nu_plus, nu_minus = _nu_pm(params.omega, params.g, params.g_prime)
     big = (1.0 - params.tau) * mu
     return np.sort(np.array([nu_plus, nu_minus, big, big]))[::-1]
 
 
-def _nu_pm(params: AttackParams) -> tuple[float, float]:
-    om, g, gp = params.omega, params.g, params.g_prime
-    return (
-        math.sqrt((om + g) * (om + gp)),
-        math.sqrt((om - g) * (om - gp)),
-    )
+def _nu_pm(om, g, gp, ew: _Elementwise = _SCALAR):
+    """Attack-correlation eigenvalues sqrt((omega +- g)(omega +- g'))."""
+    return ew.sqrt((om + g) * (om + gp)), ew.sqrt((om - g) * (om - gp))
+
+
+def _nbar_noswitching(tau, om, g, gp, ew: _Elementwise = _SCALAR):
+    """Large-mu conditional eigenvalues of the heterodyne protocol, larger first.
+
+    sqrt(lam_plus*lam_prime_plus)/tau and sqrt(lam_minus*lam_prime_minus)/tau
+    with lam_pm = 1 + (1-tau)*(omega +- g).
+    """
+    lp = 1.0 + (1.0 - tau) * (om + g)
+    lm = 1.0 + (1.0 - tau) * (om - g)
+    lpp = 1.0 + (1.0 - tau) * (om + gp)
+    lmp = 1.0 + (1.0 - tau) * (om - gp)
+    plus = ew.sqrt(lp * lpp) / tau
+    minus = ew.sqrt(lm * lmp) / tau
+    return ew.maximum(plus, minus), ew.minimum(plus, minus)
 
 
 def derived_coefficients(params: AttackParams, mu: float) -> DerivedCoefficients:
@@ -161,7 +204,7 @@ def derived_coefficients(params: AttackParams, mu: float) -> DerivedCoefficients
     phi2 = tau * mu * (mu + 2.0)
     d_g = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * g * g
     d_gp = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * gp * gp
-    nu_minus = _nu_pm(params)[1]
+    nu_minus = _nu_pm(om, g, gp)[1]
     return DerivedCoefficients(
         lam=lam,
         phi=math.sqrt(phi2),
@@ -283,13 +326,7 @@ def conditional_spectrum_noswitching(params: AttackParams) -> np.ndarray:
     Independent of the modulation.
     """
     _require_physical(params)
-    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
-    lp = 1.0 + (1.0 - tau) * (om + g)
-    lm = 1.0 + (1.0 - tau) * (om - g)
-    lpp = 1.0 + (1.0 - tau) * (om + gp)
-    lmp = 1.0 + (1.0 - tau) * (om - gp)
-    vals = np.array([math.sqrt(lp * lpp) / tau, math.sqrt(lm * lmp) / tau])
-    return np.sort(vals)[::-1]
+    return np.array(_nbar_noswitching(params.tau, params.omega, params.g, params.g_prime))
 
 
 def holevo_noswitching(params: AttackParams, mu: float) -> float:
@@ -305,7 +342,7 @@ def holevo_noswitching(params: AttackParams, mu: float) -> float:
         raise DomainError(
             "Holevo bound degenerates at tau = 1: the environment decouples"
         )
-    nu_plus, nu_minus = _nu_pm(params)
+    nu_plus, nu_minus = _nu_pm(params.omega, params.g, params.g_prime)
     nbar_plus, nbar_minus = conditional_spectrum_noswitching(params)
     return (
         2.0 * (_LOG2_E_HALF + math.log2((1.0 - params.tau) * mu))
@@ -330,22 +367,7 @@ def key_rate_noswitching(params: AttackParams) -> float:
     entropy gain of conditioning; the modulation has cancelled here.
     The block rate is twice this value.
     """
-    _require_physical(params)
-    _require_open_tau(params)
-    tau, om = params.tau, params.omega
-    nu_plus, nu_minus = _nu_pm(params)
-    nbar_plus, nbar_minus = conditional_spectrum_noswitching(params)
-    den = 1.0 + tau + (1.0 - tau) * om
-    return (
-        math.log2(2.0 / math.e * tau / ((1.0 - tau) * den))
-        + 0.5
-        * (
-            entropy_h(nbar_plus)
-            + entropy_h(nbar_minus)
-            - entropy_h(nu_plus)
-            - entropy_h(nu_minus)
-        )
-    )
+    return _key_rate_at(NO_SWITCHING, params)
 
 
 def conditional_spectra_switching(
@@ -415,7 +437,7 @@ def holevo_switching(params: AttackParams, mu: float, mixed: bool = False) -> fl
         raise DomainError(
             "Holevo bound degenerates at tau = 1: the environment decouples"
         )
-    nu_plus, nu_minus = _nu_pm(params)
+    nu_plus, nu_minus = _nu_pm(params.omega, params.g, params.g_prime)
     gm = params.omega if mixed else math.sqrt(nu_plus * nu_minus)
     return (
         entropy_h(nu_plus)
@@ -430,14 +452,7 @@ def key_rate_switching(params: AttackParams) -> float:
     0.5 log2(sqrt(nu_plus*nu_minus) / ((1-tau)(tau+(1-tau) omega)))
     minus the average entropy of the attack-correlation eigenvalues.
     """
-    _require_physical(params)
-    _require_open_tau(params)
-    tau, om = params.tau, params.omega
-    nu_plus, nu_minus = _nu_pm(params)
-    den = (1.0 - tau) * (tau + (1.0 - tau) * om)
-    return 0.5 * math.log2(math.sqrt(nu_plus * nu_minus) / den) - 0.5 * (
-        entropy_h(nu_plus) + entropy_h(nu_minus)
-    )
+    return _key_rate_at(SWITCHING, params)
 
 
 def key_rate_switching_mixed(params: AttackParams) -> float:
@@ -447,25 +462,78 @@ def key_rate_switching_mixed(params: AttackParams) -> float:
     geometric mean sqrt(nu_plus*nu_minus); the correlations enter only
     through the entropy term.
     """
-    _require_physical(params)
-    _require_open_tau(params)
-    tau, om = params.tau, params.omega
-    nu_plus, nu_minus = _nu_pm(params)
-    den = (1.0 - tau) * (tau + (1.0 - tau) * om)
-    return 0.5 * math.log2(om / den) - 0.5 * (
-        entropy_h(nu_plus) + entropy_h(nu_minus)
-    )
+    return _key_rate_at(SWITCHING_MIXED, params)
 
 
 def key_rate_asymptotic(params: AttackParams, variant: str) -> float:
     """Dispatch the mu-free closed-form rate for a protocol variant."""
+    return _key_rate_at(variant, params)
+
+
+def _key_rate_at(variant: str, params: AttackParams) -> float:
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown protocol variant {variant!r}")
+    _require_physical(params)
+    _require_open_tau(params)
+    return _closed_form(variant, params.tau, params.omega, params.g, params.g_prime, _SCALAR)
+
+
+def _closed_form(variant: str, tau: float, om: float, g, gp, ew: _Elementwise):
+    """The asymptotic rate formulas, written once for floats and for arrays."""
+    nu_plus, nu_minus = _nu_pm(om, g, gp, ew)
     if variant == NO_SWITCHING:
-        return key_rate_noswitching(params)
+        nbar_plus, nbar_minus = _nbar_noswitching(tau, om, g, gp, ew)
+        h_nbar_plus, h_nbar_minus, h_nu_plus, h_nu_minus = ew.entropies(
+            nbar_plus, nbar_minus, nu_plus, nu_minus
+        )
+        den = 1.0 + tau + (1.0 - tau) * om
+        return math.log2(2.0 / math.e * tau / ((1.0 - tau) * den)) + 0.5 * (
+            h_nbar_plus + h_nbar_minus - h_nu_plus - h_nu_minus
+        )
+    den = (1.0 - tau) * (tau + (1.0 - tau) * om)
     if variant == SWITCHING:
-        return key_rate_switching(params)
-    if variant == SWITCHING_MIXED:
-        return key_rate_switching_mixed(params)
-    raise DomainError(f"unknown protocol variant {variant!r}")
+        lead = 0.5 * ew.log2(ew.sqrt(nu_plus * nu_minus) / den)
+    else:
+        lead = 0.5 * math.log2(om / den)
+    h_nu_plus, h_nu_minus = ew.entropies(nu_plus, nu_minus)
+    return lead - 0.5 * (h_nu_plus + h_nu_minus)
+
+
+def _first_rejected(tau: float, omega: float, g: np.ndarray, gp: np.ndarray) -> int | None:
+    """Index of the first point whose inputs a scalar rate call rejects, or None."""
+    if g.size == 0:
+        return None
+    if not (math.isfinite(tau) and math.isfinite(omega) and 0.0 < tau < 1.0 and omega >= 1.0):
+        return 0
+    inside = lens_mask(omega, g, gp)
+    return None if inside.all() else int(np.argmin(inside))
+
+
+def key_rates(variant: str, tau: float, omega: float, g, g_prime) -> np.ndarray:
+    """Mu-free closed-form rates over arrays of (g, g') at fixed (tau, omega).
+
+    Array form of key_rate_asymptotic, in bits per channel use: g and
+    g_prime broadcast against each other and the result takes their
+    shape.  Both forms evaluate the same formulas, and every element
+    equals the scalar rate at that point bit for bit.  Errors match a
+    loop of scalar calls over the points in C order: the first point
+    that fails (an unphysical (g, g') or tau, or an eigenvalue lost
+    below 1) raises the DomainError that its scalar call raises.
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown protocol variant {variant!r}")
+    g, gp = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(g_prime, dtype=float))
+    shape = g.shape
+    g, gp = g.ravel(), gp.ravel()
+    rejected = _first_rejected(tau, omega, g, gp)
+    accepted = g.size if rejected is None else rejected
+    rates = np.empty(g.size)
+    for start in range(0, accepted, _KERNEL_CHUNK):
+        part = slice(start, min(start + _KERNEL_CHUNK, accepted))
+        rates[part] = _closed_form(variant, tau, omega, g[part], gp[part], _ARRAY)
+    if rejected is not None:  # raises the scalar error of the rejected point
+        _key_rate_at(variant, AttackParams(tau, omega, float(g[rejected]), float(gp[rejected])))
+    return rates.reshape(shape)
 
 
 def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:

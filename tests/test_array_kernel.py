@@ -1,0 +1,195 @@
+"""Array forms against their scalar and loop-based references, bit for bit."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gausskey import (
+    AttackParams,
+    DomainError,
+    boundary_curve,
+    boundary_curve_arrays,
+    entropy_h,
+    entropy_h_array,
+    key_rate_asymptotic,
+    key_rates,
+    physical_grid,
+    physical_grid_arrays,
+    verify_minimality,
+    violated_constraint,
+)
+from gausskey.attack import CONSTRAINT_TOL
+from gausskey.rates import VARIANTS
+
+omegas = st.floats(min_value=1.0, max_value=1e3, exclude_min=True)
+resolutions = st.integers(min_value=2, max_value=201)
+taus = st.floats(min_value=0.01, max_value=0.99)
+variants = st.sampled_from(VARIANTS)
+
+
+def loop_physical_grid(omega, resolution):
+    """The per-point physical_grid of the scalar implementation."""
+    axis = np.linspace(-omega, omega, resolution + 2)[1:-1]
+    axis[np.abs(axis) < 1e-15 * max(1.0, omega)] = 0.0
+    points = []
+    for g in axis:
+        for gp in axis:
+            g, gp = float(g), float(gp)
+            if abs(g) >= omega or abs(gp) >= omega:
+                continue
+            if omega * abs(g + gp) <= omega * omega + g * gp - 1.0 + CONSTRAINT_TOL:
+                points.append((g, gp))
+    if (0.0, 0.0) not in points:
+        points.append((0.0, 0.0))
+    points.sort()
+    return points
+
+
+def loop_boundary_curve(omega, n_samples):
+    """The per-candidate boundary_curve of the scalar implementation."""
+    grid = np.linspace(-omega, omega, n_samples + 2)[1:-1]
+    scale = max(1.0, omega * omega)
+    points = {}
+    for s in (1.0, -1.0):
+        for g in grid:
+            den = s * omega - g
+            if abs(den) < 1e-12:
+                continue
+            gp = (omega * omega - 1.0 - s * omega * g) / den
+            if abs(gp) >= omega:
+                continue
+            residual = omega * abs(g + gp) - (omega * omega + g * gp - 1.0)
+            if abs(residual) > CONSTRAINT_TOL * scale:
+                continue
+            points[(round(float(g), 12), round(float(gp), 12))] = (float(g), float(gp))
+    return sorted(points.values())
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega=omegas, resolution=resolutions)
+def test_grid_and_boundary_match_loop_reference(omega, resolution):
+    grid = physical_grid(omega, resolution)
+    assert [tuple(bits(p)) for p in grid] == [
+        tuple(bits(p)) for p in loop_physical_grid(omega, resolution)
+    ]
+    g, gp = physical_grid_arrays(omega, resolution)
+    assert list(zip(g.tolist(), gp.tolist())) == grid
+
+    samples = boundary_curve(omega, resolution).samples
+    assert [tuple(bits(p)) for p in samples] == [
+        tuple(bits(p)) for p in loop_boundary_curve(omega, resolution)
+    ]
+    g, gp = boundary_curve_arrays(omega, resolution)
+    assert tuple(zip(g.tolist(), gp.tolist())) == samples
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=variants, tau=taus, omega=omegas, resolution=resolutions)
+def test_kernel_equals_scalar_rates(variant, tau, omega, resolution):
+    g, gp = physical_grid_arrays(omega, resolution)
+    edge_g, edge_gp = boundary_curve_arrays(omega, resolution)
+    g, gp = np.concatenate([g, edge_g]), np.concatenate([gp, edge_gp])
+    try:
+        rates = key_rates(variant, tau, omega, g, gp)
+    except DomainError as exc:  # a rim eigenvalue lost below 1 at large omega
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            for a, b in zip(g.tolist(), gp.tolist()):
+                key_rate_asymptotic(AttackParams(tau, omega, a, b), variant)
+        return
+    scalar = [
+        key_rate_asymptotic(AttackParams(tau, omega, a, b), variant)
+        for a, b in zip(g.tolist(), gp.tolist())
+    ]
+    assert bits(rates) == bits(scalar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=variants,
+    tau=taus,
+    omega=omegas,
+    resolution=st.integers(min_value=2, max_value=31),
+    bad=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    where=st.floats(0.0, 1.0),
+)
+def test_one_unphysical_point_names_its_constraint(variant, tau, omega, resolution, bad, where):
+    bad_g, bad_gp = bad[0] * omega, bad[1] * omega
+    violated = violated_constraint(AttackParams(tau, omega, bad_g, bad_gp))
+    if violated is None:
+        return
+    g, gp = physical_grid_arrays(omega, resolution)
+    at = int(where * g.size)
+    g, gp = np.insert(g, at, bad_g), np.insert(gp, at, bad_gp)
+    message = f"unphysical attack parameters: violated {violated}"
+    with pytest.raises(DomainError) as excinfo:
+        key_rates(variant, tau, omega, g, gp)
+    assert str(excinfo.value) == message
+
+
+def test_kernel_checks_points_in_order():
+    g = np.array([0.0, 0.1, 0.9, 1.5])
+    gp = np.array([0.0, 0.1, 0.9, 0.0])
+    with pytest.raises(DomainError, match=r"\|g\| < omega \("):
+        key_rates("noswitching", 0.5, 1.2, g[::-1], gp[::-1])
+    with pytest.raises(DomainError, match=r"omega\*\|g \+ g_prime\|"):
+        key_rates("noswitching", 0.5, 1.2, g, gp)
+    with pytest.raises(DomainError, match="0 < tau < 1"):
+        key_rates("switching", 1.0, 1.2, g[:2], gp[:2])
+    with pytest.raises(DomainError, match="g must be finite"):
+        key_rates("switching", 0.5, 1.2, [0.0, math.nan], [0.0, 0.0])
+    with pytest.raises(DomainError, match="unknown protocol variant"):
+        key_rates("homodyne", 0.5, 1.2, g, gp)
+
+
+def test_kernel_broadcasts_and_keeps_shape():
+    g, gp = np.meshgrid(np.linspace(-0.1, 0.1, 3), np.linspace(-0.1, 0.1, 4), indexing="ij")
+    rates = key_rates("noswitching", 0.44, 1.2, g, gp)
+    assert rates.shape == (3, 4)
+    assert rates[1, 0] == key_rate_asymptotic(AttackParams(0.44, 1.2, 0.0, -0.1), "noswitching")
+    assert key_rates("switching", 0.44, 1.2, 0.0, [0.0, 0.1]).shape == (2,)
+    assert key_rates("switching", 0.44, 1.2, [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("omega", [1e4, 1e6])
+def test_rim_eigenvalue_error_matches_scalar_order(omega):
+    """Round-off at a large-omega rim raises the first scalar error, not a later one."""
+    edge_g, edge_gp = boundary_curve_arrays(omega, 21)
+    params = [AttackParams(0.44, omega, a, b) for a, b in zip(edge_g.tolist(), edge_gp.tolist())]
+    expected = None
+    for p in params:
+        try:
+            key_rate_asymptotic(p, "noswitching")
+        except DomainError as exc:
+            expected = str(exc)
+            break
+    if expected is None:
+        key_rates("noswitching", 0.44, omega, edge_g, edge_gp)
+        return
+    with pytest.raises(DomainError) as excinfo:
+        key_rates("noswitching", 0.44, omega, edge_g, edge_gp)
+    assert str(excinfo.value) == expected
+
+
+@given(st.lists(st.floats(min_value=1.0 - 1e-9, max_value=1e9), max_size=50))
+def test_entropy_array_equals_scalar(xs):
+    assert bits(entropy_h_array(xs)) == bits([entropy_h(x) for x in xs])
+
+
+def test_entropy_array_names_first_unphysical_value():
+    with pytest.raises(DomainError, match="eigenvalue 0.5 < 1"):
+        entropy_h_array([2.0, 0.5, 0.25])
+
+
+def test_verify_minimality_rows_match_scalar_rates():
+    report = verify_minimality("switching", 0.3, 1.5, 21)
+    for g, gp, rate in report.grid_rates + report.boundary_rates:
+        assert rate == key_rate_asymptotic(AttackParams(0.3, 1.5, g, gp), "switching")
+    assert report.min_over_grid == min(r for _, _, r in report.grid_rates)

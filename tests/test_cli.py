@@ -103,6 +103,15 @@ def test_scan_deterministic_and_thread_invariant(tmp_path):
     assert first == second == threaded
 
 
+def test_scan_clamp_keeps_verdict():
+    args = ["scan", "--tau", "0.3", "--omega", "1.2", "--grid-resolution", "21", "--format", "json"]
+    raw = json.loads(run_cli(*args).stdout)
+    clamped = json.loads(run_cli(*args, "--clamp-nonnegative").stdout)
+    assert raw["verdict"] is True
+    assert clamped["verdict"] is True
+    assert [r["rate"] for r in clamped["rows"]] == [max(r["rate"], 0.0) for r in raw["rows"]]
+
+
 def test_scan_degenerate_region():
     result = run_cli("scan", "--tau", "0.5", "--omega", "1", "--grid-resolution", "51")
     assert result.returncode == 0
