@@ -56,9 +56,11 @@ class BoundaryCurve:
 
 def attack_cm(omega: float, g: float, g_prime: float) -> CovMat:
     """Two-mode ancilla CM: diagonal blocks omega*I, cross block diag(g, g')."""
-    eye2 = np.eye(2)
-    G = np.diag([g, g_prime])
-    return CovMat(np.block([[omega * eye2, G], [G, omega * eye2]]))
+    m = np.zeros((4, 4))
+    m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = omega
+    m[0, 2] = m[2, 0] = g
+    m[1, 3] = m[3, 1] = g_prime
+    return CovMat(m)
 
 
 def lens_mask(omega: float, g, g_prime, strict: bool = False) -> np.ndarray:

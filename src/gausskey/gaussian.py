@@ -11,6 +11,7 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,9 @@ SYMMETRY_ATOL = 1e-12
 DEGENERACY_RTOL = 1e-9
 
 _LOG2_E_HALF = math.log2(math.e / 2.0)
+
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
 
 
 class DomainError(ValueError):
@@ -56,7 +60,8 @@ class CovMat:
             raise DomainError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise DomainError("covariance matrix contains non-finite entries")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
+        # m - m.T is antisymmetric, so its largest entry is max |m - m.T|
+        if (m - m.T).max() > SYMMETRY_ATOL:
             raise DomainError(
                 f"covariance matrix is not symmetric to {SYMMETRY_ATOL:g}"
             )
@@ -79,6 +84,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _frozen_symplectic_form(n_modes: int) -> np.ndarray:
+    out = symplectic_form(n_modes)
+    out.setflags(write=False)
+    return out
+
+
 def direct_sum(*cms: CovMat) -> CovMat:
     """Covariance matrix of a product state."""
     dims = [cm.mat.shape[0] for cm in cms]
@@ -90,18 +102,38 @@ def direct_sum(*cms: CovMat) -> CovMat:
     return CovMat(out)
 
 
+@functools.lru_cache(maxsize=256)
+def _block_index(n_modes: int, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Flat take-indices into a 2n x 2n CM for the listed modes and the rest.
+
+    Returns the (listed, listed), (rest, rest) and (rest, listed) blocks,
+    listed modes in the order given, the rest in ascending order; each
+    ``mat.take(index)`` equals the matching ``mat[np.ix_(rows, cols)]``.
+    A mode index outside range(n_modes) raises DomainError (never cached).
+    """
+    for m in modes:
+        if not 0 <= m < n_modes:
+            raise DomainError(f"mode index {m} out of range for {n_modes} modes")
+    rest = [m for m in range(n_modes) if m not in modes]
+    listed = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
+    others = np.array([i for m in rest for i in (2 * m, 2 * m + 1)], dtype=np.intp)
+    width = 2 * n_modes
+    blocks = tuple(
+        rows[:, None] * width + cols
+        for rows, cols in ((listed, listed), (others, others), (others, listed))
+    )
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
+
+
 def keep_modes(V: CovMat, modes: tuple[int, ...] | list[int]) -> CovMat:
     """Reduced covariance matrix of the listed modes, in the order given.
 
     Doubles as the canonical mode-permutation helper: passing a
     permutation of range(n) reorders the modes.
     """
-    n = V.n_modes
-    for m in modes:
-        if not 0 <= m < n:
-            raise DomainError(f"mode index {m} out of range for {n} modes")
-    idx = [i for m in modes for i in (2 * m, 2 * m + 1)]
-    return CovMat(V.mat[np.ix_(idx, idx)])
+    return CovMat(V.mat.take(_block_index(V.n_modes, tuple(modes))[0]))
 
 
 def tmsv_cm(mu: float) -> CovMat:
@@ -113,9 +145,11 @@ def tmsv_cm(mu: float) -> CovMat:
     if not (mu >= 1.0):
         raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
     c = math.sqrt(mu * mu - 1.0)
-    eye2 = np.eye(2)
-    z = np.diag([1.0, -1.0])
-    return CovMat(np.block([[mu * eye2, c * z], [c * z, mu * eye2]]))
+    m = np.zeros((4, 4))
+    m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = mu
+    m[0, 2] = m[2, 0] = c
+    m[1, 3] = m[3, 1] = -c
+    return CovMat(m)
 
 
 def symplectic_spectrum(V: CovMat) -> np.ndarray:
@@ -141,14 +175,14 @@ def symplectic_spectrum(V: CovMat) -> np.ndarray:
         raise NumericalDegeneracyError(
             f"covariance matrix has negative eigenvalue {w[0]:g}"
         )
-    root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
-    L = root @ symplectic_form(V.n_modes) @ root
+    root = (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
+    L = root @ _frozen_symplectic_form(V.n_modes) @ root
     sv = np.linalg.svd(L, compute_uv=False)  # descending, each nu twice
-    mismatch = np.abs(sv[0::2] - sv[1::2])
-    if np.max(mismatch) > DEGENERACY_RTOL * max(1.0, sv[0]):
+    worst = abs(sv[0::2] - sv[1::2]).max()
+    if worst > DEGENERACY_RTOL * max(1.0, sv[0]):
         raise NumericalDegeneracyError(
             "symplectic spectrum did not split into doubled singular values "
-            f"(worst pair mismatch {np.max(mismatch):g})"
+            f"(worst pair mismatch {worst:g})"
         )
     return (sv[0::2] + sv[1::2]) / 2.0
 
@@ -230,10 +264,10 @@ def beamsplitter_apply(V: CovMat, mode_a: int, mode_b: int, tau: float) -> CovMa
     r = math.sqrt(1.0 - tau)
     S = np.eye(2 * n)
     a, b = 2 * mode_a, 2 * mode_b
-    S[a : a + 2, a : a + 2] = t * np.eye(2)
-    S[a : a + 2, b : b + 2] = r * np.eye(2)
-    S[b : b + 2, a : a + 2] = -r * np.eye(2)
-    S[b : b + 2, b : b + 2] = t * np.eye(2)
+    S[a, a] = S[a + 1, a + 1] = S[b, b] = S[b + 1, b + 1] = t
+    S[a, b] = S[a + 1, b + 1] = r
+    S[b, a] = S[b + 1, a + 1] = -r
+    S[b, a + 1] = S[b + 1, a] = -0.0  # the block is -r * I, signed zeros included
     out = S @ V.mat @ S.T
     # matmul round-off breaks exact symmetry at large variances
     return CovMat((out + out.T) / 2.0)
@@ -241,16 +275,11 @@ def beamsplitter_apply(V: CovMat, mode_a: int, mode_b: int, tau: float) -> CovMa
 
 def _split_measured(V: CovMat, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = V.n_modes
-    if not 0 <= mode < n:
-        raise DomainError(f"mode index {mode} out of range for {n} modes")
+    measured, retained, cross = _block_index(n, (mode,))
     if n < 2:
         raise DomainError("conditioning needs at least one retained mode")
-    idx = [i for m in range(n) if m != mode for i in (2 * m, 2 * m + 1)]
-    midx = [2 * mode, 2 * mode + 1]
-    A = V.mat[np.ix_(idx, idx)]
-    B = V.mat[np.ix_(idx, midx)]
-    C = V.mat[np.ix_(midx, midx)]
-    return A, B, C
+    m = V.mat
+    return m.take(retained), m.take(cross), m.take(measured)
 
 
 def heterodyne_condition(V: CovMat, mode: int) -> CovMat:
@@ -262,7 +291,7 @@ def heterodyne_condition(V: CovMat, mode: int) -> CovMat:
     """
     A, B, C = _split_measured(V, mode)
     try:
-        update = B @ np.linalg.solve(C + np.eye(2), B.T)
+        update = B @ np.linalg.solve(C + _EYE2, B.T)
     except np.linalg.LinAlgError as exc:  # impossible for a physical state
         raise NumericalDegeneracyError(
             "singular heterodyne update; measured block + I is not invertible"
@@ -288,7 +317,7 @@ def homodyne_condition(V: CovMat, mode: int, quadrature: str) -> CovMat:
             f"degenerate homodyne measurement: {quadrature} variance {c:g} below 1e-12"
         )
     b = B[:, j]
-    out = A - np.outer(b, b) / c
+    out = A - b[:, None] * b / c
     return CovMat((out + out.T) / 2.0)
 
 

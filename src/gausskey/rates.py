@@ -261,11 +261,8 @@ def total_cm_via_beamsplitters(params: AttackParams, mu: float) -> CovMat:
     """
     _require_physical(params)
     _require_finite_mu(mu)
-    src = direct_sum(
-        tmsv_cm(mu + 1.0),
-        tmsv_cm(mu + 1.0),
-        attack_cm(params.omega, params.g, params.g_prime),
-    )
+    source = tmsv_cm(mu + 1.0)  # immutable, so one CM serves both uses
+    src = direct_sum(source, source, attack_cm(params.omega, params.g, params.g_prime))
     mixed = beamsplitter_apply(src, 1, 4, params.tau)
     mixed = beamsplitter_apply(mixed, 3, 5, params.tau)
     return keep_modes(mixed, (0, 2, 1, 3))
@@ -548,7 +545,8 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
     mu = spec.mu
     V = total_cm_via_beamsplitters(params, mu)
-    s_total = float(sum(entropy_h(float(nu)) for nu in symplectic_spectrum(V)))
+    total_spectrum = symplectic_spectrum(V)
+    s_total = float(sum(entropy_h(float(nu)) for nu in total_spectrum))
 
     v_b = V.mat[4, 4]
     receivers = heterodyne_condition(heterodyne_condition(V, 0), 0)
@@ -585,7 +583,7 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         i_ab=i_ab,
         holevo=holevo,
         rate=(i_ab - holevo) / 2.0,
-        total_spectrum=symplectic_spectrum(V),
+        total_spectrum=total_spectrum,
         conditional_spectrum=cond_spectrum,
     )
 
