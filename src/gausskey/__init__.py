@@ -33,7 +33,6 @@ from .gaussian import (
     direct_sum,
     entropy_h,
     entropy_h_array,
-    entropy_h_asymptotic,
     heterodyne_condition,
     homodyne_condition,
     is_physical,

@@ -5,6 +5,11 @@ All covariance matrices (CMs) use the interleaved quadrature ordering
 variance is 1.  A state is physical iff every symplectic eigenvalue is
 >= 1 (up to the slack ``EPS_PHYS``).
 
+The bosonic entropy h(x) is evaluated in a form that cancels nothing at
+large x, in numpy ufuncs only; ``entropy_h`` (floats) and
+``entropy_h_array`` (arrays) share that one expression and so agree bit
+for bit.
+
 Everything here is a pure function of its inputs; ``CovMat`` instances
 are immutable after construction and safe to share across threads.
 """
@@ -27,7 +32,7 @@ SYMMETRY_ATOL = 1e-12
 # of doubled singular values in the symplectic spectrum.
 DEGENERACY_RTOL = 1e-9
 
-_LOG2_E_HALF = math.log2(math.e / 2.0)
+_LN2 = math.log(2.0)
 
 _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
@@ -187,32 +192,32 @@ def symplectic_spectrum(V: CovMat) -> np.ndarray:
     return (sv[0::2] + sv[1::2]) / 2.0
 
 
+def _h_above_one(x):
+    """h(x) for x > 1 (NaN passes through), free of cancellation.
+
+    With a = (x+1)/2 and b = (x-1)/2, a log2 a - b log2 b equals
+    log2(a) + b log1p(1/b)/ln 2 because a - b = 1; the second form never
+    subtracts two terms of size x log2 x.  Only numpy ufuncs touch the
+    value, so a Python float and an array element get the same bits.
+    """
+    a = (x + 1.0) / 2.0
+    b = (x - 1.0) / 2.0
+    return np.log2(a) + b * np.log1p(1.0 / b) / _LN2
+
+
 def entropy_h(x: float) -> float:
     """Bosonic entropy of a symplectic eigenvalue, in bits.
 
     h(x) = (x+1)/2 log2 (x+1)/2 - (x-1)/2 log2 (x-1)/2, with h(1) = 0
-    (the 0*log 0 convention).  Values in [1 - EPS_PHYS, 1] are clamped
-    to 1; anything smaller is unphysical.
+    (the 0*log 0 convention), evaluated in the cancellation-free form of
+    _h_above_one.  Values in [1 - EPS_PHYS, 1] are clamped to 1;
+    anything smaller is unphysical.
     """
     if x < 1.0 - EPS_PHYS:
         raise DomainError(f"unphysical symplectic eigenvalue {x} < 1")
     if x <= 1.0:
         return 0.0
-    a = (x + 1.0) / 2.0
-    b = (x - 1.0) / 2.0
-    return a * math.log2(a) - b * math.log2(b)
-
-
-def log2_array(x) -> np.ndarray:
-    """math.log2 elementwise over an array.
-
-    np.log2 differs from math.log2 in the last bit on a small share of
-    inputs; mapping math.log2 keeps every array result bit-identical to
-    its scalar counterpart.
-    """
-    x = np.ascontiguousarray(x, dtype=float)
-    flat = memoryview(x.ravel())  # yields Python floats without building a list
-    return np.fromiter(map(math.log2, flat), dtype=float, count=x.size).reshape(x.shape)
+    return float(_h_above_one(x))
 
 
 def entropy_h_array(x) -> np.ndarray:
@@ -227,17 +232,8 @@ def entropy_h_array(x) -> np.ndarray:
         raise DomainError(f"unphysical symplectic eigenvalue {float(x[low][0])} < 1")
     out = np.zeros(x.shape)
     live = ~(x <= 1.0)  # NaN stays NaN, as in entropy_h
-    a = (x[live] + 1.0) / 2.0
-    b = (x[live] - 1.0) / 2.0
-    out[live] = a * log2_array(a) - b * log2_array(b)
+    out[live] = _h_above_one(x[live])
     return out
-
-
-def entropy_h_asymptotic(x: float) -> float:
-    """Large-argument form of entropy_h: log2((e/2) x)."""
-    if x <= 0.0:
-        raise DomainError(f"entropy_h_asymptotic needs x > 0, got {x}")
-    return _LOG2_E_HALF + math.log2(x)
 
 
 def von_neumann_entropy(V: CovMat) -> float:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .attack import AttackParams, attack_cm, lens_mask, violated_constraint
 from .gaussian import (
-    _LOG2_E_HALF,
     CovMat,
     DomainError,
     beamsplitter_apply,
@@ -42,7 +41,6 @@ from .gaussian import (
     heterodyne_condition,
     homodyne_condition,
     keep_modes,
-    log2_array,
     symplectic_spectrum,
     tmsv_cm,
 )
@@ -56,6 +54,8 @@ VARIANTS = (NO_SWITCHING, SWITCHING, SWITCHING_MIXED)
 # (mutual information, Holevo bound) in asymptotic mode.  Large enough
 # for 1e-3 convergence, small enough to keep 64-bit conditioning.
 DEFAULT_MU = 1.0e6
+
+_LOG2_E_HALF = math.log2(math.e / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,11 @@ def _entropies_array(*xs: np.ndarray) -> list[np.ndarray]:
     return [h[:, k] for k in range(len(xs))]
 
 
+# log2 is the numpy ufunc in both sets, so scalar and array rates share its bits.
 _SCALAR = _Elementwise(
-    math.sqrt, math.log2, max, min, lambda *xs: [entropy_h(x) for x in xs]
+    math.sqrt, lambda x: float(np.log2(x)), max, min, lambda *xs: [entropy_h(x) for x in xs]
 )
-_ARRAY = _Elementwise(np.sqrt, log2_array, np.maximum, np.minimum, _entropies_array)
+_ARRAY = _Elementwise(np.sqrt, np.log2, np.maximum, np.minimum, _entropies_array)
 
 # Points per kernel pass: bounds the temporaries (about a dozen arrays of
 # four entries per point) whatever the grid size.

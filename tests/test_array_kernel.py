@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gausskey import (
     AttackParams,
+    EPS_PHYS,
     DomainError,
     boundary_curve,
     boundary_curve_arrays,
@@ -178,9 +179,25 @@ def test_rim_eigenvalue_error_matches_scalar_order(omega):
     assert str(excinfo.value) == expected
 
 
-@given(st.lists(st.floats(min_value=1.0 - 1e-9, max_value=1e9), max_size=50))
+entropy_args = st.one_of(
+    st.floats(min_value=1.0 - EPS_PHYS, max_value=1e12),
+    st.sampled_from([1.0 - EPS_PHYS, 1.0, math.nan]),
+)
+
+
+@given(st.lists(entropy_args, max_size=50))
 def test_entropy_array_equals_scalar(xs):
-    assert bits(entropy_h_array(xs)) == bits([entropy_h(x) for x in xs])
+    x = np.array(xs)
+    values = [entropy_h(v) for v in xs]
+    scalar = bits(values)
+    assert bits(entropy_h_array(x)) == scalar
+    # strided and offset views: a ufunc whose SIMD lanes round by position
+    # would give an element different bits in each
+    assert bits(entropy_h_array(x[::3])) == scalar[::3]
+    assert bits(entropy_h_array(x[1:])) == scalar[1:]
+    # NaN passes through, [1 - EPS_PHYS, 1] clamps to 0.0, above 1 is positive
+    for v, h in zip(xs, values):
+        assert math.isnan(h) if math.isnan(v) else (h == 0.0) == (v <= 1.0)
 
 
 def test_entropy_array_names_first_unphysical_value():

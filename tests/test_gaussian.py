@@ -11,7 +11,6 @@ from gausskey import (
     beamsplitter_apply,
     direct_sum,
     entropy_h,
-    entropy_h_asymptotic,
     heterodyne_condition,
     homodyne_condition,
     is_physical,
@@ -139,24 +138,23 @@ def test_entropy_h_increasing():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_entropy_h_asymptotic_zero_point():
-    assert entropy_h_asymptotic(2.0 / math.e) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(DomainError):
-        entropy_h_asymptotic(0.0)
+def log2_e_half_x(x):
+    """Large-argument form of entropy_h: log2((e/2) x)."""
+    return math.log2(math.e / 2.0 * x)
 
 
 def test_entropy_h_asymptotic_agreement():
-    assert entropy_h(20.0) - entropy_h_asymptotic(20.0) == pytest.approx(0.0, abs=2e-3)
-    assert entropy_h(2000.0) - entropy_h_asymptotic(2000.0) == pytest.approx(0.0, abs=2e-7)
+    assert entropy_h(20.0) - log2_e_half_x(20.0) == pytest.approx(0.0, abs=2e-3)
+    assert entropy_h(2000.0) - log2_e_half_x(2000.0) == pytest.approx(0.0, abs=2e-7)
 
 
 def test_entropy_asymptotic_gap_monotone():
-    # The true gap is -1/(6 x^2 ln 2) + O(x^-4); evaluating entropy_h in
-    # doubles adds ~x*eps noise, so strict decrease is only checkable
-    # while the gap stays above that floor.
+    # The true gap is 1/(6 x^2 ln 2) + O(x^-4), 2.4e-13 at x = 1e6.  Both
+    # sides are within a few ulps of numbers near log2(x), about 1e-14,
+    # so the gap must decrease strictly down to that size.
     xs = np.logspace(math.log10(3.0), 6.0, 40)
-    gaps = [abs(entropy_h(float(x)) - entropy_h_asymptotic(float(x))) for x in xs]
-    floor = 1e-8  # ~ 64 * eps * x at the top of the grid
+    gaps = [abs(entropy_h(float(x)) - log2_e_half_x(float(x))) for x in xs]
+    floor = 3e-13
     for a, b in zip(gaps, gaps[1:]):
         assert b < a or (a < floor and b < floor)
     assert gaps[-1] < floor
