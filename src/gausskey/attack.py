@@ -128,7 +128,7 @@ def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.
     branches = []
     for s in (1.0, -1.0):
         den = s * omega - grid
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             gp = (omega * omega - 1.0 - s * omega * grid) / den
             residual = omega * np.abs(grid + gp) - (omega * omega + grid * gp - 1.0)
         keep = (

@@ -265,7 +265,11 @@ def critical_point_report(
     gradient_step: float | None = None,
     hessian_step: float | None = None,
 ) -> CriticalPointReport:
-    """Assemble gradient/Hessian diagnostics of the rate at the origin."""
+    """Assemble gradient/Hessian diagnostics of the rate at the origin.
+
+    Raises DomainError where the closed-form determinant cannot be
+    represented (it cancels to 0 or overflows at very large omega).
+    """
     _check_tau_omega(tau, omega)
     if protocol not in _ANALYTIC_DET:
         raise DomainError(f"unknown protocol variant {protocol!r}")
@@ -274,6 +278,15 @@ def critical_point_report(
     grad = finite_diff_gradient(rate_fn, 0.0, 0.0, g_step)
     hess = hessian_at_origin(rate_fn, tau, omega, step=hessian_step)
     det_h = float(np.linalg.det(hess))
+    try:
+        analytic_det_h = _ANALYTIC_DET[protocol](tau, omega)
+    except OverflowError:  # omega**4 of the switching form
+        analytic_det_h = math.inf
+    if not 0.0 < analytic_det_h < math.inf:  # positive for every omega > 1
+        raise DomainError(
+            f"closed-form Hessian determinant at tau = {tau}, omega = {omega} is "
+            f"{analytic_det_h} in floating point; its true value is positive"
+        )
     return CriticalPointReport(
         protocol=protocol,
         tau=tau,
@@ -281,7 +294,7 @@ def critical_point_report(
         gradient_at_origin=grad,
         hessian_at_origin=hess,
         det_h=det_h,
-        analytic_det_h=_ANALYTIC_DET[protocol](tau, omega),
+        analytic_det_h=analytic_det_h,
         is_minimum=bool(det_h > 0.0 and hess[0, 0] > 0.0),
     )
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .attack import AttackParams, attack_cm, lens_mask, violated_constraint
 from .gaussian import (
+    EPS_PHYS,
     CovMat,
     DomainError,
     beamsplitter_apply,
@@ -75,14 +76,22 @@ class _Elementwise:
 
 
 def _entropies_array(*xs: np.ndarray) -> list[np.ndarray]:
-    h = entropy_h_array(np.stack(xs, axis=1))
+    x = np.stack(xs, axis=1)
+    # A lost eigenvalue makes its point's rate NaN, as an overflowed one does;
+    # key_rates then raises the scalar error of the first such point.
+    x[x < 1.0 - EPS_PHYS] = np.nan
+    h = entropy_h_array(x)
     return [h[:, k] for k in range(len(xs))]
 
 
+def _entropies_scalar(*xs: float) -> list[float]:
+    # An eigenvalue that overflowed to inf makes the rate NaN, as h(inf) does
+    # in the array form; skipping h here keeps numpy from warning about it.
+    return [entropy_h(x) if x < math.inf else math.nan for x in xs]
+
+
 # log2 is the numpy ufunc in both sets, so scalar and array rates share its bits.
-_SCALAR = _Elementwise(
-    math.sqrt, lambda x: float(np.log2(x)), max, min, lambda *xs: [entropy_h(x) for x in xs]
-)
+_SCALAR = _Elementwise(math.sqrt, lambda x: float(np.log2(x)), max, min, _entropies_scalar)
 _ARRAY = _Elementwise(np.sqrt, np.log2, np.maximum, np.minimum, _entropies_array)
 
 # Points per kernel pass: bounds the temporaries (about a dozen arrays of
@@ -149,10 +158,6 @@ class DerivedCoefficients:
     k_tilde: float
     k_prime: float
     k_tilde_prime: float
-    zeta: float            # nu_minus / (2*(omega - g'))
-    zeta_prime: float      # nu_minus / (2*(omega - g))
-    kappa_plus: float      # (omega + g') / (omega + g)
-    kappa_minus: float     # (omega - g') / (omega - g)
 
 
 def _require_physical(params: AttackParams) -> None:
@@ -205,7 +210,6 @@ def derived_coefficients(params: AttackParams, mu: float) -> DerivedCoefficients
     phi2 = tau * mu * (mu + 2.0)
     d_g = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * g * g
     d_gp = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * gp * gp
-    nu_minus = _nu_pm(om, g, gp)[1]
     return DerivedCoefficients(
         lam=lam,
         phi=math.sqrt(phi2),
@@ -219,10 +223,6 @@ def derived_coefficients(params: AttackParams, mu: float) -> DerivedCoefficients
         k_tilde=(1.0 - tau) * g * phi2,
         k_prime=(mu + 1.0) * d_gp - phi2 * (lam + 1.0),
         k_tilde_prime=(1.0 - tau) * gp * phi2,
-        zeta=nu_minus / (2.0 * (om - gp)),
-        zeta_prime=nu_minus / (2.0 * (om - g)),
-        kappa_plus=(om + gp) / (om + g),
-        kappa_minus=(om - gp) / (om - g),
     )
 
 
@@ -473,7 +473,14 @@ def _key_rate_at(variant: str, params: AttackParams) -> float:
         raise DomainError(f"unknown protocol variant {variant!r}")
     _require_physical(params)
     _require_open_tau(params)
-    return _closed_form(variant, params.tau, params.omega, params.g, params.g_prime, _SCALAR)
+    tau, omega, g, gp = params.tau, params.omega, params.g, params.g_prime
+    rate = _closed_form(variant, tau, omega, g, gp, _SCALAR)
+    if not math.isfinite(rate):
+        raise DomainError(
+            f"{variant} rate at tau = {tau!r}, omega = {omega!r}, (g, g') = ({g!r}, {gp!r}) "
+            "is not finite: an intermediate value leaves the floating-point range"
+        )
+    return rate
 
 
 def _closed_form(variant: str, tau: float, om: float, g, gp, ew: _Elementwise):
@@ -515,8 +522,9 @@ def key_rates(variant: str, tau: float, omega: float, g, g_prime) -> np.ndarray:
     shape.  Both forms evaluate the same formulas, and every element
     equals the scalar rate at that point bit for bit.  Errors match a
     loop of scalar calls over the points in C order: the first point
-    that fails (an unphysical (g, g') or tau, or an eigenvalue lost
-    below 1) raises the DomainError that its scalar call raises.
+    that fails (an unphysical (g, g') or tau, an eigenvalue lost below 1,
+    or a rate that overflows to a non-finite value) raises the
+    DomainError that its scalar call raises.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown protocol variant {variant!r}")
@@ -526,11 +534,14 @@ def key_rates(variant: str, tau: float, omega: float, g, g_prime) -> np.ndarray:
     rejected = _first_rejected(tau, omega, g, gp)
     accepted = g.size if rejected is None else rejected
     rates = np.empty(g.size)
-    for start in range(0, accepted, _KERNEL_CHUNK):
-        part = slice(start, min(start + _KERNEL_CHUNK, accepted))
-        rates[part] = _closed_form(variant, tau, omega, g[part], gp[part], _ARRAY)
-    if rejected is not None:  # raises the scalar error of the rejected point
-        _key_rate_at(variant, AttackParams(tau, omega, float(g[rejected]), float(gp[rejected])))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces as a NaN rate
+        for start in range(0, accepted, _KERNEL_CHUNK):
+            part = slice(start, min(start + _KERNEL_CHUNK, accepted))
+            rates[part] = _closed_form(variant, tau, omega, g[part], gp[part], _ARRAY)
+    failed = np.flatnonzero(~np.isfinite(rates[:accepted]))
+    first = int(failed[0]) if failed.size else rejected
+    if first is not None:  # raises the scalar error of the first failing point
+        _key_rate_at(variant, AttackParams(tau, omega, float(g[first]), float(gp[first])))
     return rates.reshape(shape)
 
 
@@ -598,8 +609,7 @@ def rate_report(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     """
     if not spec.asymptotic:
         return key_rate_numeric(params, spec)
-    _require_physical(params)
-    _require_open_tau(params)
+    _key_rate_at(spec.variant, params)  # domain checks, and a finite rate
     mu = spec.mu_value
     i_ab = mutual_information(params, spec)
     if spec.variant == NO_SWITCHING:

@@ -20,6 +20,8 @@ from gausskey import (
     key_rates,
     physical_grid,
     physical_grid_arrays,
+    ProtocolSpec,
+    rate_report,
     verify_minimality,
     violated_constraint,
 )
@@ -177,6 +179,43 @@ def test_rim_eigenvalue_error_matches_scalar_order(omega):
     with pytest.raises(DomainError) as excinfo:
         key_rates("noswitching", 0.44, omega, edge_g, edge_gp)
     assert str(excinfo.value) == expected
+
+
+def first_scalar_error(variant, tau, omega, g, gp):
+    for a, b in zip(g.tolist(), gp.tolist()):
+        try:
+            key_rate_asymptotic(AttackParams(tau, omega, a, b), variant)
+        except DomainError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_overflowing_rate_raises_first_scalar_error(variant):
+    """Past omega ~ 1.34e154 the attack products overflow: the first such point raises."""
+    omega = 1.3e154
+    g, gp = physical_grid_arrays(omega, 7)
+    expected = first_scalar_error(variant, 0.5, omega, g, gp)
+    assert expected.startswith(f"{variant} rate at tau = 0.5, omega = 1.3e+154, (g, g') = (")
+    assert expected.endswith("is not finite: an intermediate value leaves the floating-point range")
+    with pytest.raises(DomainError) as excinfo:
+        key_rates(variant, 0.5, omega, g, gp)
+    assert str(excinfo.value) == expected
+    # an unphysical point raises first only when it comes first
+    bad_g, bad_gp = np.append(g, omega), np.append(gp, 0.0)
+    with pytest.raises(DomainError) as excinfo:
+        key_rates(variant, 0.5, omega, bad_g, bad_gp)
+    assert str(excinfo.value) == expected
+    with pytest.raises(DomainError, match=r"\|g\| < omega"):
+        key_rates(variant, 0.5, omega, bad_g[::-1], bad_gp[::-1])
+    with pytest.raises(DomainError) as excinfo:
+        verify_minimality(variant, 0.5, omega, 7)
+    assert str(excinfo.value) == expected
+    origin = AttackParams(0.5, 1.4e154, 0.0, 0.0)
+    with pytest.raises(DomainError, match="is not finite"):
+        key_rate_asymptotic(origin, variant)
+    with pytest.raises(DomainError, match="is not finite"):
+        rate_report(origin, ProtocolSpec(variant))
 
 
 entropy_args = st.one_of(

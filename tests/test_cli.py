@@ -174,6 +174,40 @@ def test_critical_degenerate_message():
     assert "point" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("scan", "--tau", "0.5", "--omega", "1.3e154", "--grid-resolution", "3"),
+        ("scan", "--tau", "0.5", "--omega", "1.3e154", "--grid-resolution", "3", "--format", "json"),
+        ("rate", "--tau", "0.5", "--omega", "1.4e154"),
+    ],
+)
+def test_non_finite_rate_exits_two(args):
+    """Attack products that overflow give a domain error, not NaN rates and warnings."""
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("domain error: noswitching rate at tau = 0.5")
+    assert line.endswith("is not finite: an intermediate value leaves the floating-point range")
+
+
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        (("--tau", "0.5", "--omega", "1e20"), "0.0"),  # the determinant cancels to 0
+        (("--protocol", "switching", "--tau", "0.5", "--omega", "1e80"), "inf"),  # omega**4 overflows
+    ],
+)
+def test_critical_at_huge_omega_exits_two(args, value):
+    result = run_cli("critical", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("domain error: closed-form Hessian determinant at tau = 0.5")
+    assert f" is {value} in floating point" in line
+
+
 def test_converge_table():
     result = run_cli(
         "converge", "--tau", "0.44", "--omega", "1.2", "--g", "0.3", "--gprime", "-0.1"

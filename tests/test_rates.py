@@ -76,14 +76,11 @@ def test_protocol_spec_validation():
 
 def test_derived_coefficients_invariants():
     co = derived_coefficients(EXAMPLE, 50.0)
-    tau, om, g, gp = 0.6, 1.2, 0.3, -0.1
+    tau, om, g = 0.6, 1.2, 0.3
     assert co.lam == pytest.approx(tau * 51.0 + 0.4 * om, abs=1e-12)
     assert co.lam_tilde == pytest.approx(co.lam - tau, abs=1e-12)
     assert co.lam_bar == pytest.approx(1.0 + om * (1.0 - tau), abs=1e-12)
     assert co.phi**2 == pytest.approx(tau * (51.0**2 - 1.0), rel=1e-14)
-    assert co.kappa_plus * co.kappa_minus == pytest.approx(
-        (om * om - gp * gp) / (om * om - g * g), rel=1e-14
-    )
     # conditional cross numerator: magnitude g(1-tau) tau mu (mu+2); the
     # measurement update fixes its sign to that of g
     assert co.k_tilde == pytest.approx(g * (1.0 - tau) * tau * 50.0 * 52.0, rel=1e-14)
