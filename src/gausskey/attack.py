@@ -138,7 +138,11 @@ def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.
         )
         branches.append((gp, keep))
     (gp_pos, keep_pos), (gp_neg, keep_neg) = branches
-    for i in np.flatnonzero(keep_pos & keep_neg).tolist():
+    both = np.flatnonzero(keep_pos & keep_neg)
+    # Values that round equal to 12 decimals lie within 2e-12*max(1, |x|) of
+    # each other, so this filter leaves round() only the pairs that can match.
+    a, b = gp_pos[both], gp_neg[both]
+    for i in both[np.abs(a - b) <= 2e-12 * np.maximum(1.0, np.abs(a))].tolist():
         if round(float(gp_pos[i]), 12) == round(float(gp_neg[i]), 12):
             keep_pos[i] = False
     g = np.concatenate([grid[keep_pos], grid[keep_neg]])
@@ -153,12 +157,15 @@ def boundary_curve(omega: float, n_samples: int) -> BoundaryCurve:
     return BoundaryCurve(omega=float(omega), samples=tuple(zip(g.tolist(), gp.tolist())))
 
 
-def physical_grid_arrays(omega: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform grid over (-omega, omega)^2 filtered to the physical region.
+def physical_grid_mirror(
+    omega: float, resolution: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of physical_grid_arrays plus, for each (g, g'), the index of (g', g).
 
-    The grid is open at +-omega (the marginal constraints are strict
-    there) and always contains the origin.  Returns the (g, g') arrays
-    of the kept points, sorted by (g, g').
+    Both coordinates run over one axis and lens_mask is symmetric under
+    g <-> g', so the mirror of every kept point is kept: it is read off
+    the transposed (i, j) grid of point indices.  mirror[k] >= k exactly
+    when g[k] <= g_prime[k]; the origin is its own mirror.
     """
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
@@ -166,10 +173,24 @@ def physical_grid_arrays(omega: float, resolution: int) -> tuple[np.ndarray, np.
     axis[np.abs(axis) < 1e-15 * max(1.0, omega)] = 0.0
     g, gp = np.meshgrid(axis, axis, indexing="ij")  # row-major order is (g, g') order
     keep = lens_mask(omega, g, gp)
+    index = np.cumsum(keep.ravel()).reshape(keep.shape) - 1  # C-order rank of each kept (i, j)
+    mirror = index.T[keep]
     g, gp = g[keep], gp[keep]
     if not np.any((g == 0.0) & (gp == 0.0)):
         at = int(np.count_nonzero((g < 0.0) | ((g == 0.0) & (gp < 0.0))))
         g, gp = np.insert(g, at, 0.0), np.insert(gp, at, 0.0)
+        mirror = np.insert(mirror + (mirror >= at), at, at)
+    return g, gp, mirror
+
+
+def physical_grid_arrays(omega: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid over (-omega, omega)^2 filtered to the physical region.
+
+    The grid is open at +-omega (the marginal constraints are strict
+    there) and always contains the origin.  Returns the (g, g') arrays
+    of the kept points, sorted by (g, g').
+    """
+    g, gp, _ = physical_grid_mirror(omega, resolution)
     return g, gp
 
 

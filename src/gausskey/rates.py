@@ -95,8 +95,11 @@ _SCALAR = _Elementwise(math.sqrt, lambda x: float(np.log2(x)), max, min, _entrop
 _ARRAY = _Elementwise(np.sqrt, np.log2, np.maximum, np.minimum, _entropies_array)
 
 # Points per kernel pass: bounds the temporaries (about a dozen arrays of
-# four entries per point) whatever the grid size.
-_KERNEL_CHUNK = 4096
+# four entries per point) whatever the grid size.  _entropies_array stacks
+# four doubles per point, so 2048 points keep that stack at 64 KiB; at 4096
+# (128 KiB) it no longer stays in a typical per-core cache, and the entropy
+# ufuncs cost about twice as much per element.
+_KERNEL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -492,9 +495,11 @@ def _closed_form(variant: str, tau: float, om: float, g, gp, ew: _Elementwise):
             nbar_plus, nbar_minus, nu_plus, nu_minus
         )
         den = 1.0 + tau + (1.0 - tau) * om
-        return math.log2(2.0 / math.e * tau / ((1.0 - tau) * den)) + 0.5 * (
-            h_nbar_plus + h_nbar_minus - h_nu_plus - h_nu_minus
-        )
+        ratio = 2.0 / math.e * tau / ((1.0 - tau) * den)
+        # A subnormal tau underflows the ratio to 0: its log is -inf, and the
+        # rate's finiteness check reports the point.
+        lead = math.log2(ratio) if ratio > 0.0 else -math.inf
+        return lead + 0.5 * (h_nbar_plus + h_nbar_minus - h_nu_plus - h_nu_minus)
     den = (1.0 - tau) * (tau + (1.0 - tau) * om)
     if variant == SWITCHING:
         lead = 0.5 * ew.log2(ew.sqrt(nu_plus * nu_minus) / den)

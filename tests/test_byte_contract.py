@@ -1,0 +1,27 @@
+"""The digests of scripts/byte_contract.py, pinned for the numpy they were recorded with."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED = {
+    "verify_minimality": "639a7ce2c9ca49e507bb65aa333f4b51eb9ea3e6ee2f3f027505f636e4cac6e0",
+    "cli": "167c2d58eaabe0e75f46b3e82ecaf8bbe5672a33fa7fafe117ae01df9d0d47ff",
+    "key_rate_numeric": "531a1121254dedafb7648b094d41031e850a60f5496e536b3c5e46ede307f304",
+}
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "byte_contract.py"
+
+
+@pytest.mark.skipif(
+    np.__version__ != RECORDED_NUMPY,
+    reason=f"digests were recorded with numpy {RECORDED_NUMPY}, not {np.__version__}; "
+    "its ufunc loops set the output bits",
+)
+def test_byte_contract_digests():
+    spec = importlib.util.spec_from_file_location("byte_contract", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.digests() == RECORDED

@@ -193,6 +193,24 @@ def test_non_finite_rate_exits_two(args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ("rate", "--tau", "5e-324", "--omega", "2"),
+        ("scan", "--tau", "5e-324", "--omega", "2", "--grid-resolution", "3"),
+        ("rate", "--tau", "1e-310", "--omega", "2"),
+    ],
+)
+def test_subnormal_tau_exits_two(args):
+    """The no-switching lead's log argument underflows to 0: a domain error, not a traceback."""
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"domain error: noswitching rate at tau = {float(args[2])!r}")
+    assert line.endswith("is not finite: an intermediate value leaves the floating-point range")
+
+
+@pytest.mark.parametrize(
     "args, value",
     [
         (("--tau", "0.5", "--omega", "1e20"), "0.0"),  # the determinant cancels to 0
