@@ -88,7 +88,7 @@ def minimality_cases():
         tau = next(taus)
         for resolution in (2, 3, 101):
             yield protocol, tau, omega, resolution
-    yield "noswitching", 0.44, 1e4, 101  # rim eigenvalue lost below 1
+    yield "noswitching", 0.44, 1e4, 101  # boundary samples rounded inward onto the lens
     yield "noswitching", 0.0, 2.0, 11
     yield "switching", 0.5, 0.5, 11
     yield "bogus", 0.5, 2.0, 11

@@ -14,13 +14,10 @@ Library layout:
 
 from .attack import (
     AttackParams,
-    BoundaryCurve,
     attack_cm,
-    boundary_curve,
     boundary_curve_arrays,
-    check_constraints,
+    constraint_slack,
     lens_mask,
-    physical_grid,
     physical_grid_arrays,
     violated_constraint,
 )

@@ -8,6 +8,12 @@ correlations (g, g').  The uncertainty principle restricts (g, g') to
 
 a lens-shaped region that collapses to the origin as omega -> 1.  The
 origin g = g' = 0 is the uncorrelated (single-mode collective) attack.
+
+Inside the square the last inequality is nu_-^2 >= 1: both attack
+eigenvalues, whose squares are (omega -+ g)(omega -+ g'), are at least 1.
+Every membership decision goes through lens_mask, which admits
+constraint_slack = nu_-^2 - 1 >= -EPS_PHYS, so the rates of every
+admitted point can be evaluated.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CovMat, DomainError
+from .gaussian import EPS_PHYS, CovMat, DomainError
 
-# Absolute slack on the correlation constraint and on boundary membership.
-CONSTRAINT_TOL = 1e-9
+# Whole ulps a boundary sample may move into the lens before it is dropped.
+# Samples need up to about n_samples/2 (at most 246 in a probe with n <= 401).
+RIM_STEP_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -28,7 +35,7 @@ class AttackParams:
     """Attack point: channel transmissivity plus the ancilla state.
 
     tau in (0, 1]; omega >= 1.  The correlation pair (g, g_prime) is not
-    validated here -- use check_constraints / violated_constraint.
+    validated here -- use lens_mask / violated_constraint.
     """
 
     tau: float
@@ -46,14 +53,6 @@ class AttackParams:
             raise DomainError(f"thermal variance must satisfy omega >= 1, got {self.omega}")
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Sampled points saturating omega*|g + g'| = omega^2 + g*g' - 1."""
-
-    omega: float
-    samples: tuple[tuple[float, float], ...]
-
-
 def attack_cm(omega: float, g: float, g_prime: float) -> CovMat:
     """Two-mode ancilla CM: diagonal blocks omega*I, cross block diag(g, g')."""
     m = np.zeros((4, 4))
@@ -63,59 +62,68 @@ def attack_cm(omega: float, g: float, g_prime: float) -> CovMat:
     return CovMat(m)
 
 
-def lens_mask(omega: float, g, g_prime, strict: bool = False) -> np.ndarray:
+def _slack(omega, g, g_prime, minimum):
+    return minimum((omega - g) * (omega - g_prime), (omega + g) * (omega + g_prime)) - 1.0
+
+
+def constraint_slack(omega: float, g, g_prime):
+    """nu_-^2 - 1: min((omega - g)(omega - g'), (omega + g)(omega + g')) - 1, elementwise.
+
+    Takes floats or broadcastable arrays.  The products are formed as the
+    rates form nu_-^2 and nu_+^2, so the slack of a point is exactly what
+    its entropies see.  Inside the square |g|, |g'| < omega the point is
+    in the lens iff the slack is >= 0, and in its open interior iff > 0.
+    """
+    if isinstance(g, np.ndarray) or isinstance(g_prime, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge omega: the rates raise instead
+            return _slack(omega, g, g_prime, np.minimum)
+    # One point, as every scalar rate checks it: Python floats give the same
+    # IEEE products without numpy's dispatch (about 3 us a call) and never warn.
+    return _slack(float(omega), float(g), float(g_prime), min)
+
+
+def lens_mask(omega: float, g, g_prime):
     """Elementwise membership of (g, g') in the physical lens at this omega.
 
-    Takes floats or broadcastable arrays and returns a boolean array.
-    strict=False admits the boundary (within CONSTRAINT_TOL); strict=True
-    keeps only the open interior.  Non-finite entries are outside.
+    Takes floats or broadcastable arrays and returns booleans of their
+    shape: the square |g|, |g'| < omega, and constraint_slack >= -EPS_PHYS.
+    The boundary is admitted; non-finite entries are outside.
     """
-    g = np.asarray(g, dtype=float)
-    g_prime = np.asarray(g_prime, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = omega * np.abs(g + g_prime)
-        rhs = omega * omega + g * g_prime - 1.0
-        edge = lhs < rhs - CONSTRAINT_TOL if strict else lhs <= rhs + CONSTRAINT_TOL
-        return (np.abs(g) < omega) & (np.abs(g_prime) < omega) & edge
-
-
-def check_constraints(params: AttackParams, strict: bool = False) -> bool:
-    """True iff (g, g') is an allowed correlation pair for this omega.
-
-    strict=False admits the boundary (within CONSTRAINT_TOL); strict=True
-    keeps only the open interior.
-    """
-    return bool(lens_mask(params.omega, params.g, params.g_prime, strict))
+    return (
+        (abs(g) < omega)
+        & (abs(g_prime) < omega)
+        & (constraint_slack(omega, g, g_prime) >= -EPS_PHYS)
+    )
 
 
 def violated_constraint(params: AttackParams) -> str | None:
-    """Name of the first violated constraint, or None if physical."""
+    """Name of the first violated constraint, or None if lens_mask admits the point."""
     omega, g, gp = params.omega, params.g, params.g_prime
+    if lens_mask(omega, g, gp):
+        return None
     if abs(g) >= omega:
         return f"|g| < omega (|{g}| >= {omega})"
     if abs(gp) >= omega:
         return f"|g_prime| < omega (|{gp}| >= {omega})"
-    lhs = omega * abs(g + gp)
+    lhs = omega * abs(g + gp)  # the linear form, for the message only
     rhs = omega * omega + g * gp - 1.0
-    if lhs > rhs + CONSTRAINT_TOL:
-        return (
-            "omega*|g + g_prime| <= omega^2 + g*g_prime - 1 "
-            f"({lhs:g} > {rhs:g})"
-        )
-    return None
+    return f"omega*|g + g_prime| <= omega^2 + g*g_prime - 1 ({lhs:g} > {rhs:g})"
 
 
 def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the constraint boundary in the (g, g') plane, as (g, g') arrays.
 
-    For each sign branch of |g + g'| the saturation condition is linear
-    in g', so each g on a uniform open grid of (-omega, omega) yields a
-    candidate g' = (omega^2 - 1 - s*omega*g) / (s*omega - g).  Candidates
-    are kept only if they satisfy |g'| < omega and actually saturate the
-    constraint (solving one branch can land in the other branch's sign
-    region, where the candidate is spurious).  Both branches are covered;
-    where both give the same point to 12 decimals, the s = -1 candidate
-    stands for it.  Points are sorted by (g, g').
+    For each sign branch s the rim (omega - s*g)(omega - s*g') = 1 is
+    linear in g', so each g on a uniform open grid of (-omega, omega)
+    yields a candidate g' = (omega^2 - 1 - s*omega*g) / (s*omega - g).
+    Round-off can leave a candidate just outside the lens; one on its own
+    branch's side (s*(g + g') >= 0) then moves toward 0 by whole ulps
+    until lens_mask admits it, at most RIM_STEP_CAP ulps.  A candidate on
+    the other side solves the equation of a rim that does not bound the
+    lens there and lies far outside, so it is not moved (the walk would
+    only cost time).  lens_mask then decides which candidates are kept.
+    Where both branches give the same point to 12 decimals, the s = -1
+    candidate stands for it.  Points are sorted by (g, g').
     """
     if omega <= 1.0:
         raise DomainError(
@@ -124,20 +132,25 @@ def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.
     if n_samples < 2:
         raise DomainError(f"need at least 2 samples, got {n_samples}")
     grid = np.linspace(-omega, omega, n_samples + 2)[1:-1]
-    scale = max(1.0, omega * omega)
-    branches = []
-    for s in (1.0, -1.0):
-        den = s * omega - grid
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gp = (omega * omega - 1.0 - s * omega * grid) / den
-            residual = omega * np.abs(grid + gp) - (omega * omega + grid * gp - 1.0)
-        keep = (
-            (np.abs(den) >= 1e-12)
-            & (np.abs(gp) < omega)
-            & (np.abs(residual) <= CONSTRAINT_TOL * scale)
-        )
-        branches.append((gp, keep))
-    (gp_pos, keep_pos), (gp_neg, keep_neg) = branches
+    s = np.array([[1.0], [-1.0]])  # one row per branch
+    den = s * omega - grid
+    solved = np.abs(den) >= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gp = (omega * omega - 1.0 - s * omega * grid) / den
+        own_branch = solved & (s * (grid + gp) >= 0.0)
+    flat_g = np.broadcast_to(grid, gp.shape).ravel()
+    flat_gp = gp.reshape(-1)  # a view: nudging flat_gp moves gp
+    inside = lens_mask(omega, flat_g, flat_gp)
+    stray = np.flatnonzero(own_branch.ravel() & ~inside)
+    for _ in range(RIM_STEP_CAP):
+        if not stray.size:
+            break
+        flat_gp[stray] = np.nextafter(flat_gp[stray], 0.0)
+        admitted = lens_mask(omega, flat_g[stray], flat_gp[stray])
+        inside[stray[admitted]] = True
+        stray = stray[~admitted]
+    keep = solved & inside.reshape(gp.shape)
+    (gp_pos, gp_neg), (keep_pos, keep_neg) = gp, keep
     both = np.flatnonzero(keep_pos & keep_neg)
     # Values that round equal to 12 decimals lie within 2e-12*max(1, |x|) of
     # each other, so this filter leaves round() only the pairs that can match.
@@ -149,12 +162,6 @@ def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.
     gp = np.concatenate([gp_pos[keep_pos], gp_neg[keep_neg]])
     order = np.lexsort((gp, g))
     return g[order], gp[order]
-
-
-def boundary_curve(omega: float, n_samples: int) -> BoundaryCurve:
-    """Boundary samples of boundary_curve_arrays as a tuple of (g, g') pairs."""
-    g, gp = boundary_curve_arrays(omega, n_samples)
-    return BoundaryCurve(omega=float(omega), samples=tuple(zip(g.tolist(), gp.tolist())))
 
 
 def physical_grid_mirror(
@@ -192,9 +199,3 @@ def physical_grid_arrays(omega: float, resolution: int) -> tuple[np.ndarray, np.
     """
     g, gp, _ = physical_grid_mirror(omega, resolution)
     return g, gp
-
-
-def physical_grid(omega: float, resolution: int) -> list[tuple[float, float]]:
-    """Points of physical_grid_arrays as a sorted list of (g, g') pairs."""
-    g, gp = physical_grid_arrays(omega, resolution)
-    return list(zip(g.tolist(), gp.tolist()))

@@ -16,7 +16,10 @@ the array rate kernel (``rates.key_rates``); finite-``mu`` scans and
 The scan verdict says whether the origin is the strict minimum of the
 unclamped rates (``landscape.origin_is_strict_minimum``, as in
 ``verify_minimality``); ``--clamp-nonnegative`` changes only the emitted
-``rate`` and ``origin_rate`` values.
+``rate`` and ``origin_rate`` values.  A grid point is ``on_boundary``
+when it lies outside the open interior (``attack.constraint_slack`` at
+most ``EPS_PHYS``), and a ``boundary`` run with no sample is a domain
+error.
 
 Cost per in-process ``main`` call.  ``main`` parses with one parser per
 process, built on first use (``build_parser`` still returns a fresh
@@ -46,10 +49,11 @@ from . import rates as _rates
 from .attack import (
     AttackParams,
     boundary_curve_arrays,
+    constraint_slack,
     physical_grid_arrays,
     violated_constraint,
 )
-from .gaussian import DomainError
+from .gaussian import EPS_PHYS, DomainError
 
 SCAN_HEADER = "g,g_prime,rate,physical,on_boundary"
 # One scan row as fmt and json.dumps(..., indent=2) render it.
@@ -327,9 +331,9 @@ def _scan_points(cfg: RunConfig, include_grid: bool) -> tuple[np.ndarray, ...]:
         grid_g, grid_gp = physical_grid_arrays(cfg.omega, cfg.grid_resolution)
     g = np.concatenate([grid_g, edge_g])
     gp = np.concatenate([grid_gp, edge_gp])
-    on_boundary = np.concatenate(
-        [_on_boundary(cfg.omega, grid_g, grid_gp), np.ones(edge_g.size, dtype=bool)]
-    )
+    # A grid point outside the open interior (slack > EPS_PHYS) is on the rim.
+    grid_on_rim = constraint_slack(cfg.omega, grid_g, grid_gp) <= EPS_PHYS
+    on_boundary = np.concatenate([grid_on_rim, np.ones(edge_g.size, dtype=bool)])
     order = np.lexsort((gp, g))  # stable: a grid point precedes its equal boundary sample
     g, gp, on_boundary = g[order], gp[order], on_boundary[order]
     first = np.ones(g.size, dtype=bool)
@@ -351,12 +355,6 @@ def _scan_points(cfg: RunConfig, include_grid: bool) -> tuple[np.ndarray, ...]:
             ]
         )
     return g, gp, rates, on_boundary
-
-
-def _on_boundary(omega: float, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # huge omega: the rates raise instead
-        residual = omega * np.abs(g + gp) - (omega * omega + g * gp - 1.0)
-    return np.abs(residual) <= 1e-9 * max(1.0, omega * omega)
 
 
 def _json_texts(column: np.ndarray) -> list[str]:
@@ -409,7 +407,13 @@ def cmd_boundary(cfg: RunConfig) -> str:
         raise DomainError(
             f"the physical region at omega = {cfg.omega} is a point; boundary is empty"
         )
-    return _render_rows(cfg, _scan_points(cfg, include_grid=False))
+    points = _scan_points(cfg, include_grid=False)
+    if not points[0].size:
+        raise DomainError(
+            f"boundary is empty: no boundary sample at omega = {cfg.omega} "
+            f"and grid resolution {cfg.grid_resolution}"
+        )
+    return _render_rows(cfg, points)
 
 
 def cmd_critical(cfg: RunConfig) -> str:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .attack import AttackParams, attack_cm, lens_mask, violated_constraint
 from .gaussian import (
-    EPS_PHYS,
     CovMat,
     DomainError,
     beamsplitter_apply,
@@ -76,11 +75,8 @@ class _Elementwise:
 
 
 def _entropies_array(*xs: np.ndarray) -> list[np.ndarray]:
-    x = np.stack(xs, axis=1)
-    # A lost eigenvalue makes its point's rate NaN, as an overflowed one does;
-    # key_rates then raises the scalar error of the first such point.
-    x[x < 1.0 - EPS_PHYS] = np.nan
-    h = entropy_h_array(x)
+    # Every point that lens_mask admits has eigenvalues >= 1 - EPS_PHYS/2.
+    h = entropy_h_array(np.stack(xs, axis=1))
     return [h[:, k] for k in range(len(xs))]
 
 
@@ -527,9 +523,9 @@ def key_rates(variant: str, tau: float, omega: float, g, g_prime) -> np.ndarray:
     shape.  Both forms evaluate the same formulas, and every element
     equals the scalar rate at that point bit for bit.  Errors match a
     loop of scalar calls over the points in C order: the first point
-    that fails (an unphysical (g, g') or tau, an eigenvalue lost below 1,
-    or a rate that overflows to a non-finite value) raises the
-    DomainError that its scalar call raises.
+    that fails (an unphysical (g, g') or tau, or a rate that overflows to
+    a non-finite value) raises the DomainError that its scalar call
+    raises.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown protocol variant {variant!r}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gausskey import AttackParams, check_constraints
+from gausskey import EPS_PHYS, AttackParams, constraint_slack, lens_mask
 
 
 def random_attack(
@@ -13,7 +13,7 @@ def random_attack(
     tau_hi: float = 0.95,
     strict: bool = False,
 ) -> AttackParams:
-    """Rejection-sample a physical attack point."""
+    """Rejection-sample a physical attack point (strict: in the open interior)."""
     while True:
         omega = rng.uniform(omega_lo, omega_hi)
         params = AttackParams(
@@ -22,7 +22,8 @@ def random_attack(
             g=rng.uniform(-omega, omega),
             g_prime=rng.uniform(-omega, omega),
         )
-        if check_constraints(params, strict=strict):
+        g, gp = params.g, params.g_prime
+        if lens_mask(omega, g, gp) and (not strict or constraint_slack(omega, g, gp) > EPS_PHYS):
             return params
 
 

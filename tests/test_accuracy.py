@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gausskey import (
     AttackParams,
+    boundary_curve_arrays,
     entropy_h,
     entropy_h_array,
     key_rate_noswitching,
@@ -42,9 +43,13 @@ above_one = st.one_of(
 
 
 def h_mp(x):
-    """h(x) = (x+1)/2 log2 (x+1)/2 - (x-1)/2 log2 (x-1)/2, h(1) = 0."""
+    """h(x) = (x+1)/2 log2 (x+1)/2 - (x-1)/2 log2 (x-1)/2, and 0 for x <= 1.
+
+    A boundary point's exact nu_- may lie a little below 1; entropy_h
+    clamps such values (down to 1 - EPS_PHYS) to 1, and so does this.
+    """
     x = mp.mpf(x)
-    if x == 1:
+    if x <= 1:
         return mp.mpf(0)
     a, b = (x + 1) / 2, (x - 1) / 2
     return a * mp.log(a, 2) - b * mp.log(b, 2)
@@ -98,8 +103,24 @@ def interior_points(draw):
     return tau, omega, g, gp
 
 
+@st.composite
+def boundary_points(draw):
+    """(tau, omega, g, g') at a sample of boundary_curve_arrays, omega log-uniform in (1, 1e8].
+
+    On the rim nu_- is 1 to within round-off, where h has unbounded
+    slope; the samples are rounded into the lens, so nu_- >= 1 - EPS_PHYS/2.
+    """
+    omega = math.exp(draw(st.floats(min_value=0.0, max_value=math.log(1e8), exclude_min=True)))
+    assume(omega > 1.0)
+    tau = draw(st.floats(min_value=0.01, max_value=0.99))
+    g, gp = boundary_curve_arrays(omega, draw(st.integers(min_value=2, max_value=401)))
+    assume(g.size > 0)
+    k = draw(st.integers(min_value=0, max_value=g.size - 1))
+    return tau, omega, float(g[k]), float(gp[k])
+
+
 @settings(max_examples=200, deadline=None)
-@given(interior_points())
+@given(st.one_of(interior_points(), boundary_points()))
 def test_closed_form_rates_within_16_eps_of_mpmath(point):
     tau, omega, g, gp = point
     params = AttackParams(tau, omega, g, gp)

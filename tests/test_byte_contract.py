@@ -8,8 +8,8 @@ import pytest
 
 RECORDED_NUMPY = "2.4.6"
 RECORDED = {
-    "verify_minimality": "639a7ce2c9ca49e507bb65aa333f4b51eb9ea3e6ee2f3f027505f636e4cac6e0",
-    "cli": "167c2d58eaabe0e75f46b3e82ecaf8bbe5672a33fa7fafe117ae01df9d0d47ff",
+    "verify_minimality": "6017804ada81436479412540dfde23aa400805fc046c221de00e730a274ddc83",
+    "cli": "fb8f342baaf1fb6dc2cb37919bb3fddc60bc4d2517f44b34009c1d46b10fbd01",
     "key_rate_numeric": "531a1121254dedafb7648b094d41031e850a60f5496e536b3c5e46ede307f304",
 }
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "byte_contract.py"

@@ -180,6 +180,7 @@ def test_critical_degenerate_message():
         ("scan", "--tau", "0.5", "--omega", "1.3e154", "--grid-resolution", "3"),
         ("scan", "--tau", "0.5", "--omega", "1.3e154", "--grid-resolution", "3", "--format", "json"),
         ("rate", "--tau", "0.5", "--omega", "1.4e154"),
+        ("boundary", "--tau", "0.5", "--omega", "1.3e154", "--grid-resolution", "3"),
     ],
 )
 def test_non_finite_rate_exits_two(args):
@@ -190,6 +191,17 @@ def test_non_finite_rate_exits_two(args):
     (line,) = result.stderr.splitlines()
     assert line.startswith("domain error: noswitching rate at tau = 0.5")
     assert line.endswith("is not finite: an intermediate value leaves the floating-point range")
+
+
+def test_empty_boundary_exits_two():
+    """No abscissa of a resolution-2 grid at omega = 1.0001 lies under the rim."""
+    result = run_cli("boundary", "--tau", "0.5", "--omega", "1.0001", "--grid-resolution", "2")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "domain error: boundary is empty: no boundary sample at omega = 1.0001 "
+        "and grid resolution 2\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Known faults, pinned as strict xfails: a fix turns each into a visible XPASS failure.
 
 Each test asserts the correct behaviour.  When the fault is mended, drop
-its xfail mark.
+its xfail mark and keep the test.
 """
 
 import io
@@ -29,12 +29,8 @@ def test_finite_mu_scan_at_large_mu():
     assert code == 0, err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="nu_minus cancels at the rim for omega = 1e6; entropy_h rejects 0.9999985156400459",
-)
 def test_asymptotic_scan_at_huge_omega():
+    """Boundary samples are rounded into the lens, so their rim eigenvalues stay >= 1 - EPS_PHYS."""
     code, err = run_main(["scan", "--tau", "0.44", "--omega", "1e6", "--grid-resolution", "21"])
     assert code == 0, err
 

@@ -17,7 +17,7 @@ from gausskey import (
     finite_diff_gradient,
     hessian_at_origin,
     key_rate_noswitching,
-    physical_grid,
+    physical_grid_arrays,
     rate_function,
     second_derivative_inequality_noswitching,
     verify_minimality,
@@ -224,6 +224,14 @@ def test_verify_minimality_switching():
     assert all(rate > report.origin_rate for _, _, rate in report.boundary_rates)
 
 
+@pytest.mark.parametrize("protocol", [NO_SWITCHING, SWITCHING, SWITCHING_MIXED])
+def test_verify_minimality_at_large_omega(protocol):
+    """At omega = 1e4 every boundary sample lies in the lens, so the scan completes."""
+    report = verify_minimality(protocol, 0.5, 1e4, 101)
+    assert report.verdict
+    assert len(report.boundary_rates) == 2 * 101
+
+
 def test_verify_minimality_degenerate_region():
     report = verify_minimality(NO_SWITCHING, 0.5, 1.0, 101)
     assert report.verdict and report.degenerate
@@ -248,7 +256,7 @@ def test_gradient_norm_minimized_only_at_origin():
         fn = rate_function(protocol, 0.6, 1.2)
         step = 1.2e-5
         norms = []
-        for g, gp in physical_grid(1.2, 201):
+        for g, gp in zip(*(a.tolist() for a in physical_grid_arrays(1.2, 201))):
             try:
                 grad = finite_diff_gradient(fn, g, gp, step)
             except DomainError:
