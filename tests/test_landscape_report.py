@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausskey import (
@@ -77,14 +77,6 @@ def outcome(fn, *args):
     return {name: bits(getattr(report, name)) for name in ROW_ATTRIBUTES}
 
 
-def at_omega_1e4(test):
-    """Explicit examples at omega = 1e4, where boundary samples are rounded into the lens."""
-    for variant in VARIANTS:
-        for resolution in (100, 101):
-            test = example(variant=variant, tau=0.44, omega=1e4, resolution=resolution)(test)
-    return test
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     variant=st.sampled_from(VARIANTS),
@@ -92,7 +84,6 @@ def at_omega_1e4(test):
     omega=st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
     resolution=st.integers(min_value=2, max_value=201),
 )
-@at_omega_1e4
 def test_report_equals_eager_full_scan(variant, tau, omega, resolution):
     args = (variant, tau, omega, resolution)
     assert outcome(verify_minimality, *args) == outcome(eager_verify_minimality, *args)
@@ -113,12 +104,15 @@ def test_columns_hold_the_rows(variant, omega, resolution):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("omega", [1.3e154])
+@pytest.mark.parametrize("omega", [1e4, 1.3e154])
 @pytest.mark.parametrize("resolution", [100, 101])
 def test_error_text_unchanged(variant, omega, resolution):
+    """At 1.3e154 both scans raise the same error; at 1e4, where boundary samples are
+    rounded into the lens, both return the same report, bit for bit."""
     args = (variant, 0.44, omega, resolution)
     got = outcome(verify_minimality, *args)
-    assert isinstance(got, str) and got == outcome(eager_verify_minimality, *args)
+    assert isinstance(got, str if omega > 1e100 else dict)
+    assert got == outcome(eager_verify_minimality, *args)
 
 
 def test_failing_pair_raises_for_its_first_point(monkeypatch):
