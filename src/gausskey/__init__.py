@@ -37,7 +37,6 @@ from .gaussian import (
     symplectic_form,
     symplectic_spectrum,
     tmsv_cm,
-    von_neumann_entropy,
 )
 from .landscape import (
     CriticalPointReport,
@@ -45,7 +44,6 @@ from .landscape import (
     analytic_detH_noswitching,
     analytic_detH_switching,
     analytic_detH_switching_mixed,
-    analytic_gradient_switching,
     analytic_second_derivs_switching,
     critical_point_report,
     f_log,
@@ -63,14 +61,12 @@ from .rates import (
     SWITCHING,
     SWITCHING_MIXED,
     VARIANTS,
-    DerivedCoefficients,
     ProtocolSpec,
     RateReport,
     conditional_cm_noswitching,
     conditional_cm_switching,
     conditional_spectra_switching,
     conditional_spectrum_noswitching,
-    derived_coefficients,
     holevo_noswitching,
     holevo_switching,
     key_rate_asymptotic,

@@ -3,7 +3,9 @@
 Subcommands: ``rate`` (one attack point), ``scan`` (physical-region grid
 plus boundary), ``boundary`` (boundary only), ``critical`` (origin
 gradient/Hessian diagnostics) and ``converge`` (finite-modulation sweep
-against the closed form).
+against the closed form).  ``critical`` takes its finite-difference
+steps from omega (``landscape.critical_point_report``); no flag sets
+them, so no flag can change its ``is_minimum`` verdict.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config
 file), 2 domain/physicality error (the offending constraint is named).
@@ -75,8 +77,6 @@ _CONFIG_KEYS = (
     "output",
     "format",
     "clamp_nonnegative",
-    "gradient_step",
-    "hessian_step",
 )
 
 
@@ -103,8 +103,6 @@ class RunConfig:
     output: str | None
     format: str
     clamp_nonnegative: bool
-    gradient_step: float | None
-    hessian_step: float | None
 
 
 def fmt(x: float) -> str:
@@ -153,8 +151,6 @@ def build_parser() -> _Parser:
             dest="clamp_nonnegative",
             help="emit max(rate, 0) instead of raw rates",
         )
-        p.add_argument("--gradient-step", type=float, default=None, dest="gradient_step")
-        p.add_argument("--hessian-step", type=float, default=None, dest="hessian_step")
     return parser
 
 
@@ -186,7 +182,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _coerce(key: str, value: str):
     try:
-        if key in ("tau", "omega", "g", "gprime", "gradient_step", "hessian_step"):
+        if key in ("tau", "omega", "g", "gprime"):
             return float(value)
         if key == "grid_resolution":
             return int(value)
@@ -244,8 +240,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         output=merged.get("output"),  # type: ignore[arg-type]
         format=str(merged.get("format", "csv")),
         clamp_nonnegative=bool(merged.get("clamp_nonnegative", False)),
-        gradient_step=merged.get("gradient_step"),  # type: ignore[arg-type]
-        hessian_step=merged.get("hessian_step"),  # type: ignore[arg-type]
     )
 
 
@@ -422,13 +416,7 @@ def cmd_critical(cfg: RunConfig) -> str:
             f"the correlation region at omega = {cfg.omega} degenerates to a point; "
             "no critical-point analysis exists"
         )
-    report = _landscape.critical_point_report(
-        cfg.protocol,
-        cfg.tau,
-        cfg.omega,
-        gradient_step=cfg.gradient_step,
-        hessian_step=cfg.hessian_step,
-    )
+    report = _landscape.critical_point_report(cfg.protocol, cfg.tau, cfg.omega)
     residual = abs(report.det_h - report.analytic_det_h) / abs(report.analytic_det_h)
     if cfg.format == "json":
         payload = {

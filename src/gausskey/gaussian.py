@@ -32,7 +32,7 @@ SYMMETRY_ATOL = 1e-12
 # of doubled singular values in the symplectic spectrum.
 DEGENERACY_RTOL = 1e-9
 
-_LN2 = math.log(2.0)
+LN2 = math.log(2.0)
 
 _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
@@ -202,7 +202,7 @@ def _h_above_one(x):
     """
     a = (x + 1.0) / 2.0
     b = (x - 1.0) / 2.0
-    return np.log2(a) + b * np.log1p(1.0 / b) / _LN2
+    return np.log2(a) + b * np.log1p(1.0 / b) / LN2
 
 
 def entropy_h(x: float) -> float:
@@ -234,11 +234,6 @@ def entropy_h_array(x) -> np.ndarray:
     live = ~(x <= 1.0)  # NaN stays NaN, as in entropy_h
     out[live] = _h_above_one(x[live])
     return out
-
-
-def von_neumann_entropy(V: CovMat) -> float:
-    """Entropy of a Gaussian state in bits: sum of entropy_h over the spectrum."""
-    return float(sum(entropy_h(float(nu)) for nu in symplectic_spectrum(V)))
 
 
 def beamsplitter_apply(V: CovMat, mode_a: int, mode_b: int, tau: float) -> CovMat:

@@ -23,10 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .attack import AttackParams, boundary_curve_arrays, physical_grid_mirror
-from .gaussian import DomainError, NumericalDegeneracyError
+from .gaussian import LN2, DomainError, NumericalDegeneracyError
 from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic, key_rates
-
-LN2 = math.log(2.0)
 
 # Central-difference steps, scaled by max(1, omega) at use sites.  The
 # Hessian step additionally shrinks near omega = 1, where the fourth
@@ -133,53 +131,13 @@ def finite_diff_gradient(
     return d_g, d_gp
 
 
-def analytic_gradient_switching(params: AttackParams) -> tuple[float, float]:
-    """Closed-form gradient of the switching rate, bits per unit correlation.
-
-    Valid strictly inside the physical region, where both correlation
-    eigenvalues exceed 1; on the boundary nu_minus -> 1 and the entropy
-    slope diverges.
-    """
-    om, g, gp = params.omega, params.g, params.g_prime
-    nu_plus = math.sqrt((om + g) * (om + gp))
-    nu_minus = math.sqrt((om - g) * (om - gp))
-    if nu_minus <= 1.0 or nu_plus <= 1.0:
-        raise DomainError(
-            "gradient undefined at or beyond the constraint boundary "
-            f"(nu = {nu_minus:g}); move strictly inside"
-        )
-    f_m = f_log(1.0 / nu_minus)
-    f_p = f_log(1.0 / nu_plus)
-    d_g = (
-        1.0 / (8.0 * (om + g))
-        - 1.0 / (8.0 * (om - g))
-        + (om - gp) * f_m / (8.0 * nu_minus)
-        - (om + gp) * f_p / (8.0 * nu_plus)
-    ) / LN2
-    d_gp = (
-        1.0 / (8.0 * (om + gp))
-        - 1.0 / (8.0 * (om - gp))
-        + (om - g) * f_m / (8.0 * nu_minus)
-        - (om + g) * f_p / (8.0 * nu_plus)
-    ) / LN2
-    return d_g, d_gp
-
-
-def default_hessian_step(omega: float) -> float:
-    if omega <= 1.0:
-        raise DomainError(f"Hessian analysis needs omega > 1, got {omega}")
-    return min(HESSIAN_STEP * max(1.0, omega), 1e-3 * (omega * omega - 1.0))
-
-
-def hessian_at_origin(
-    rate_fn: RateFn, tau: float, omega: float, step: float | None = None
-) -> np.ndarray:
+def hessian_at_origin(rate_fn: RateFn, omega: float) -> np.ndarray:
     """Central second differences of the rate at (0, 0), symmetric 2x2."""
     if omega <= 1.0:
         raise DomainError(
             f"the correlation region at omega = {omega} is a point; no Hessian exists"
         )
-    h = default_hessian_step(omega) if step is None else step
+    h = min(HESSIAN_STEP * max(1.0, omega), 1e-3 * (omega * omega - 1.0))
     r0 = rate_fn(0.0, 0.0)
     d2_g = (rate_fn(h, 0.0) - 2.0 * r0 + rate_fn(-h, 0.0)) / (h * h)
     d2_gp = (rate_fn(0.0, h) - 2.0 * r0 + rate_fn(0.0, -h)) / (h * h)
@@ -285,14 +243,12 @@ _ANALYTIC_DET = {
 }
 
 
-def critical_point_report(
-    protocol: str,
-    tau: float,
-    omega: float,
-    gradient_step: float | None = None,
-    hessian_step: float | None = None,
-) -> CriticalPointReport:
+def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPointReport:
     """Assemble gradient/Hessian diagnostics of the rate at the origin.
+
+    Both difference steps follow from omega alone (GRADIENT_STEP scaled
+    by max(1, omega), and the Hessian step of hessian_at_origin), so no
+    caller can change the is_minimum verdict by choosing a step.
 
     Raises DomainError where the closed-form determinant cannot be
     represented (it cancels to 0 or overflows at very large omega).
@@ -301,9 +257,8 @@ def critical_point_report(
     if protocol not in _ANALYTIC_DET:
         raise DomainError(f"unknown protocol variant {protocol!r}")
     rate_fn = rate_function(protocol, tau, omega)
-    g_step = GRADIENT_STEP * max(1.0, omega) if gradient_step is None else gradient_step
-    grad = finite_diff_gradient(rate_fn, 0.0, 0.0, g_step)
-    hess = hessian_at_origin(rate_fn, tau, omega, step=hessian_step)
+    grad = finite_diff_gradient(rate_fn, 0.0, 0.0, GRADIENT_STEP * max(1.0, omega))
+    hess = hessian_at_origin(rate_fn, omega)
     det_h = float(np.linalg.det(hess))
     try:
         analytic_det_h = _ANALYTIC_DET[protocol](tau, omega)

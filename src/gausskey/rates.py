@@ -141,24 +141,6 @@ class RateReport:
     conditional_spectrum: np.ndarray
 
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Scalars shared by the covariance and rate formulas at fixed (params, mu)."""
-
-    lam: float            # tau*(mu+1) + (1-tau)*omega
-    phi: float            # sqrt(tau*((mu+1)^2 - 1))
-    lam_tilde: float      # lam - tau
-    lam_bar: float        # 1 + omega*(1-tau)
-    lam_plus: float       # 1 + (1-tau)*(omega + g)
-    lam_minus: float
-    lam_prime_plus: float  # same with g'
-    lam_prime_minus: float
-    k: float               # conditional-CM numerators, heterodyne protocol
-    k_tilde: float
-    k_prime: float
-    k_tilde_prime: float
-
-
 def _require_physical(params: AttackParams) -> None:
     violated = violated_constraint(params)
     if violated is not None:
@@ -200,29 +182,6 @@ def _nbar_noswitching(tau, om, g, gp, ew: _Elementwise = _SCALAR):
     plus = ew.sqrt(lp * lpp) / tau
     minus = ew.sqrt(lm * lmp) / tau
     return ew.maximum(plus, minus), ew.minimum(plus, minus)
-
-
-def derived_coefficients(params: AttackParams, mu: float) -> DerivedCoefficients:
-    _require_finite_mu(mu)
-    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
-    lam = tau * (mu + 1.0) + (1.0 - tau) * om
-    phi2 = tau * mu * (mu + 2.0)
-    d_g = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * g * g
-    d_gp = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * gp * gp
-    return DerivedCoefficients(
-        lam=lam,
-        phi=math.sqrt(phi2),
-        lam_tilde=lam - tau,
-        lam_bar=1.0 + om * (1.0 - tau),
-        lam_plus=1.0 + (1.0 - tau) * (om + g),
-        lam_minus=1.0 + (1.0 - tau) * (om - g),
-        lam_prime_plus=1.0 + (1.0 - tau) * (om + gp),
-        lam_prime_minus=1.0 + (1.0 - tau) * (om - gp),
-        k=(mu + 1.0) * d_g - phi2 * (lam + 1.0),
-        k_tilde=(1.0 - tau) * g * phi2,
-        k_prime=(mu + 1.0) * d_gp - phi2 * (lam + 1.0),
-        k_tilde_prime=(1.0 - tau) * gp * phi2,
-    )
 
 
 def total_cm(params: AttackParams, mu: float) -> CovMat:
@@ -303,15 +262,17 @@ def conditional_cm_noswitching(params: AttackParams, mu: float) -> CovMat:
     global flip is a spectrum-preserving reflection of one mode).
     """
     _require_physical(params)
-    co = derived_coefficients(params, mu)
-    tau, g, gp = params.tau, params.g, params.g_prime
-    d_g = (co.lam + 1.0) ** 2 - (1.0 - tau) ** 2 * g * g
-    d_gp = (co.lam + 1.0) ** 2 - (1.0 - tau) ** 2 * gp * gp
+    _require_finite_mu(mu)
+    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
+    lam = tau * (mu + 1.0) + (1.0 - tau) * om
+    phi2 = tau * mu * (mu + 2.0)
+    d_g = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * g * g
+    d_gp = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * gp * gp
     V = np.zeros((4, 4))
-    V[0, 0] = V[2, 2] = co.k / d_g
-    V[1, 1] = V[3, 3] = co.k_prime / d_gp
-    V[0, 2] = V[2, 0] = co.k_tilde / d_g
-    V[1, 3] = V[3, 1] = co.k_tilde_prime / d_gp
+    V[0, 0] = V[2, 2] = ((mu + 1.0) * d_g - phi2 * (lam + 1.0)) / d_g
+    V[1, 1] = V[3, 3] = ((mu + 1.0) * d_gp - phi2 * (lam + 1.0)) / d_gp
+    V[0, 2] = V[2, 0] = (1.0 - tau) * g * phi2 / d_g
+    V[1, 3] = V[3, 1] = (1.0 - tau) * gp * phi2 / d_gp
     return CovMat(V)
 
 
@@ -546,6 +507,11 @@ def key_rates(variant: str, tau: float, omega: float, g, g_prime) -> np.ndarray:
     return rates.reshape(shape)
 
 
+def _spectrum_entropy(spectrum: np.ndarray) -> float:
+    """Entropy of a Gaussian state in bits, from its symplectic spectrum."""
+    return float(sum(entropy_h(float(nu)) for nu in spectrum))
+
+
 def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     """Finite-modulation rate computed purely through CM operations.
 
@@ -559,7 +525,7 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     mu = spec.mu
     V = total_cm_via_beamsplitters(params, mu)
     total_spectrum = symplectic_spectrum(V)
-    s_total = float(sum(entropy_h(float(nu)) for nu in total_spectrum))
+    s_total = _spectrum_entropy(total_spectrum)
 
     v_b = V.mat[4, 4]
     receivers = heterodyne_condition(heterodyne_condition(V, 0), 0)
@@ -568,23 +534,20 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     if spec.variant == NO_SWITCHING:
         cond = heterodyne_condition(heterodyne_condition(V, 3), 2)
         cond_spectrum = symplectic_spectrum(cond)
-        s_cond = float(sum(entropy_h(float(nu)) for nu in cond_spectrum))
+        s_cond = _spectrum_entropy(cond_spectrum)
         i_ab = 2.0 * math.log2((v_b + 1.0) / (v_b_cond + 1.0))
     elif spec.variant == SWITCHING:
         cond_q = homodyne_condition(homodyne_condition(V, 3, "q"), 2, "q")
         cond_p = homodyne_condition(homodyne_condition(V, 3, "p"), 2, "p")
         spec_q = symplectic_spectrum(cond_q)
         spec_p = symplectic_spectrum(cond_p)
-        s_cond = 0.5 * float(
-            sum(entropy_h(float(nu)) for nu in spec_q)
-            + sum(entropy_h(float(nu)) for nu in spec_p)
-        )
+        s_cond = 0.5 * (_spectrum_entropy(spec_q) + _spectrum_entropy(spec_p))
         cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
         i_ab = math.log2(v_b / v_b_cond)
     elif spec.variant == SWITCHING_MIXED:
         cond = homodyne_condition(homodyne_condition(V, 3, "p"), 2, "q")
         cond_spectrum = symplectic_spectrum(cond)
-        s_cond = float(sum(entropy_h(float(nu)) for nu in cond_spectrum))
+        s_cond = _spectrum_entropy(cond_spectrum)
         i_ab = math.log2(v_b / v_b_cond)
     else:
         raise DomainError(f"unknown protocol variant {spec.variant!r}")

@@ -26,17 +26,3 @@ def random_attack(
         if lens_mask(omega, g, gp) and (not strict or constraint_slack(omega, g, gp) > EPS_PHYS):
             return params
 
-
-def random_interior_attack(
-    rng: np.random.Generator,
-    nu_margin: float = 1.01,
-    **kwargs,
-) -> AttackParams:
-    """Physical draw keeping both correlation eigenvalues above nu_margin."""
-    while True:
-        params = random_attack(rng, strict=True, **kwargs)
-        om, g, gp = params.omega, params.g, params.g_prime
-        nu_minus = np.sqrt((om - g) * (om - gp))
-        nu_plus = np.sqrt((om + g) * (om + gp))
-        if min(nu_minus, nu_plus) >= nu_margin:
-            return params

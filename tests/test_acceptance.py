@@ -91,7 +91,7 @@ def test_criterion_3_hessian_positivity_noswitching():
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
         for omega in (1.1, 1.5, 2.0, 3.0, 5.0):
             fn = rate_function(NO_SWITCHING, tau, omega)
-            fd_det = float(np.linalg.det(hessian_at_origin(fn, tau, omega)))
+            fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
             analytic = analytic_detH_noswitching(tau, omega)
             assert analytic == pytest.approx(fd_det, rel=1e-4), (tau, omega)
             spots += 1
@@ -107,7 +107,7 @@ def test_criterion_4_hessian_positivity_switching():
     assert all(analytic_detH_switching(omega) > 0.0 for omega in omegas)
     for omega in omegas:
         fn = rate_function(SWITCHING, 0.5, omega)
-        H = hessian_at_origin(fn, 0.5, omega)
+        H = hessian_at_origin(fn, omega)
         same, cross = analytic_second_derivs_switching(omega)
         assert H[0, 0] == pytest.approx(same, rel=1e-4), omega
         assert H[1, 1] == pytest.approx(same, rel=1e-4), omega

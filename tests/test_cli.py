@@ -174,6 +174,21 @@ def test_critical_degenerate_message():
     assert "point" in result.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--hessian-step", "1e-8"), ("--gradient-step", "3")])
+def test_critical_has_no_step_flags(flag, value):
+    result = run_cli("critical", "--tau", "0.5", "--omega", "10", flag, value)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+
+
+def test_critical_verdict_at_omega_ten():
+    result = run_cli("critical", "--tau", "0.5", "--omega", "10")
+    assert result.returncode == 0
+    assert csv_pairs(result.stdout)["is_minimum"] == "true"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -271,6 +286,14 @@ def test_config_file_unknown_key(tmp_path):
     result = run_cli("rate", "--config", str(config))
     assert result.returncode == 1
     assert "unknown key" in result.stderr
+
+
+def test_config_file_rejects_step_keys(tmp_path):
+    config = tmp_path / "steps.cfg"
+    config.write_text("tau=0.5\nomega=10\nhessian_step=1e-8\n")
+    result = run_cli("critical", "--config", str(config))
+    assert result.returncode == 1
+    assert "unknown key 'hessian_step'" in result.stderr
 
 
 def test_rate_json_matches_csv():

@@ -83,8 +83,6 @@ def scan_config(fmt, clamp, mu=None, protocol="noswitching", tau=0.44, omega=1.2
         output=None,
         format=fmt,
         clamp_nonnegative=clamp,
-        gradient_step=None,
-        hessian_step=None,
     )
 
 

