@@ -53,13 +53,17 @@ class AttackParams:
             raise DomainError(f"thermal variance must satisfy omega >= 1, got {self.omega}")
 
 
-def attack_cm(omega: float, g: float, g_prime: float) -> CovMat:
-    """Two-mode ancilla CM: diagonal blocks omega*I, cross block diag(g, g')."""
+def _attack_block(omega: float, g: float, g_prime: float) -> np.ndarray:
     m = np.zeros((4, 4))
     m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = omega
     m[0, 2] = m[2, 0] = g
     m[1, 3] = m[3, 1] = g_prime
-    return CovMat(m)
+    return m
+
+
+def attack_cm(omega: float, g: float, g_prime: float) -> CovMat:
+    """Two-mode ancilla CM: diagonal blocks omega*I, cross block diag(g, g')."""
+    return CovMat(_attack_block(omega, g, g_prime))
 
 
 def _slack(omega, g, g_prime, minimum):

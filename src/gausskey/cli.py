@@ -3,9 +3,11 @@
 Subcommands: ``rate`` (one attack point), ``scan`` (physical-region grid
 plus boundary), ``boundary`` (boundary only), ``critical`` (origin
 gradient/Hessian diagnostics) and ``converge`` (finite-modulation sweep
-against the closed form).  ``critical`` takes its finite-difference
-steps from omega (``landscape.critical_point_report``); no flag sets
-them, so no flag can change its ``is_minimum`` verdict.
+over ``CONVERGE_SWEEP`` against the closed form; it takes no ``mu``, so
+``--mu`` or a ``mu`` config key is a configuration error).  ``critical``
+takes its finite-difference steps from omega
+(``landscape.critical_point_report``); no flag sets them, so no flag can
+change its ``is_minimum`` verdict.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config
 file), 2 domain/physicality error (the offending constraint is named).
@@ -30,7 +32,7 @@ CSV through one ``%.17g`` template per row, JSON from one C-encoder call
 per float column, set into a fixed indented row template; the bytes are
 those of ``fmt`` and of ``json.dumps(..., indent=2)``.  Medians on
 2 vCPUs (tau 0.44, omega 7.3): ``rate``/``critical`` 0.2-0.3 ms (about
-3 ms when each call built its parser), ``converge`` 2-3 ms, ``scan`` at
+3 ms when each call built its parser), ``converge`` about 2 ms, ``scan`` at
 resolution 31 (about 1,000 rows) 4.1 ms as CSV and 5.7 ms as JSON
 (8-9 and 17 ms before), at resolution 101 35 and 53 ms (49 and 140 ms).
 """
@@ -225,6 +227,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for required in ("tau", "omega"):
         if required not in merged:
             raise ConfigError(f"missing required parameter --{required}")
+    if args.command == "converge" and "mu" in merged:
+        raise ConfigError("converge sweeps its own mu values and takes no --mu or mu key")
     mu_raw = merged.get("mu", "asymptotic")
     mu, asymptotic = _parse_mu(str(mu_raw))
     return RunConfig(

@@ -10,6 +10,19 @@ large x, in numpy ufuncs only; ``entropy_h`` (floats) and
 ``entropy_h_array`` (arrays) share that one expression and so agree bit
 for bit.
 
+Each CM operation has one private kernel on plain ``ndarray``s
+(``_tmsv``, ``_direct_sum``, ``_keep_modes``, ``_beamsplitter``,
+``_heterodyne``, ``_homodyne``, ``_symplectic_spectrum``) and one public
+function that wraps it: the wrapper reads ``V.mat`` and, where the result
+is a CM, returns it as a validated ``CovMat``.  Pipelines that chain the
+kernels (``rates.key_rate_numeric``) skip the copy and the symmetry test
+of each intermediate ``CovMat``: every kernel output is symmetric by
+construction, and each kernel that forms new entries still rejects
+non-finite ones with the ``CovMat`` text.  All other checks -- input
+validation, the homodyne variance floor, the spectrum's eigenvalue and
+pairing checks, and ``entropy_h``'s domain -- live in the kernels, so
+both routes raise the same errors.
+
 Everything here is a pure function of its inputs; ``CovMat`` instances
 are immutable after construction and safe to share across threads.
 """
@@ -46,6 +59,13 @@ class NumericalDegeneracyError(RuntimeError):
     """A linear-algebra result is too degenerate to trust at working tolerance."""
 
 
+def _require_finite(m: np.ndarray) -> np.ndarray:
+    """m itself, once every entry is finite."""
+    if not np.isfinite(m).all():
+        raise DomainError("covariance matrix contains non-finite entries")
+    return m
+
+
 @dataclass(frozen=True)
 class CovMat:
     """Covariance matrix of an n-mode Gaussian state.
@@ -63,8 +83,7 @@ class CovMat:
             raise DomainError(f"covariance matrix must be square, got shape {m.shape}")
         if m.shape[0] == 0 or m.shape[0] % 2:
             raise DomainError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise DomainError("covariance matrix contains non-finite entries")
+        _require_finite(m)
         # m - m.T is antisymmetric, so its largest entry is max |m - m.T|
         if (m - m.T).max() > SYMMETRY_ATOL:
             raise DomainError(
@@ -96,15 +115,19 @@ def _frozen_symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
-def direct_sum(*cms: CovMat) -> CovMat:
-    """Covariance matrix of a product state."""
-    dims = [cm.mat.shape[0] for cm in cms]
+def _direct_sum(*mats: np.ndarray) -> np.ndarray:
+    dims = [m.shape[0] for m in mats]
     out = np.zeros((sum(dims), sum(dims)))
     at = 0
-    for cm, d in zip(cms, dims):
-        out[at : at + d, at : at + d] = cm.mat
+    for m, d in zip(mats, dims):
+        out[at : at + d, at : at + d] = m
         at += d
-    return CovMat(out)
+    return out
+
+
+def direct_sum(*cms: CovMat) -> CovMat:
+    """Covariance matrix of a product state."""
+    return CovMat(_direct_sum(*(cm.mat for cm in cms)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -132,13 +155,28 @@ def _block_index(n_modes: int, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]
     return blocks
 
 
+def _keep_modes(m: np.ndarray, modes: tuple[int, ...] | list[int]) -> np.ndarray:
+    return m.take(_block_index(m.shape[0] // 2, tuple(modes))[0])
+
+
 def keep_modes(V: CovMat, modes: tuple[int, ...] | list[int]) -> CovMat:
     """Reduced covariance matrix of the listed modes, in the order given.
 
     Doubles as the canonical mode-permutation helper: passing a
     permutation of range(n) reorders the modes.
     """
-    return CovMat(V.mat.take(_block_index(V.n_modes, tuple(modes))[0]))
+    return CovMat(_keep_modes(V.mat, modes))
+
+
+def _tmsv(mu: float) -> np.ndarray:
+    if not (mu >= 1.0):
+        raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
+    c = math.sqrt(mu * mu - 1.0)  # inf once mu*mu overflows
+    m = np.zeros((4, 4))
+    m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = mu
+    m[0, 2] = m[2, 0] = c
+    m[1, 3] = m[3, 1] = -c
+    return _require_finite(m)
 
 
 def tmsv_cm(mu: float) -> CovMat:
@@ -147,14 +185,26 @@ def tmsv_cm(mu: float) -> CovMat:
     Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2-1)*Z with
     Z = diag(1, -1); mu = 1 is vacuum (x) vacuum.
     """
-    if not (mu >= 1.0):
-        raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
-    c = math.sqrt(mu * mu - 1.0)
-    m = np.zeros((4, 4))
-    m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = mu
-    m[0, 2] = m[2, 0] = c
-    m[1, 3] = m[3, 1] = -c
-    return CovMat(m)
+    return CovMat(_tmsv(mu))
+
+
+def _symplectic_spectrum(m: np.ndarray) -> np.ndarray:
+    w, U = np.linalg.eigh(m)
+    scale = max(1.0, float(w[-1]))
+    if w[0] < -DEGENERACY_RTOL * scale:
+        raise NumericalDegeneracyError(
+            f"covariance matrix has negative eigenvalue {w[0]:g}"
+        )
+    root = (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
+    L = root @ _frozen_symplectic_form(m.shape[0] // 2) @ root
+    sv = np.linalg.svd(L, compute_uv=False)  # descending, each nu twice
+    worst = abs(sv[0::2] - sv[1::2]).max()
+    if worst > DEGENERACY_RTOL * max(1.0, sv[0]):
+        raise NumericalDegeneracyError(
+            "symplectic spectrum did not split into doubled singular values "
+            f"(worst pair mismatch {worst:g})"
+        )
+    return (sv[0::2] + sv[1::2]) / 2.0
 
 
 def symplectic_spectrum(V: CovMat) -> np.ndarray:
@@ -173,23 +223,7 @@ def symplectic_spectrum(V: CovMat) -> np.ndarray:
         If V has a negative eigenvalue beyond tolerance, or the doubled
         singular values fail to pair up.
     """
-    m = V.mat
-    w, U = np.linalg.eigh(m)
-    scale = max(1.0, float(w[-1]))
-    if w[0] < -DEGENERACY_RTOL * scale:
-        raise NumericalDegeneracyError(
-            f"covariance matrix has negative eigenvalue {w[0]:g}"
-        )
-    root = (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
-    L = root @ _frozen_symplectic_form(V.n_modes) @ root
-    sv = np.linalg.svd(L, compute_uv=False)  # descending, each nu twice
-    worst = abs(sv[0::2] - sv[1::2]).max()
-    if worst > DEGENERACY_RTOL * max(1.0, sv[0]):
-        raise NumericalDegeneracyError(
-            "symplectic spectrum did not split into doubled singular values "
-            f"(worst pair mismatch {worst:g})"
-        )
-    return (sv[0::2] + sv[1::2]) / 2.0
+    return _symplectic_spectrum(V.mat)
 
 
 def _h_above_one(x):
@@ -236,19 +270,13 @@ def entropy_h_array(x) -> np.ndarray:
     return out
 
 
-def beamsplitter_apply(V: CovMat, mode_a: int, mode_b: int, tau: float) -> CovMat:
-    """Mix two modes on a beam splitter of transmissivity tau.
-
-    The transmitted combination sqrt(tau)*A + sqrt(1-tau)*B replaces
-    mode_a; mode_b carries the reflected arm -sqrt(1-tau)*A +
-    sqrt(tau)*B.  Both outputs stay in the returned CM.
-    """
-    n = V.n_modes
+def _beamsplitter(m: np.ndarray, mode_a: int, mode_b: int, tau: float) -> np.ndarray:
+    n = m.shape[0] // 2
     if mode_a == mode_b:
         raise DomainError("beam splitter needs two distinct modes")
-    for m in (mode_a, mode_b):
-        if not 0 <= m < n:
-            raise DomainError(f"mode index {m} out of range for {n} modes")
+    for mode in (mode_a, mode_b):
+        if not 0 <= mode < n:
+            raise DomainError(f"mode index {mode} out of range for {n} modes")
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
     t = math.sqrt(tau)
@@ -259,18 +287,39 @@ def beamsplitter_apply(V: CovMat, mode_a: int, mode_b: int, tau: float) -> CovMa
     S[a, b] = S[a + 1, b + 1] = r
     S[b, a] = S[b + 1, a + 1] = -r
     S[b, a + 1] = S[b + 1, a] = -0.0  # the block is -r * I, signed zeros included
-    out = S @ V.mat @ S.T
+    out = S @ m @ S.T
     # matmul round-off breaks exact symmetry at large variances
-    return CovMat((out + out.T) / 2.0)
+    return _require_finite((out + out.T) / 2.0)
 
 
-def _split_measured(V: CovMat, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = V.n_modes
+def beamsplitter_apply(V: CovMat, mode_a: int, mode_b: int, tau: float) -> CovMat:
+    """Mix two modes on a beam splitter of transmissivity tau.
+
+    The transmitted combination sqrt(tau)*A + sqrt(1-tau)*B replaces
+    mode_a; mode_b carries the reflected arm -sqrt(1-tau)*A +
+    sqrt(tau)*B.  Both outputs stay in the returned CM.
+    """
+    return CovMat(_beamsplitter(V.mat, mode_a, mode_b, tau))
+
+
+def _split_measured(m: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = m.shape[0] // 2
     measured, retained, cross = _block_index(n, (mode,))
     if n < 2:
         raise DomainError("conditioning needs at least one retained mode")
-    m = V.mat
     return m.take(retained), m.take(cross), m.take(measured)
+
+
+def _heterodyne(m: np.ndarray, mode: int) -> np.ndarray:
+    A, B, C = _split_measured(m, mode)
+    try:
+        update = B @ np.linalg.solve(C + _EYE2, B.T)
+    except np.linalg.LinAlgError as exc:  # impossible for a physical state
+        raise NumericalDegeneracyError(
+            "singular heterodyne update; measured block + I is not invertible"
+        ) from exc
+    out = A - update
+    return _require_finite((out + out.T) / 2.0)
 
 
 def heterodyne_condition(V: CovMat, mode: int) -> CovMat:
@@ -280,15 +329,22 @@ def heterodyne_condition(V: CovMat, mode: int) -> CovMat:
     modes.  The conditional CM of a Gaussian measurement is independent
     of the outcome, so no outcome argument exists.
     """
-    A, B, C = _split_measured(V, mode)
-    try:
-        update = B @ np.linalg.solve(C + _EYE2, B.T)
-    except np.linalg.LinAlgError as exc:  # impossible for a physical state
-        raise NumericalDegeneracyError(
-            "singular heterodyne update; measured block + I is not invertible"
-        ) from exc
-    out = A - update
-    return CovMat((out + out.T) / 2.0)
+    return CovMat(_heterodyne(V.mat, mode))
+
+
+def _homodyne(m: np.ndarray, mode: int, quadrature: str) -> np.ndarray:
+    if quadrature not in ("q", "p"):
+        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+    A, B, C = _split_measured(m, mode)
+    j = 0 if quadrature == "q" else 1
+    c = C[j, j]
+    if c < 1e-12:
+        raise DomainError(
+            f"degenerate homodyne measurement: {quadrature} variance {c:g} below 1e-12"
+        )
+    b = B[:, j]
+    out = A - b[:, None] * b / c
+    return _require_finite((out + out.T) / 2.0)
 
 
 def homodyne_condition(V: CovMat, mode: int, quadrature: str) -> CovMat:
@@ -298,18 +354,7 @@ def homodyne_condition(V: CovMat, mode: int, quadrature: str) -> CovMat:
     the update reduces to subtracting the outer product of the cross
     covariances with the measured quadrature, divided by its variance.
     """
-    if quadrature not in ("q", "p"):
-        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    A, B, C = _split_measured(V, mode)
-    j = 0 if quadrature == "q" else 1
-    c = C[j, j]
-    if c < 1e-12:
-        raise DomainError(
-            f"degenerate homodyne measurement: {quadrature} variance {c:g} below 1e-12"
-        )
-    b = B[:, j]
-    out = A - b[:, None] * b / c
-    return CovMat((out + out.T) / 2.0)
+    return CovMat(_homodyne(V.mat, mode, quadrature))
 
 
 def is_physical(V: CovMat) -> bool:

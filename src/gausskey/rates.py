@@ -30,19 +30,19 @@ from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, attack_cm, lens_mask, violated_constraint
+from .attack import AttackParams, _attack_block, lens_mask, violated_constraint
 from .gaussian import (
     CovMat,
     DomainError,
-    beamsplitter_apply,
-    direct_sum,
+    _beamsplitter,
+    _direct_sum,
+    _heterodyne,
+    _homodyne,
+    _keep_modes,
+    _symplectic_spectrum,
+    _tmsv,
     entropy_h,
     entropy_h_array,
-    heterodyne_condition,
-    homodyne_condition,
-    keep_modes,
-    symplectic_spectrum,
-    tmsv_cm,
 )
 
 NO_SWITCHING = "noswitching"
@@ -210,6 +210,16 @@ def total_cm(params: AttackParams, mu: float) -> CovMat:
     return CovMat(V)
 
 
+def _total_cm_via_beamsplitters(params: AttackParams, mu: float) -> np.ndarray:
+    _require_physical(params)
+    _require_finite_mu(mu)
+    source = _tmsv(mu + 1.0)  # read, never written, so one array serves both uses
+    src = _direct_sum(source, source, _attack_block(params.omega, params.g, params.g_prime))
+    mixed = _beamsplitter(src, 1, 4, params.tau)
+    mixed = _beamsplitter(mixed, 3, 5, params.tau)
+    return _keep_modes(mixed, (0, 2, 1, 3))
+
+
 def total_cm_via_beamsplitters(params: AttackParams, mu: float) -> CovMat:
     """Constructive route to total_cm: mix two TMSVs with the ancilla pair.
 
@@ -218,13 +228,7 @@ def total_cm_via_beamsplitters(params: AttackParams, mu: float) -> CovMat:
     on (A, e) and on (A', E), keeps (a, a', B, B') where B, B' are the
     transmitted outputs, and discards the reflected arms.
     """
-    _require_physical(params)
-    _require_finite_mu(mu)
-    source = tmsv_cm(mu + 1.0)  # immutable, so one CM serves both uses
-    src = direct_sum(source, source, attack_cm(params.omega, params.g, params.g_prime))
-    mixed = beamsplitter_apply(src, 1, 4, params.tau)
-    mixed = beamsplitter_apply(mixed, 3, 5, params.tau)
-    return keep_modes(mixed, (0, 2, 1, 3))
+    return CovMat(_total_cm_via_beamsplitters(params, mu))
 
 
 def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
@@ -509,7 +513,7 @@ def key_rates(variant: str, tau: float, omega: float, g, g_prime) -> np.ndarray:
 
 def _spectrum_entropy(spectrum: np.ndarray) -> float:
     """Entropy of a Gaussian state in bits, from its symplectic spectrum."""
-    return float(sum(entropy_h(float(nu)) for nu in spectrum))
+    return float(sum(entropy_h(nu) for nu in spectrum.tolist()))
 
 
 def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
@@ -518,35 +522,37 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     Builds the joint state constructively, reads the receiver variances
     off the CM, and obtains both entropies from measured-down Schur
     complements; no asymptotic closed form enters.  Converges to the
-    closed-form rate as O(1/mu).
+    closed-form rate as O(1/mu).  Every stage runs on the plain-array
+    kernels of ``gaussian``, which raise what the public ``CovMat``
+    functions raise and give the same bits.
     """
     if spec.asymptotic:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
     mu = spec.mu
-    V = total_cm_via_beamsplitters(params, mu)
-    total_spectrum = symplectic_spectrum(V)
+    V = _total_cm_via_beamsplitters(params, mu)
+    total_spectrum = _symplectic_spectrum(V)
     s_total = _spectrum_entropy(total_spectrum)
 
-    v_b = V.mat[4, 4]
-    receivers = heterodyne_condition(heterodyne_condition(V, 0), 0)
-    v_b_cond = receivers.mat[0, 0]
+    v_b = V[4, 4]
+    receivers = _heterodyne(_heterodyne(V, 0), 0)
+    v_b_cond = receivers[0, 0]
 
     if spec.variant == NO_SWITCHING:
-        cond = heterodyne_condition(heterodyne_condition(V, 3), 2)
-        cond_spectrum = symplectic_spectrum(cond)
+        cond = _heterodyne(_heterodyne(V, 3), 2)
+        cond_spectrum = _symplectic_spectrum(cond)
         s_cond = _spectrum_entropy(cond_spectrum)
         i_ab = 2.0 * math.log2((v_b + 1.0) / (v_b_cond + 1.0))
     elif spec.variant == SWITCHING:
-        cond_q = homodyne_condition(homodyne_condition(V, 3, "q"), 2, "q")
-        cond_p = homodyne_condition(homodyne_condition(V, 3, "p"), 2, "p")
-        spec_q = symplectic_spectrum(cond_q)
-        spec_p = symplectic_spectrum(cond_p)
+        cond_q = _homodyne(_homodyne(V, 3, "q"), 2, "q")
+        cond_p = _homodyne(_homodyne(V, 3, "p"), 2, "p")
+        spec_q = _symplectic_spectrum(cond_q)
+        spec_p = _symplectic_spectrum(cond_p)
         s_cond = 0.5 * (_spectrum_entropy(spec_q) + _spectrum_entropy(spec_p))
         cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
         i_ab = math.log2(v_b / v_b_cond)
     elif spec.variant == SWITCHING_MIXED:
-        cond = homodyne_condition(homodyne_condition(V, 3, "p"), 2, "q")
-        cond_spectrum = symplectic_spectrum(cond)
+        cond = _homodyne(_homodyne(V, 3, "p"), 2, "q")
+        cond_spectrum = _symplectic_spectrum(cond)
         s_cond = _spectrum_entropy(cond_spectrum)
         i_ab = math.log2(v_b / v_b_cond)
     else:

@@ -266,6 +266,19 @@ def test_converge_table():
     assert deltas[-1] < 2e-3
 
 
+@pytest.mark.parametrize("mu", ["1e4", "asymptotic"])
+def test_converge_rejects_mu(tmp_path, mu):
+    base = ["converge", "--tau", "0.5", "--omega", "2"]
+    config = tmp_path / "mu.cfg"
+    config.write_text(f"mu={mu}\n")
+    for args in ([*base, "--mu", mu], [*base, "--config", str(config)]):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line == "config error: converge sweeps its own mu values and takes no --mu or mu key"
+
+
 def test_config_file_and_precedence(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -294,6 +307,20 @@ def test_config_file_rejects_step_keys(tmp_path):
     result = run_cli("critical", "--config", str(config))
     assert result.returncode == 1
     assert "unknown key 'hessian_step'" in result.stderr
+
+
+# Start-up cost: none of these may load when the CLI module is imported.
+HEAVY_MODULES = ("scipy", "sympy", "mpmath", "hypothesis", "concurrent.futures", "multiprocessing")
+
+
+def test_cli_import_loads_no_heavy_module():
+    probe = (
+        "import sys, gausskey.cli; "
+        f"print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
 
 
 def test_rate_json_matches_csv():

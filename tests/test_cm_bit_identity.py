@@ -4,9 +4,16 @@ The references below index with np.ix_, build blocks with np.block/np.eye
 and rebuild the symplectic form on every call.  The helpers take cached
 index arrays and fill matrices entry by entry; every entry, signed zeros
 included, must come out the same.
+
+``ref_key_rate_numeric`` chains the references the way the pipeline once
+chained the public functions, wrapping every stage in a validated
+``CovMat``.  ``key_rate_numeric`` runs on the private array kernels
+instead; its reports must match the chained form byte for byte, and its
+errors in type and text.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,11 +22,15 @@ from hypothesis import strategies as st
 
 from conftest import random_attack
 from gausskey import (
+    AttackParams,
     CovMat,
     DomainError,
+    NumericalDegeneracyError,
     ProtocolSpec,
     attack_cm,
     beamsplitter_apply,
+    direct_sum,
+    entropy_h,
     heterodyne_condition,
     homodyne_condition,
     keep_modes,
@@ -27,9 +38,16 @@ from gausskey import (
     symplectic_form,
     symplectic_spectrum,
     tmsv_cm,
+    violated_constraint,
 )
-from gausskey import gaussian
-from gausskey.rates import VARIANTS, total_cm_via_beamsplitters
+from gausskey import attack, gaussian, rates
+from gausskey.rates import (
+    NO_SWITCHING,
+    SWITCHING,
+    SWITCHING_MIXED,
+    VARIANTS,
+    total_cm_via_beamsplitters,
+)
 
 # --------------------------------------------------------- reference copies
 
@@ -63,6 +81,10 @@ def ref_heterodyne_condition(m, mode):
 def ref_homodyne_condition(m, mode, quadrature):
     A, B, C = ref_split_measured(m, mode)
     j = 0 if quadrature == "q" else 1
+    if C[j, j] < 1e-12:
+        raise DomainError(
+            f"degenerate homodyne measurement: {quadrature} variance {C[j, j]:g} below 1e-12"
+        )
     b = B[:, j]
     out = A - np.outer(b, b) / C[j, j]
     return (out + out.T) / 2.0
@@ -72,7 +94,17 @@ def ref_tmsv_cm(mu):
     c = math.sqrt(mu * mu - 1.0)
     eye2 = np.eye(2)
     z = np.diag([1.0, -1.0])
-    return np.block([[mu * eye2, c * z], [c * z, mu * eye2]])
+    with np.errstate(invalid="ignore"):  # c = inf once mu*mu overflows: inf * 0 is NaN
+        return np.block([[mu * eye2, c * z], [c * z, mu * eye2]])
+
+
+def ref_direct_sum(*mats):
+    out = np.zeros((sum(m.shape[0] for m in mats),) * 2)
+    at = 0
+    for m in mats:
+        out[at : at + m.shape[0], at : at + m.shape[0]] = m
+        at += m.shape[0]
+    return out
 
 
 def ref_attack_cm(omega, g, g_prime):
@@ -96,11 +128,102 @@ def ref_beamsplitter_apply(m, mode_a, mode_b, tau):
 
 def ref_symplectic_spectrum(m):
     w, U = np.linalg.eigh(m)
+    if w[0] < -1e-9 * max(1.0, float(w[-1])):
+        raise NumericalDegeneracyError(f"covariance matrix has negative eigenvalue {w[0]:g}")
     root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
     L = root @ ref_symplectic_form(m.shape[0] // 2) @ root
     sv = np.linalg.svd(L, compute_uv=False)
-    assert np.max(np.abs(sv[0::2] - sv[1::2])) <= 1e-9 * max(1.0, sv[0])
+    worst = np.max(np.abs(sv[0::2] - sv[1::2]))
+    if worst > 1e-9 * max(1.0, sv[0]):
+        raise NumericalDegeneracyError(
+            "symplectic spectrum did not split into doubled singular values "
+            f"(worst pair mismatch {worst:g})"
+        )
     return (sv[0::2] + sv[1::2]) / 2.0
+
+
+def ref_total_cm(params, mu):
+    """The joint CM as validated CovMats chained through every stage."""
+    violated = violated_constraint(params)
+    if violated is not None:
+        raise DomainError(f"unphysical attack parameters: violated {violated}")
+    if not (math.isfinite(mu) and mu > 1.0):
+        raise DomainError(f"modulation variance must be finite and > 1, got {mu}")
+    source = CovMat(ref_tmsv_cm(mu + 1.0))
+    ancilla = CovMat(ref_attack_cm(params.omega, params.g, params.g_prime))
+    src = CovMat(ref_direct_sum(source.mat, source.mat, ancilla.mat))
+    mixed = CovMat(ref_beamsplitter_apply(src.mat, 1, 4, params.tau))
+    mixed = CovMat(ref_beamsplitter_apply(mixed.mat, 3, 5, params.tau))
+    return CovMat(ref_keep_modes(mixed.mat, (0, 2, 1, 3)))
+
+
+def ref_key_rate_numeric(params, spec):
+    """key_rate_numeric from the plain references, every stage a validated CovMat."""
+    if spec.asymptotic:
+        raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
+
+    def het(V, mode):
+        return CovMat(ref_heterodyne_condition(V.mat, mode))
+
+    def hom(V, mode, quadrature):
+        return CovMat(ref_homodyne_condition(V.mat, mode, quadrature))
+
+    def entropy(spectrum):
+        return float(sum(entropy_h(float(nu)) for nu in spectrum))
+
+    V = ref_total_cm(params, spec.mu)
+    total_spectrum = ref_symplectic_spectrum(V.mat)
+    s_total = entropy(total_spectrum)
+    v_b = V.mat[4, 4]
+    v_b_cond = het(het(V, 0), 0).mat[0, 0]
+    if spec.variant == NO_SWITCHING:
+        cond_spectrum = ref_symplectic_spectrum(het(het(V, 3), 2).mat)
+        s_cond = entropy(cond_spectrum)
+        i_ab = 2.0 * math.log2((v_b + 1.0) / (v_b_cond + 1.0))
+    elif spec.variant == SWITCHING:
+        spec_q = ref_symplectic_spectrum(hom(hom(V, 3, "q"), 2, "q").mat)
+        spec_p = ref_symplectic_spectrum(hom(hom(V, 3, "p"), 2, "p").mat)
+        s_cond = 0.5 * (entropy(spec_q) + entropy(spec_p))
+        cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
+        i_ab = math.log2(v_b / v_b_cond)
+    else:
+        cond_spectrum = ref_symplectic_spectrum(hom(hom(V, 3, "p"), 2, "q").mat)
+        s_cond = entropy(cond_spectrum)
+        i_ab = math.log2(v_b / v_b_cond)
+    holevo = s_total - s_cond
+    return rates.RateReport(
+        params=params,
+        spec=spec,
+        i_ab=i_ab,
+        holevo=holevo,
+        rate=(i_ab - holevo) / 2.0,
+        total_spectrum=total_spectrum,
+        conditional_spectrum=cond_spectrum,
+    )
+
+
+def report_bytes(report):
+    """Every RateReport field: the inputs by value, the numbers as bytes."""
+    def array_bytes(a):
+        return type(a), a.dtype.str, a.shape, a.tobytes()
+
+    floats = (report.i_ab, report.holevo, report.rate)
+    return (
+        report.params,
+        report.spec,
+        tuple(type(x) for x in floats),
+        struct.pack("<3d", *floats),
+        array_bytes(report.total_spectrum),
+        array_bytes(report.conditional_spectrum),
+    )
+
+
+def outcome(fn, params, spec):
+    """The report's bytes, or the type and text of the error raised."""
+    try:
+        return report_bytes(fn(params, spec))
+    except (DomainError, NumericalDegeneracyError) as exc:
+        return type(exc), str(exc)
 
 
 def assert_same_bits(actual, expected):
@@ -201,6 +324,215 @@ def test_report_total_spectrum_is_the_spectrum_of_the_total_cm(seed, mu, variant
     V = total_cm_via_beamsplitters(params, mu)
     assert_same_bits(report.total_spectrum, symplectic_spectrum(V))
     assert_same_bits(report.total_spectrum, ref_symplectic_spectrum(V.mat))
+
+
+# ------------------------------------------------- pipeline against the chain
+
+
+@st.composite
+def lens_points(draw):
+    """(omega, g, g') in the lens, interior or on its rim.
+
+    |g| <= sqrt(omega^2 - 1) spans the lens; for each g the two rim
+    constraints bound g' to [-omega + 1/(omega + g), omega - 1/(omega - g)].
+    Rim points take an end of that interval (or g at its extreme) as
+    computed, so round-off leaves some of them just outside the lens.
+    """
+    omega = math.exp(draw(st.floats(math.log(1.0001), math.log(1e3))))
+    rim = draw(st.booleans())
+    reach = math.sqrt(omega * omega - 1.0)
+    if rim:
+        a = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0))
+        b = draw(st.sampled_from([0.0, 1.0]))
+    else:
+        a = draw(st.floats(-0.95, 0.95))
+        b = draw(st.floats(0.05, 0.95))
+    g = a * reach
+    lo, hi = -omega + 1.0 / (omega + g), omega - 1.0 / (omega - g)
+    return omega, g, lo + b * (hi - lo)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    point=lens_points(),
+    tau=st.floats(0.01, 0.99) | st.just(1.0),
+    mu=st.floats(2.0, 8.0).map(lambda e: 10.0**e),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_numeric_report_matches_covmat_chain_bytes(point, tau, mu, variant):
+    omega, g, gp = point
+    params = AttackParams(tau=tau, omega=omega, g=g, g_prime=gp)
+    spec = ProtocolSpec(variant, mu=mu, asymptotic=False)
+    assert outcome(key_rate_numeric, params, spec) == outcome(ref_key_rate_numeric, params, spec)
+
+
+PINNED_ERRORS = [
+    pytest.param(
+        (0.44, 1.2, 0.3, -0.1), NO_SWITCHING, 1e200,
+        DomainError, "covariance matrix contains non-finite entries", id="mu-1e200",
+    ),
+    pytest.param(
+        (0.44, 1.2, 0.3, -0.1), SWITCHING, 1.5e154,
+        DomainError, "covariance matrix contains non-finite entries", id="mu-1.5e154",
+    ),
+    pytest.param(
+        (0.5, 1e150, 0.0, 0.0), NO_SWITCHING, 1e10,
+        DomainError, "unphysical symplectic eigenvalue 2.8914273913279026e-77 < 1",
+        id="omega-1e150",
+    ),
+    pytest.param(
+        (1.0, 1.2, 0.3, -0.1), SWITCHING, 1e4,
+        DomainError, "unphysical symplectic eigenvalue 0.9999999965402822 < 1",
+        id="tau-1-switching",
+    ),
+    pytest.param(
+        (1.0, 1.2, 0.3, -0.1), SWITCHING_MIXED, 1e4,
+        DomainError, "unphysical symplectic eigenvalue 0.9999999965402822 < 1",
+        id="tau-1-mixed",
+    ),
+    pytest.param(
+        (0.5, 2.0, 1.9, -1.9), NO_SWITCHING, 1e4,
+        DomainError,
+        "unphysical attack parameters: violated "
+        "omega*|g + g_prime| <= omega^2 + g*g_prime - 1 (0 > -0.61)",
+        id="unphysical-g",
+    ),
+    pytest.param(
+        (0.5, 2.0, 0.0, 0.0), NO_SWITCHING, None,
+        DomainError, "key_rate_numeric needs a finite-modulation ProtocolSpec", id="asymptotic",
+    ),
+]
+
+
+@pytest.mark.parametrize("point, variant, mu, error, text", PINNED_ERRORS)
+def test_numeric_errors_pinned(point, variant, mu, error, text):
+    params = AttackParams(*point)
+    spec = ProtocolSpec(variant, mu=mu, asymptotic=mu is None)
+    assert outcome(key_rate_numeric, params, spec) == (error, text)
+    assert outcome(ref_key_rate_numeric, params, spec) == (error, text)
+
+
+# ----------------------------------------------------- wrappers and kernels
+
+KERNEL_OF = {
+    tmsv_cm: gaussian._tmsv,
+    attack_cm: attack._attack_block,
+    direct_sum: gaussian._direct_sum,
+    keep_modes: gaussian._keep_modes,
+    beamsplitter_apply: gaussian._beamsplitter,
+    heterodyne_condition: gaussian._heterodyne,
+    homodyne_condition: gaussian._homodyne,
+    symplectic_spectrum: gaussian._symplectic_spectrum,
+    total_cm_via_beamsplitters: rates._total_cm_via_beamsplitters,
+}
+
+
+def call_both(public, args):
+    """The public call and its kernel's call, CovMat arguments passed as arrays."""
+    raw = [a.mat if isinstance(a, CovMat) else a for a in args]
+    return (lambda: public(*args)), (lambda: KERNEL_OF[public](*raw))
+
+
+def _wrapped_calls():
+    params = AttackParams(0.44, 7.3, 0.3, -0.1)
+    V = total_cm_via_beamsplitters(params, 1e4)
+    src = direct_sum(tmsv_cm(1e4), tmsv_cm(1e4), attack_cm(7.3, 0.3, -0.1))
+    calls = [
+        (tmsv_cm, (1e4,)),
+        (attack_cm, (7.3, 0.3, -0.1)),
+        (direct_sum, (V, tmsv_cm(3.0))),
+        (keep_modes, (V, (3, 0, 2))),
+        (beamsplitter_apply, (src, 1, 4, 0.44)),
+        (heterodyne_condition, (V, 2)),
+        (homodyne_condition, (V, 3, "p")),
+        (symplectic_spectrum, (V,)),
+        (total_cm_via_beamsplitters, (params, 1e4)),
+    ]
+    return [pytest.param(public, args, id=public.__name__) for public, args in calls]
+
+
+@pytest.mark.parametrize("public, args", _wrapped_calls())
+def test_public_function_wraps_its_kernel(public, args):
+    wrapped, kernel = call_both(public, args)
+    result, raw = wrapped(), kernel()
+    assert isinstance(raw, np.ndarray)
+    if isinstance(result, CovMat):
+        assert not result.mat.flags.writeable
+        assert_same_bits(result.mat, raw)
+    else:  # the spectrum is a plain array
+        assert isinstance(result, np.ndarray)
+        assert_same_bits(result, raw)
+
+
+def _bad_calls():
+    V = total_cm_via_beamsplitters(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
+    flat = CovMat(np.diag([1.0, 1.0, 1e-14, 1e6]))
+    return [
+        ("mode index 4 out of range for 4 modes", keep_modes, (V, (0, 4))),
+        ("mode index -1 out of range for 4 modes", heterodyne_condition, (V, -1)),
+        ("mode index 7 out of range for 4 modes", homodyne_condition, (V, 7, "q")),
+        ("mode index 4 out of range for 4 modes", beamsplitter_apply, (V, 0, 4, 0.5)),
+        ("beam splitter needs two distinct modes", beamsplitter_apply, (V, 1, 1, 0.5)),
+        ("quadrature must be 'q' or 'p', got 'x'", homodyne_condition, (V, 1, "x")),
+        ("transmissivity must lie in [0, 1], got 1.5", beamsplitter_apply, (V, 0, 1, 1.5)),
+        ("TMSV variance must satisfy mu >= 1, got 0.5", tmsv_cm, (0.5,)),
+        ("covariance matrix contains non-finite entries", tmsv_cm, (1e200,)),
+        (
+            "degenerate homodyne measurement: q variance 1e-14 below 1e-12",
+            homodyne_condition,
+            (flat, 1, "q"),
+        ),
+        (
+            "conditioning needs at least one retained mode",
+            heterodyne_condition,
+            (CovMat(np.eye(2)), 0),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("text, public, args", _bad_calls())
+def test_wrapper_and_kernel_raise_the_same_domain_error(text, public, args):
+    for call in call_both(public, args):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == text
+
+
+@pytest.mark.parametrize(
+    "mat, text",
+    [
+        (np.eye(3), "covariance matrix must be 2n x 2n, got shape (3, 3)"),
+        (np.ones((2, 4)), "covariance matrix must be square, got shape (2, 4)"),
+        (np.diag([1.0, np.inf]), "covariance matrix contains non-finite entries"),
+        (np.array([[1.0, 1e-6], [0.0, 1.0]]), "covariance matrix is not symmetric to 1e-12"),
+    ],
+)
+def test_public_entry_points_keep_covmat_validation(mat, text):
+    with pytest.raises(DomainError) as exc:
+        CovMat(mat)
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize(
+    "public, args, text",
+    [
+        (  # the measured block + I is zero
+            heterodyne_condition,
+            (CovMat(np.diag([1.0, 1.0, -1.0, -1.0])), 1),
+            "singular heterodyne update; measured block + I is not invertible",
+        ),
+        (
+            symplectic_spectrum,
+            (CovMat(np.diag([1.0, -1.0])),),
+            "covariance matrix has negative eigenvalue -1",
+        ),
+    ],
+)
+def test_wrapper_and_kernel_raise_the_same_degeneracy_error(public, args, text):
+    for call in call_both(public, args):
+        with pytest.raises(NumericalDegeneracyError) as exc:
+            call()
+        assert str(exc.value) == text
 
 
 # -------------------------------------------------------------- cache safety
