@@ -18,7 +18,6 @@ from .attack import (
     boundary_curve_arrays,
     constraint_slack,
     lens_mask,
-    physical_grid_arrays,
     violated_constraint,
 )
 from .gaussian import (

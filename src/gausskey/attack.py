@@ -171,12 +171,16 @@ def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.
 def physical_grid_mirror(
     omega: float, resolution: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points of physical_grid_arrays plus, for each (g, g'), the index of (g', g).
+    """Uniform grid over (-omega, omega)^2 filtered to the lens, with each point's mirror.
 
-    Both coordinates run over one axis and lens_mask is symmetric under
-    g <-> g', so the mirror of every kept point is kept: it is read off
-    the transposed (i, j) grid of point indices.  mirror[k] >= k exactly
-    when g[k] <= g_prime[k]; the origin is its own mirror.
+    The grid is open at +-omega (the marginal constraints are strict
+    there) and always contains the origin.  Returns the (g, g') arrays of
+    the kept points, sorted by (g, g'), and for each point the index of
+    (g', g).  Both coordinates run over one axis and lens_mask is
+    symmetric under g <-> g', so the mirror of every kept point is kept:
+    it is read off the transposed (i, j) grid of point indices.
+    mirror[k] >= k exactly when g[k] <= g_prime[k]; the origin is its own
+    mirror.
     """
     if resolution < 2:
         raise DomainError(f"grid resolution must be >= 2, got {resolution}")
@@ -193,13 +197,3 @@ def physical_grid_mirror(
         mirror = np.insert(mirror + (mirror >= at), at, at)
     return g, gp, mirror
 
-
-def physical_grid_arrays(omega: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform grid over (-omega, omega)^2 filtered to the physical region.
-
-    The grid is open at +-omega (the marginal constraints are strict
-    there) and always contains the origin.  Returns the (g, g') arrays
-    of the kept points, sorted by (g, g').
-    """
-    g, gp, _ = physical_grid_mirror(omega, resolution)
-    return g, gp

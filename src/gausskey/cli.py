@@ -12,18 +12,18 @@ change its ``is_minimum`` verdict.
 Exit codes: 0 success, 1 configuration error (bad flags or config
 file), 2 domain/physicality error (the offending constraint is named).
 Identical configurations produce byte-identical output, whatever the
-environment.  ``GAUSSKEY_THREADS`` is still accepted and has no effect:
-an asymptotic ``scan``/``boundary`` evaluates every point in one call of
-the array rate kernel (``rates.key_rates``); finite-``mu`` scans and
-``converge`` run the covariance-matrix pipeline point by point.
+environment.  Asymptotic rates come from the array rate kernel
+(``rates.key_rates``); finite-``mu`` scans and boundaries, and
+``converge``, run the covariance-matrix pipeline point by point.
 
-The scan verdict says whether the origin is the strict minimum of the
-unclamped rates (``landscape.origin_is_strict_minimum``, as in
-``verify_minimality``); ``--clamp-nonnegative`` changes only the emitted
-``rate`` and ``origin_rate`` values.  A grid point is ``on_boundary``
-when it lies outside the open interior (``attack.constraint_slack`` at
-most ``EPS_PHYS``), and a ``boundary`` run with no sample is a domain
-error.
+``scan`` renders the report of ``landscape.verify_minimality``: its
+points sorted by (g, g'), a grid point equal to a boundary sample folded
+into that sample, and the report's ``origin_rate`` and ``verdict`` (the
+origin is the strict minimum of the unclamped rates);
+``--clamp-nonnegative`` changes only the emitted ``rate`` and
+``origin_rate`` values.  A row is ``on_boundary`` as the report marks
+it.  ``boundary`` renders ``attack.boundary_curve_arrays`` and its
+rates; a ``boundary`` run with no sample is a domain error.
 
 Cost per in-process ``main`` call.  ``main`` parses with one parser per
 process, built on first use (``build_parser`` still returns a fresh
@@ -50,14 +50,8 @@ import numpy as np
 
 from . import landscape as _landscape
 from . import rates as _rates
-from .attack import (
-    AttackParams,
-    boundary_curve_arrays,
-    constraint_slack,
-    physical_grid_arrays,
-    violated_constraint,
-)
-from .gaussian import EPS_PHYS, DomainError
+from .attack import AttackParams, boundary_curve_arrays, violated_constraint
+from .gaussian import DomainError
 
 SCAN_HEADER = "g,g_prime,rate,physical,on_boundary"
 # One scan row as fmt and json.dumps(..., indent=2) render it.
@@ -313,61 +307,24 @@ def cmd_rate(cfg: RunConfig) -> str:
     return _kv_csv(pairs)
 
 
-def _scan_points(cfg: RunConfig, include_grid: bool) -> tuple[np.ndarray, ...]:
-    """Grid and boundary points merged and sorted by (g, g'), with raw rates.
-
-    Returns (g, g', rate, on_boundary) arrays.  A grid point that equals
-    a boundary sample appears once, marked on the boundary.
-    """
-    _params(cfg)  # the configured point obeys the same domain checks
-    empty = np.empty(0)
-    edge_g, edge_gp = empty, empty
-    if cfg.omega > 1.0:
-        edge_g, edge_gp = boundary_curve_arrays(cfg.omega, cfg.grid_resolution)
-    grid_g, grid_gp = empty, empty
-    if include_grid:
-        grid_g, grid_gp = physical_grid_arrays(cfg.omega, cfg.grid_resolution)
-    g = np.concatenate([grid_g, edge_g])
-    gp = np.concatenate([grid_gp, edge_gp])
-    # A grid point outside the open interior (slack > EPS_PHYS) is on the rim.
-    grid_on_rim = constraint_slack(cfg.omega, grid_g, grid_gp) <= EPS_PHYS
-    on_boundary = np.concatenate([grid_on_rim, np.ones(edge_g.size, dtype=bool)])
-    order = np.lexsort((gp, g))  # stable: a grid point precedes its equal boundary sample
-    g, gp, on_boundary = g[order], gp[order], on_boundary[order]
-    first = np.ones(g.size, dtype=bool)
-    first[1:] = (g[1:] != g[:-1]) | (gp[1:] != gp[:-1])
-    if g.size:
-        on_boundary = np.logical_or.reduceat(on_boundary, np.flatnonzero(first))
-    g, gp = g[first], gp[first]
-
-    if cfg.asymptotic:
-        rates = _rates.key_rates(cfg.protocol, cfg.tau, cfg.omega, g, gp)
-    else:
-        spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu, asymptotic=False)
-        rates = np.array(
-            [
-                _rates.key_rate_numeric(
-                    AttackParams(tau=cfg.tau, omega=cfg.omega, g=a, g_prime=b), spec
-                ).rate
-                for a, b in zip(g.tolist(), gp.tolist())
-            ]
-        )
-    return g, gp, rates, on_boundary
-
-
 def _json_texts(column: np.ndarray) -> list[str]:
     """json's text of each float (NaN, Infinity and -0.0 included), from one C-encoder call."""
     return json.dumps(column.tolist())[1:-1].split(", ")
 
 
-def _render_rows(cfg: RunConfig, points: tuple[np.ndarray, ...]) -> str:
+def _render_rows(
+    cfg: RunConfig,
+    points: tuple[np.ndarray, ...],
+    origin_rate: float | None = None,
+    verdict: bool | None = None,
+) -> str:
+    """Scan rows from their (g, g', rate, on_boundary) columns.
+
+    origin_rate is unclamped; it and verdict are None for a boundary run.
+    """
     g, gp, rates, on_boundary = points
-    at_origin = np.flatnonzero((g == 0.0) & (gp == 0.0))
-    origin_rate = verdict = None
-    if at_origin.size:
-        raw_origin = float(rates[at_origin[0]])
-        origin_rate = _clamp(cfg, raw_origin)
-        verdict = _landscape.origin_is_strict_minimum(g, gp, rates, raw_origin)
+    if origin_rate is not None:
+        origin_rate = _clamp(cfg, origin_rate)
     if cfg.clamp_nonnegative:  # max(rate, 0.0) per row: -0.0 and NaN pass through
         rates = np.where(rates < 0.0, 0.0, rates)
     flags = map(_fmt_bool, on_boundary.tolist())
@@ -397,7 +354,18 @@ def _render_rows(cfg: RunConfig, points: tuple[np.ndarray, ...]) -> str:
 def cmd_scan(cfg: RunConfig) -> str:
     if cfg.omega < 1.0:
         raise DomainError(f"scan needs omega >= 1, got {cfg.omega}")
-    return _render_rows(cfg, _scan_points(cfg, include_grid=True))
+    _params(cfg)  # the configured point obeys the same domain checks
+    report = _landscape.verify_minimality(
+        cfg.protocol, cfg.tau, cfg.omega, cfg.grid_resolution, mu=cfg.mu
+    )
+    # Stable: a grid point precedes the boundary sample it equals, and is folded into it.
+    order = np.lexsort((report.g_prime, report.g))
+    g, gp = report.g[order], report.g_prime[order]
+    first = np.ones(g.size, dtype=bool)
+    first[1:] = (g[1:] != g[:-1]) | (gp[1:] != gp[:-1])
+    on_boundary = np.logical_or.reduceat(report.on_boundary[order], np.flatnonzero(first))
+    points = (g[first], gp[first], report.rate[order][first], on_boundary)
+    return _render_rows(cfg, points, report.origin_rate, report.verdict)
 
 
 def cmd_boundary(cfg: RunConfig) -> str:
@@ -405,13 +373,15 @@ def cmd_boundary(cfg: RunConfig) -> str:
         raise DomainError(
             f"the physical region at omega = {cfg.omega} is a point; boundary is empty"
         )
-    points = _scan_points(cfg, include_grid=False)
-    if not points[0].size:
+    _params(cfg)
+    g, gp = boundary_curve_arrays(cfg.omega, cfg.grid_resolution)
+    rates = _rates.key_rates(cfg.protocol, cfg.tau, cfg.omega, g, gp, mu=cfg.mu)
+    if not g.size:
         raise DomainError(
             f"boundary is empty: no boundary sample at omega = {cfg.omega} "
             f"and grid resolution {cfg.grid_resolution}"
         )
-    return _render_rows(cfg, points)
+    return _render_rows(cfg, (g, gp, rates, np.ones(g.size, dtype=bool)))
 
 
 def cmd_critical(cfg: RunConfig) -> str:

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, boundary_curve_arrays, physical_grid_mirror
-from .gaussian import LN2, DomainError, NumericalDegeneracyError
+from .attack import AttackParams, boundary_curve_arrays, constraint_slack, physical_grid_mirror
+from .gaussian import EPS_PHYS, LN2, DomainError, NumericalDegeneracyError
 from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic, key_rates
 
 # Central-difference steps, scaled by max(1, omega) at use sites.  The
@@ -32,6 +32,10 @@ from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic
 # 1e-4 step would lose the 1e-4 relative agreement with the closed forms.
 GRADIENT_STEP = 1e-5
 HESSIAN_STEP = 1e-4
+
+# Tau bracket and |rate| stopping tolerance of find_zero_rate_transmissivity.
+ZERO_RATE_BRACKET = (1e-3, 0.999)
+ZERO_RATE_TOL = 1e-10
 
 RateFn = Callable[[float, float], float]
 
@@ -55,11 +59,14 @@ class LandscapeReport:
     """Grid/boundary scan of the rate against the origin value, kept as columns.
 
     g, g_prime and rate are read-only arrays of every sampled point: the
-    n_grid grid points, sorted by (g, g'), then the boundary samples.
-    near_origin marks the nonzero points within 1e-9 of the origin rate,
-    for manual review.  verdict is True iff every nonzero sampled point
-    rates strictly above the origin; degenerate marks omega = 1, where
-    the region is the single point (0, 0).
+    n_grid grid points, sorted by (g, g'), then the boundary samples.  A
+    grid point may equal a boundary sample; both are kept.  on_boundary
+    marks every boundary sample and each grid point outside the open
+    interior (constraint_slack <= EPS_PHYS).  near_origin marks the
+    nonzero points within 1e-9 of the origin rate, for manual review.
+    verdict is True iff every nonzero sampled point rates strictly above
+    the origin; degenerate marks omega = 1, where the region is the
+    single point (0, 0).
 
     The row views grid_rates, boundary_rates and near_origin_flags are
     tuples of (g, g', rate) float triples, built on first read and cached:
@@ -76,6 +83,7 @@ class LandscapeReport:
     g_prime: np.ndarray
     rate: np.ndarray
     n_grid: int
+    on_boundary: np.ndarray
     near_origin: np.ndarray
     origin_rate: float
     min_over_grid: float
@@ -294,35 +302,48 @@ def _rows(*columns: np.ndarray) -> tuple[tuple[float, ...], ...]:
 
 
 def verify_minimality(
-    protocol: str, tau: float, omega: float, resolution: int
+    protocol: str, tau: float, omega: float, resolution: int, mu: float | None = None
 ) -> LandscapeReport:
     """Scan the physical region and its boundary against the origin rate.
 
     The verdict is True iff every nonzero grid and boundary point rates
     strictly above the origin.  At omega = 1 the region is {(0, 0)} and
-    the verdict holds trivially.
+    the verdict holds trivially.  mu None takes the closed-form rates; a
+    finite mu takes key_rate_numeric's, through key_rates(..., mu=mu).
 
-    The rate is symmetric under g <-> g' bit for bit (the closed forms
-    use g and g' only through commutative sums, products, max and min),
-    and so is the grid, so the kernel evaluates each mirrored grid pair
-    once, at its g <= g' point, plus the boundary, and copies the rate to
-    the mirror.  The g <= g' point of a pair comes first in C order, so
-    a failing point raises the same DomainError as a full scan would.
-    The report keeps the columns; its row tuples are built only when
-    read.  At resolution 101 (about 10,000 points) a call takes about
-    1.6 ms (0.4-2.6 ms over random (tau, omega)) on one core of a 2-vCPU
-    x86 host, about half of it in key_rates; reading all three row views
-    adds about 3 ms.
+    The closed-form rate is symmetric under g <-> g' bit for bit (the
+    closed forms use g and g' only through commutative sums, products,
+    max and min), and so is the grid, so with mu None the kernel
+    evaluates each mirrored grid pair once, at its g <= g' point, plus
+    the boundary, and copies the rate to the mirror.  The g <= g' point
+    of a pair comes first in C order, so a failing point raises the same
+    DomainError as a full scan would.  The covariance-matrix pipeline is
+    not bit-symmetric, so a finite mu evaluates every point, grid and
+    boundary merged in (g, g') order, and the first failing point in that
+    order raises.  The report keeps the columns; its row tuples are built
+    only when read.  At resolution 101 (about 10,000 points) a
+    closed-form call takes about 1.6 ms (0.4-2.6 ms over random
+    (tau, omega)) on one core of a 2-vCPU x86 host, about half of it in
+    key_rates; reading all three row views adds about 3 ms.
     """
+    if resolution < 2:
+        raise DomainError(f"grid resolution must be >= 2, got {resolution}")
     if omega < 1.0:
         raise DomainError(f"need omega >= 1, got {omega}")
-    origin_rate = rate_function(protocol, tau, omega)(0.0, 0.0)
     if omega == 1.0:
-        g, gp, rates, n_grid = np.zeros(1), np.zeros(1), np.array([origin_rate]), 1
+        grid_g, grid_gp, mirror = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.intp)
+        edge_g = edge_gp = np.zeros(0)
     else:
         grid_g, grid_gp, mirror = physical_grid_mirror(omega, resolution)
         edge_g, edge_gp = boundary_curve_arrays(omega, resolution)
-        n_grid = grid_g.size
+    n_grid = grid_g.size
+    g = np.concatenate([grid_g, edge_g])
+    gp = np.concatenate([grid_gp, edge_gp])
+    on_boundary = np.concatenate(
+        [constraint_slack(omega, grid_g, grid_gp) <= EPS_PHYS, np.ones(edge_g.size, dtype=bool)]
+    )
+    if mu is None:
+        origin_rate = rate_function(protocol, tau, omega)(0.0, 0.0)
         first = np.flatnonzero(mirror >= np.arange(n_grid))  # the g <= g' point of each pair
         first_rates = key_rates(
             protocol,
@@ -331,13 +352,16 @@ def verify_minimality(
             np.concatenate([grid_g[first], edge_g]),
             np.concatenate([grid_gp[first], edge_gp]),
         )
-        g = np.concatenate([grid_g, edge_g])
-        gp = np.concatenate([grid_gp, edge_gp])
         rates = np.empty(g.size)
         rates[first] = rates[mirror[first]] = first_rates[: first.size]
         rates[n_grid:] = first_rates[first.size :]
+    else:
+        order = np.lexsort((gp, g))
+        rates = np.empty(g.size)
+        rates[order] = key_rates(protocol, tau, omega, g[order], gp[order], mu=mu)
+        origin_rate = float(rates[np.flatnonzero((g == 0.0) & (gp == 0.0))[0]])
     flagged = ((g != 0.0) | (gp != 0.0)) & (rates - origin_rate < 1e-9)
-    for column in (g, gp, rates, flagged):
+    for column in (g, gp, rates, on_boundary, flagged):
         column.flags.writeable = False
     return LandscapeReport(
         protocol=protocol,
@@ -347,6 +371,7 @@ def verify_minimality(
         g_prime=gp,
         rate=rates,
         n_grid=n_grid,
+        on_boundary=on_boundary,
         near_origin=flagged,
         origin_rate=origin_rate,
         min_over_grid=float(rates[:n_grid].min()),
@@ -355,20 +380,14 @@ def verify_minimality(
     )
 
 
-def find_zero_rate_transmissivity(
-    protocol: str,
-    omega: float,
-    bracket: tuple[float, float] = (1e-3, 0.999),
-    tol: float = 1e-10,
-) -> float:
-    """Bisect tau for the zero of the uncorrelated-attack rate.
+def find_zero_rate_transmissivity(protocol: str, omega: float) -> float:
+    """Bisect tau over ZERO_RATE_BRACKET for the zero of the uncorrelated-attack rate.
 
+    Stops at the first midpoint whose |rate| is below ZERO_RATE_TOL.
     Raises DomainError when the rate does not change sign on the
     bracket (e.g. pure loss, omega = 1, where the rate stays positive).
     """
-    lo, hi = bracket
-    if not 0.0 < lo < hi < 1.0:
-        raise DomainError(f"bracket must satisfy 0 < lo < hi < 1, got {bracket}")
+    lo, hi = ZERO_RATE_BRACKET
 
     def rate_at(tau: float) -> float:
         return key_rate_asymptotic(
@@ -382,13 +401,13 @@ def find_zero_rate_transmissivity(
         return hi
     if math.copysign(1.0, r_lo) == math.copysign(1.0, r_hi):
         raise DomainError(
-            f"rate does not change sign on tau in {bracket} at omega = {omega}; "
+            f"rate does not change sign on tau in {ZERO_RATE_BRACKET} at omega = {omega}; "
             "no zero-rate transmissivity exists there"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         r_mid = rate_at(mid)
-        if abs(r_mid) < tol:
+        if abs(r_mid) < ZERO_RATE_TOL:
             return mid
         if math.copysign(1.0, r_mid) == math.copysign(1.0, r_lo):
             lo, r_lo = mid, r_mid

@@ -480,23 +480,33 @@ def _first_rejected(tau: float, omega: float, g: np.ndarray, gp: np.ndarray) -> 
     return None if inside.all() else int(np.argmin(inside))
 
 
-def key_rates(variant: str, tau: float, omega: float, g, g_prime) -> np.ndarray:
-    """Mu-free closed-form rates over arrays of (g, g') at fixed (tau, omega).
+def key_rates(
+    variant: str, tau: float, omega: float, g, g_prime, mu: float | None = None
+) -> np.ndarray:
+    """Rates over arrays of (g, g') at fixed (tau, omega), in bits per channel use.
 
-    Array form of key_rate_asymptotic, in bits per channel use: g and
-    g_prime broadcast against each other and the result takes their
-    shape.  Both forms evaluate the same formulas, and every element
-    equals the scalar rate at that point bit for bit.  Errors match a
-    loop of scalar calls over the points in C order: the first point
-    that fails (an unphysical (g, g') or tau, or a rate that overflows to
-    a non-finite value) raises the DomainError that its scalar call
-    raises.
+    g and g_prime broadcast against each other and the result takes
+    their shape.  With mu None this is the array form of
+    key_rate_asymptotic: both forms evaluate the same closed forms, and
+    every element equals the scalar rate at that point bit for bit.  With
+    a finite mu every element is key_rate_numeric's rate at that point,
+    evaluated point by point.  Either way errors match a loop of scalar
+    calls over the points in C order: the first point that fails (an
+    unphysical (g, g') or tau, or a rate that overflows to a non-finite
+    value) raises the error that its scalar call raises.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown protocol variant {variant!r}")
     g, gp = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(g_prime, dtype=float))
     shape = g.shape
     g, gp = g.ravel(), gp.ravel()
+    if mu is not None:
+        spec = ProtocolSpec(variant=variant, mu=mu, asymptotic=False)
+        numeric = [
+            key_rate_numeric(AttackParams(tau, omega, a, b), spec).rate
+            for a, b in zip(g.tolist(), gp.tolist())
+        ]
+        return np.array(numeric, dtype=float).reshape(shape)
     rejected = _first_rejected(tau, omega, g, gp)
     accepted = g.size if rejected is None else rejected
     rates = np.empty(g.size)

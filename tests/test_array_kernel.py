@@ -16,13 +16,12 @@ from gausskey import (
     entropy_h_array,
     key_rate_asymptotic,
     key_rates,
-    physical_grid_arrays,
     ProtocolSpec,
     rate_report,
     verify_minimality,
     violated_constraint,
 )
-from gausskey.attack import RIM_STEP_CAP
+from gausskey.attack import RIM_STEP_CAP, physical_grid_mirror
 from gausskey.rates import VARIANTS
 
 omegas = st.floats(min_value=1.0, max_value=1e3, exclude_min=True)
@@ -80,7 +79,7 @@ def bits(values):
 @settings(max_examples=40, deadline=None)
 @given(omega=st.floats(min_value=1.0, max_value=1e12, exclude_min=True), resolution=resolutions)
 def test_grid_and_boundary_match_loop_reference(omega, resolution):
-    g, gp = physical_grid_arrays(omega, resolution)
+    g, gp = physical_grid_mirror(omega, resolution)[:2]
     assert [tuple(bits(p)) for p in zip(g, gp)] == [
         tuple(bits(p)) for p in loop_physical_grid(omega, resolution)
     ]
@@ -93,7 +92,7 @@ def test_grid_and_boundary_match_loop_reference(omega, resolution):
 @settings(max_examples=20, deadline=None)
 @given(variant=variants, tau=taus, omega=omegas, resolution=resolutions)
 def test_kernel_equals_scalar_rates(variant, tau, omega, resolution):
-    g, gp = physical_grid_arrays(omega, resolution)
+    g, gp = physical_grid_mirror(omega, resolution)[:2]
     edge_g, edge_gp = boundary_curve_arrays(omega, resolution)
     g, gp = np.concatenate([g, edge_g]), np.concatenate([gp, edge_gp])
     rates = key_rates(variant, tau, omega, g, gp)
@@ -118,7 +117,7 @@ def test_one_unphysical_point_names_its_constraint(variant, tau, omega, resoluti
     violated = violated_constraint(AttackParams(tau, omega, bad_g, bad_gp))
     if violated is None:
         return
-    g, gp = physical_grid_arrays(omega, resolution)
+    g, gp = physical_grid_mirror(omega, resolution)[:2]
     at = int(where * g.size)
     g, gp = np.insert(g, at, bad_g), np.insert(gp, at, bad_gp)
     message = f"unphysical attack parameters: violated {violated}"
@@ -184,7 +183,7 @@ def first_scalar_error(variant, tau, omega, g, gp):
 def test_overflowing_rate_raises_first_scalar_error(variant):
     """Past omega ~ 1.34e154 the attack products overflow: the first such point raises."""
     omega = 1.3e154
-    g, gp = physical_grid_arrays(omega, 7)
+    g, gp = physical_grid_mirror(omega, 7)[:2]
     expected = first_scalar_error(variant, 0.5, omega, g, gp)
     assert expected.startswith(f"{variant} rate at tau = 0.5, omega = 1.3e+154, (g, g') = (")
     assert expected.endswith("is not finite: an intermediate value leaves the floating-point range")

@@ -15,9 +15,9 @@ from gausskey import (
     is_physical,
     key_rates,
     lens_mask,
-    physical_grid_arrays,
     violated_constraint,
 )
+from gausskey.attack import physical_grid_mirror
 
 
 def _params(omega, g, gp, tau=0.5):
@@ -33,7 +33,7 @@ def _boundary(omega, n):
 
 
 def _grid(omega, n):
-    return list(zip(*(a.tolist() for a in physical_grid_arrays(omega, n))))
+    return list(zip(*(a.tolist() for a in physical_grid_mirror(omega, n)[:2])))
 
 
 def test_attack_params_validation():
@@ -173,7 +173,7 @@ def test_grid_shrinks_with_noise():
 
 def test_grid_validation():
     with pytest.raises(DomainError):
-        physical_grid_arrays(1.2, 1)
+        physical_grid_mirror(1.2, 1)
 
 
 # ------------------------------------------ one predicate, omega in (1, 1e8]
@@ -258,7 +258,7 @@ def test_rates_symmetric_under_swap_and_sign_flip(omega, n, tau):
     by at most 4 eps times the size of its terms (1 + log2 omega + |log2 tau|;
     measured up to 1.5).
     """
-    grid_g, grid_gp = physical_grid_arrays(omega, n)
+    grid_g, grid_gp = physical_grid_mirror(omega, n)[:2]
     edge_g, edge_gp = boundary_curve_arrays(omega, n)
     g, gp = np.concatenate([grid_g, edge_g]), np.concatenate([grid_gp, edge_gp])
     for variant in ("noswitching", "switching", "switching-mixed"):

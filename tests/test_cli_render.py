@@ -1,7 +1,8 @@
 """The scan row renderer and the per-process argument parser of gausskey.cli.
 
-The renderer works from the (g, g', rate, on_boundary) columns; it must
-give the bytes of the dict-per-row renderer it replaced, kept here as
+The renderer works from the (g, g', rate, on_boundary) columns plus the
+raw origin rate and verdict that the scan's report carries; it must give
+the bytes of the dict-per-row renderer it replaced, kept here as
 reference_render_rows.  main parses with one parser per process; a run
 of calls must give the bytes and exit codes of the same calls each made
 with a fresh parser.
@@ -17,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausskey import cli
-from gausskey import landscape
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1.5e-7,
@@ -26,15 +26,10 @@ EDGE_FLOATS = [
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-def reference_render_rows(cfg, points):
+def reference_render_rows(cfg, points, raw_origin=None, verdict=None):
     """The renderer before columns: one dict per row, json.dumps and fmt."""
     g, gp, rates, on_boundary = points
-    at_origin = np.flatnonzero((g == 0.0) & (gp == 0.0))
-    origin_rate = verdict = None
-    if at_origin.size:
-        raw_origin = float(rates[at_origin[0]])
-        origin_rate = cli._clamp(cfg, raw_origin)
-        verdict = landscape.origin_is_strict_minimum(g, gp, rates, raw_origin)
+    origin_rate = None if raw_origin is None else cli._clamp(cfg, raw_origin)
     rows = [
         {"g": a, "g_prime": b, "rate": cli._clamp(cfg, rate), "physical": True, "on_boundary": edge}
         for a, b, rate, edge in zip(g.tolist(), gp.tolist(), rates.tolist(), on_boundary.tolist())
@@ -86,19 +81,15 @@ def scan_config(fmt, clamp, mu=None, protocol="noswitching", tau=0.44, omega=1.2
     )
 
 
-def assert_same_render(cfg, g, gp, rates, on_boundary):
+def assert_same_render(cfg, g, gp, rates, on_boundary, origin_rate=None, verdict=None):
     points = (
         np.array(g, dtype=float),
         np.array(gp, dtype=float),
         np.array(rates, dtype=float),
         np.array(on_boundary, dtype=bool),
     )
-    # The verdict is the library's; arbitrary rates overflow or cancel in
-    # its subtraction, identically for both renderers.
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = reference_render_rows(cfg, points)
-        got = cli._render_rows(cfg, points)
-    assert got == expected
+    expected = reference_render_rows(cfg, points, origin_rate, verdict)
+    assert cli._render_rows(cfg, points, origin_rate, verdict) == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -110,8 +101,9 @@ def test_edge_columns_render_as_before(fmt, clamp):
     gp = [-0.0] + values[::-1]
     rates = [-0.0] + values[3:] + values[:3]
     flags = [k % 3 == 0 for k in range(n + 1)]
+    assert_same_render(scan_config(fmt, clamp), g, gp, rates, flags, -0.0, True)
+    assert_same_render(scan_config(fmt, clamp, mu=1e4), g, gp, rates, flags, -1e-3, False)
     assert_same_render(scan_config(fmt, clamp), g, gp, rates, flags)
-    assert_same_render(scan_config(fmt, clamp, mu=1e4), g, gp, rates, flags)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -137,10 +129,12 @@ configs = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(cfg=configs, drawn=rows, origin=st.none() | st.tuples(any_rate, st.booleans()))
 def test_column_renderer_equals_dict_renderer(cfg, drawn, origin):
+    origin_rate = verdict = None
     if origin is not None:
-        drawn = [(0.0, 0.0, *origin), *drawn]
+        origin_rate, verdict = origin
+        drawn = [(0.0, 0.0, origin_rate, True), *drawn]
     columns = list(zip(*drawn)) or [(), (), (), ()]
-    assert_same_render(cfg, *columns)
+    assert_same_render(cfg, *columns, origin_rate, verdict)
 
 
 def run_main(argv):

@@ -12,7 +12,6 @@ from gausskey import (
     boundary_curve_arrays,
     key_rate_asymptotic,
     key_rates,
-    physical_grid_arrays,
     verify_minimality,
 )
 from gausskey import landscape
@@ -37,7 +36,7 @@ def eager_verify_minimality(protocol, tau, omega, resolution):
             boundary_rates=(), origin_rate=origin_rate, min_over_grid=origin_rate,
             verdict=True, degenerate=True, near_origin_flags=(),
         )
-    grid_g, grid_gp = physical_grid_arrays(omega, resolution)
+    grid_g, grid_gp = physical_grid_mirror(omega, resolution)[:2]
     edge_g, edge_gp = boundary_curve_arrays(omega, resolution)
     g = np.concatenate([grid_g, edge_g])
     gp = np.concatenate([grid_gp, edge_gp])
@@ -117,7 +116,7 @@ def test_error_text_unchanged(variant, omega, resolution):
 
 def test_failing_pair_raises_for_its_first_point(monkeypatch):
     """A point fails exactly when its mirror does; the error names the one first in C order."""
-    g, gp = physical_grid_arrays(1.2, 21)
+    g, gp = physical_grid_mirror(1.2, 21)[:2]
     k = int(np.flatnonzero((g < gp) & (g != 0.0) & (gp != 0.0))[len(g) // 4])
     first, second = (g[k].item(), gp[k].item()), (gp[k].item(), g[k].item())
     honest = landscape.key_rates
@@ -142,7 +141,7 @@ def test_rows_built_once():
 @pytest.mark.parametrize("omega", [1.0, 1.2])
 def test_columns_are_read_only(omega):
     report = verify_minimality("switching", 0.44, omega, 21)
-    for column in (report.g, report.g_prime, report.rate, report.near_origin):
+    for column in (report.g, report.g_prime, report.rate, report.on_boundary, report.near_origin):
         assert not column.flags.writeable
         with pytest.raises(ValueError):
             column[0] = column[0]
