@@ -134,7 +134,7 @@ def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.
             f"boundary is empty: the physical region at omega = {omega} is a point"
         )
     if n_samples < 2:
-        raise DomainError(f"need at least 2 samples, got {n_samples}")
+        raise DomainError(f"grid resolution must be >= 2, got {n_samples}")
     grid = np.linspace(-omega, omega, n_samples + 2)[1:-1]
     s = np.array([[1.0], [-1.0]])  # one row per branch
     den = s * omega - grid

@@ -10,7 +10,9 @@ takes its finite-difference steps from omega
 change its ``is_minimum`` verdict.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config
-file), 2 domain/physicality error (the offending constraint is named).
+file), 2 domain/physicality error (the offending constraint is named) or
+a covariance-matrix result too degenerate to trust (``numerical error:``
+on stderr).
 Identical configurations produce byte-identical output, whatever the
 environment.  Asymptotic rates come from the array rate kernel
 (``rates.key_rates``); finite-``mu`` scans and boundaries, and
@@ -32,7 +34,7 @@ CSV through one ``%.17g`` template per row, JSON from one C-encoder call
 per float column, set into a fixed indented row template; the bytes are
 those of ``fmt`` and of ``json.dumps(..., indent=2)``.  Medians on
 2 vCPUs (tau 0.44, omega 7.3): ``rate``/``critical`` 0.2-0.3 ms (about
-3 ms when each call built its parser), ``converge`` about 2 ms, ``scan`` at
+3 ms when each call built its parser), ``converge`` about 1 ms, ``scan`` at
 resolution 31 (about 1,000 rows) 4.1 ms as CSV and 5.7 ms as JSON
 (8-9 and 17 ms before), at resolution 101 35 and 53 ms (49 and 140 ms).
 """
@@ -51,7 +53,7 @@ import numpy as np
 from . import landscape as _landscape
 from . import rates as _rates
 from .attack import AttackParams, boundary_curve_arrays, violated_constraint
-from .gaussian import DomainError
+from .gaussian import DomainError, NumericalDegeneracyError
 
 SCAN_HEADER = "g,g_prime,rate,physical,on_boundary"
 # One scan row as fmt and json.dumps(..., indent=2) render it.
@@ -479,6 +481,9 @@ def main(argv: Sequence[str] | None = None, stderr: TextIO = sys.stderr) -> int:
         return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=stderr)
+        return 2
+    except NumericalDegeneracyError as exc:
+        print(f"numerical error: {exc}", file=stderr)
         return 2
     try:
         _write(cfg, text)

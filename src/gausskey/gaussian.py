@@ -23,6 +23,12 @@ validation, the homodyne variance floor, the spectrum's eigenvalue and
 pairing checks, and ``entropy_h``'s domain -- live in the kernels, so
 both routes raise the same errors.
 
+Symplectic spectra take one of two routes behind ``_symplectic_spectrum``:
+a two-mode CM with no q-p correlation and positive-definite sectors (every
+conditional state of the finite-modulation pipeline) is diagonalised from
+its 2x2 q and p sectors in closed arithmetic; every other CM goes through
+``eigh`` and ``svd``.  Both are constructive: neither uses a rate formula.
+
 Everything here is a pure function of its inputs; ``CovMat`` instances
 are immutable after construction and safe to share across threads.
 """
@@ -188,7 +194,52 @@ def tmsv_cm(mu: float) -> CovMat:
     return CovMat(_tmsv(mu))
 
 
-def _symplectic_spectrum(m: np.ndarray) -> np.ndarray:
+# Flat indices of the q-p cross entries of a 4x4 CM, both triangles.
+_QP_CROSS_4 = (1, 3, 4, 6, 9, 11, 12, 14)
+
+
+def _two_mode_qp_spectrum(m: np.ndarray) -> np.ndarray | None:
+    """Spectrum of a 4x4 CM whose q-p cross entries are all exactly 0, or None.
+
+    Such a CM is Q (+) P with Q, P the 2x2 q and p sectors, and its
+    symplectic eigenvalues squared are the eigenvalues of R Q R with
+    R = P^(1/2) (Williamson's theorem; Weedbrook et al., Rev. Mod. Phys.
+    84, 621 (2012)).  R Q R equals M Q M / (tr P + 2 sqrt(det P)) with
+    M = P + sqrt(det P) I.  The larger eigenvalue comes from the trace
+    plus a hypot, a sum of non-negative terms, and the smaller one from
+    det Q det P over the larger (capped at the larger), so a degenerate
+    pair keeps its digits; the form (t +- sqrt(t^2 - 4 det))/2 would lose
+    about sqrt(eps) there.  Returns None unless both sectors are strictly
+    positive definite and the result is finite; the caller then takes the
+    general route.
+    """
+    e = m.ravel().tolist()
+    if any(e[k] for k in _QP_CROSS_4):  # NaN counts as nonzero
+        return None
+    q00, q01, q11 = e[0], e[8], e[10]
+    p00, p01, p11 = e[5], e[13], e[15]
+    det_q = q00 * q11 - q01 * q01
+    det_p = p00 * p11 - p01 * p01
+    if not (q00 > 0.0 and det_q > 0.0 and p00 > 0.0 and det_p > 0.0):
+        return None
+    root = math.sqrt(det_p)
+    m00, m11 = p00 + root, p11 + root
+    # rows of M Q, then M Q M
+    a00, a01 = m00 * q00 + p01 * q01, m00 * q01 + p01 * q11
+    a10, a11 = p01 * q00 + m11 * q01, p01 * q01 + m11 * q11
+    trace = m00 + m11
+    s00 = (a00 * m00 + a01 * p01) / trace
+    s01 = (a00 * p01 + a01 * m11) / trace
+    s11 = (a10 * p01 + a11 * m11) / trace
+    big = (s00 + s11) / 2.0 + math.hypot((s00 - s11) / 2.0, s01)
+    small = min(det_q * det_p / big, big)  # a degenerate pair may round above big
+    if not (math.isfinite(big) and 0.0 < small < math.inf):
+        return None
+    return np.array([math.sqrt(big), math.sqrt(small)])
+
+
+def _svd_spectrum(m: np.ndarray) -> np.ndarray:
+    """Spectrum of any CM from the singular values of V^(1/2) Omega V^(1/2)."""
     w, U = np.linalg.eigh(m)
     scale = max(1.0, float(w[-1]))
     if w[0] < -DEGENERACY_RTOL * scale:
@@ -207,21 +258,36 @@ def _symplectic_spectrum(m: np.ndarray) -> np.ndarray:
     return (sv[0::2] + sv[1::2]) / 2.0
 
 
+def _symplectic_spectrum(m: np.ndarray) -> np.ndarray:
+    if m.shape[0] == 4:
+        spectrum = _two_mode_qp_spectrum(m)
+        if spectrum is not None:
+            return spectrum
+    return _svd_spectrum(m)
+
+
 def symplectic_spectrum(V: CovMat) -> np.ndarray:
     """Symplectic eigenvalues of V, sorted descending.
 
-    Computed from the singular values of V^(1/2) Omega V^(1/2), a real
+    A two-mode V with every q-p cross entry exactly 0 and strictly
+    positive-definite q and p sectors Q, P takes the two-mode route:
+    nu^2 are the eigenvalues of P^(1/2) Q P^(1/2), a 2x2 problem solved
+    in closed arithmetic (within about 2 kappa eps nu_max of 40-digit mpmath,
+    kappa the larger sector condition number).  Every other V takes the
+    general route: the singular values of V^(1/2) Omega V^(1/2), a real
     antisymmetric matrix whose singular values are the symplectic
-    eigenvalues, each doubled.  This stays accurate for the large,
-    nearly degenerate spectra that the finite-modulation pipeline
-    produces, where an eigendecomposition of -(Omega V)^2 loses four to
-    five digits on the doubled eigenvalues.
+    eigenvalues, each doubled.  That stays accurate for the large,
+    nearly degenerate spectra of the finite-modulation pipeline's 8x8
+    state, where an eigendecomposition of -(Omega V)^2 loses four to
+    five digits on the doubled eigenvalues.  ``is_physical`` and the
+    pipeline use this same entry point; no option selects the route.
 
     Raises
     ------
     NumericalDegeneracyError
         If V has a negative eigenvalue beyond tolerance, or the doubled
-        singular values fail to pair up.
+        singular values fail to pair up (general route only: the
+        two-mode route admits only positive-definite sectors).
     """
     return _symplectic_spectrum(V.mat)
 

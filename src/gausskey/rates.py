@@ -7,10 +7,14 @@ Two protocol families are covered, both in reverse reconciliation:
   modes of a block ("switching") or one q and one p ("switching-mixed").
 
 Each rate exists in two routes: a closed asymptotic form in which the
-modulation variance cancels, and a finite-modulation numeric pipeline
-built entirely from covariance-matrix operations (beam splitters,
-entropies, measurement conditioning).  The pipeline is the oracle that
-every closed form is validated against.
+modulation variance cancels, and a finite-modulation numeric pipeline.
+The pipeline's Holevo bound is built entirely from covariance-matrix
+operations (beam splitters, Schur-complement conditioning, symplectic
+diagonalisation, entropies) and uses none of the rate formulas; it is the
+oracle that every closed form is validated against.  Its mutual
+information is ``mutual_information``, the exact finite-mu closed form:
+the receiver variances it needs are read off Lambda and
+tau + (1-tau)*omega, not off a measured-down CM.
 
 Conventions.  The source is a two-mode squeezed vacuum of local
 variance mu + 1, so the classical modulation variance is mu - 1 and the
@@ -527,14 +531,26 @@ def _spectrum_entropy(spectrum: np.ndarray) -> float:
 
 
 def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
-    """Finite-modulation rate computed purely through CM operations.
+    """Finite-modulation rate with a Holevo bound computed through CM operations.
 
-    Builds the joint state constructively, reads the receiver variances
-    off the CM, and obtains both entropies from measured-down Schur
-    complements; no asymptotic closed form enters.  Converges to the
-    closed-form rate as O(1/mu).  Every stage runs on the plain-array
-    kernels of ``gaussian``, which raise what the public ``CovMat``
-    functions raise and give the same bits.
+    Builds the joint state constructively (two TMSVs mixed with the
+    ancillas on beam splitters), takes its symplectic spectrum, and
+    obtains the conditional entropy from measured-down Schur complements
+    and their spectra; no rate formula enters the Holevo bound.  The
+    mutual information is ``mutual_information(params, spec)``, exact in
+    closed form.  Converges to the closed-form rate as O(1/mu).
+
+    Round-off: the CM entries are of order mu*omega and the conditional
+    sender variances cancel down from mu, so the Holevo bound carries an
+    absolute error that scales with eps*mu*omega.  Against 40-digit
+    mpmath (mu from 1e2 to 1e8, interior lens points and the origin) it
+    stayed within 220 eps*mu*omega for tau in [0.05, 0.95] and 440 at
+    tau = 0.99, and grows as tau -> 1 (5e6 at tau = 1 - 1e-6).  The rate
+    carries half of it; i_ab stays within about 2 ulps.
+
+    Every stage runs on the plain-array kernels of ``gaussian``, which
+    raise what the public ``CovMat`` functions raise and give the same
+    bits.
     """
     if spec.asymptotic:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
@@ -543,15 +559,10 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     total_spectrum = _symplectic_spectrum(V)
     s_total = _spectrum_entropy(total_spectrum)
 
-    v_b = V[4, 4]
-    receivers = _heterodyne(_heterodyne(V, 0), 0)
-    v_b_cond = receivers[0, 0]
-
     if spec.variant == NO_SWITCHING:
         cond = _heterodyne(_heterodyne(V, 3), 2)
         cond_spectrum = _symplectic_spectrum(cond)
         s_cond = _spectrum_entropy(cond_spectrum)
-        i_ab = 2.0 * math.log2((v_b + 1.0) / (v_b_cond + 1.0))
     elif spec.variant == SWITCHING:
         cond_q = _homodyne(_homodyne(V, 3, "q"), 2, "q")
         cond_p = _homodyne(_homodyne(V, 3, "p"), 2, "p")
@@ -559,15 +570,14 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         spec_p = _symplectic_spectrum(cond_p)
         s_cond = 0.5 * (_spectrum_entropy(spec_q) + _spectrum_entropy(spec_p))
         cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
-        i_ab = math.log2(v_b / v_b_cond)
     elif spec.variant == SWITCHING_MIXED:
         cond = _homodyne(_homodyne(V, 3, "p"), 2, "q")
         cond_spectrum = _symplectic_spectrum(cond)
         s_cond = _spectrum_entropy(cond_spectrum)
-        i_ab = math.log2(v_b / v_b_cond)
     else:
         raise DomainError(f"unknown protocol variant {spec.variant!r}")
 
+    i_ab = mutual_information(params, spec)
     holevo = s_total - s_cond
     return RateReport(
         params=params,

@@ -9,8 +9,8 @@ import pytest
 RECORDED_NUMPY = "2.4.6"
 RECORDED = {
     "verify_minimality": "6017804ada81436479412540dfde23aa400805fc046c221de00e730a274ddc83",
-    "cli": "fb8f342baaf1fb6dc2cb37919bb3fddc60bc4d2517f44b34009c1d46b10fbd01",
-    "key_rate_numeric": "531a1121254dedafb7648b094d41031e850a60f5496e536b3c5e46ede307f304",
+    "cli": "d1ee54804a3eec0f0355d79e2fdeb6927a2886ba1a58034e5388a1c09f837420",
+    "key_rate_numeric": "0a7fb601c84555a0a7c3ddcf3396f0527b744fe380f2a275a5d575cf5092aa8a",
 }
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "byte_contract.py"
 

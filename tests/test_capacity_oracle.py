@@ -42,6 +42,9 @@ def strict_interior_points(draw):
     omega = math.exp(draw(st.floats(min_value=0.0, max_value=math.log(1e8), exclude_min=True)))
     tau = draw(st.floats(min_value=0.01, max_value=0.99))
     g = draw(st.floats(min_value=-1.0, max_value=1.0)) * math.sqrt(max(omega * omega - 1.0, 0.0))
+    # sqrt(omega^2 - 1) rounds to omega at large omega; such a g is outside the
+    # open lens, and the rim bounds below would divide by zero
+    assume(abs(g) < omega)
     lo = -omega + 1.0 / (omega + g)
     hi = omega - 1.0 / (omega - g)
     gp = lo + draw(st.floats(min_value=0.0, max_value=1.0)) * (hi - lo)

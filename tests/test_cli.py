@@ -219,6 +219,29 @@ def test_empty_boundary_exits_two():
     )
 
 
+@pytest.mark.parametrize("protocol", ["noswitching", "switching", "switching-mixed"])
+def test_numerical_degeneracy_exits_two(protocol):
+    """At tau = 1, mu = 1e8 the 8x8 spectrum fails its pairing check: exit 2, not a traceback."""
+    result = run_cli(
+        "rate", "--protocol", protocol, "--tau", "1", "--omega", "1.2",
+        "--g", "0", "--gprime", "0", "--mu", "1e8",
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "numerical error: symplectic spectrum did not split into doubled singular values "
+        "(worst pair mismatch 1.01615e-08)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["scan", "boundary"])
+def test_bad_grid_resolution_has_one_text(command):
+    result = run_cli(command, "--tau", "0.5", "--omega", "2", "--grid-resolution", "1")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "domain error: grid resolution must be >= 2, got 1\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -7,13 +7,15 @@ included, must come out the same.
 
 ``ref_key_rate_numeric`` chains the references the way the pipeline once
 chained the public functions, wrapping every stage in a validated
-``CovMat``.  ``key_rate_numeric`` runs on the private array kernels
-instead; its reports must match the chained form byte for byte, and its
-errors in type and text.
+``CovMat``, and takes the mutual information from
+``rates.mutual_information`` as the pipeline does.  ``key_rate_numeric``
+runs on the private array kernels instead; its reports must match the
+chained form byte for byte, and its errors in type and text.
 """
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,7 +128,33 @@ def ref_beamsplitter_apply(m, mode_a, mode_b, tau):
     return (out + out.T) / 2.0
 
 
+def ref_two_mode_spectrum(m):
+    """The q/p-sector route of a two-mode CM, from its 2x2 sector matrices, or None."""
+    if m.shape != (4, 4) or m[0::2, 1::2].any() or m[1::2, 0::2].any():
+        return None
+    (q00, _), (q01, q11) = m[0::2, 0::2].tolist()
+    (p00, _), (p01, p11) = m[1::2, 1::2].tolist()
+    det_q = q00 * q11 - q01 * q01
+    det_p = p00 * p11 - p01 * p01
+    if not (q00 > 0.0 and det_q > 0.0 and p00 > 0.0 and det_p > 0.0):
+        return None
+    root = math.sqrt(det_p)
+    M = [[p00 + root, p01], [p01, p11 + root]]
+    Q = [[q00, q01], [q01, q11]]
+    MQ = [[M[i][0] * Q[0][j] + M[i][1] * Q[1][j] for j in range(2)] for i in range(2)]
+    trace = M[0][0] + M[1][1]
+    S = [[(MQ[i][0] * M[0][j] + MQ[i][1] * M[1][j]) / trace for j in range(2)] for i in range(2)]
+    big = (S[0][0] + S[1][1]) / 2.0 + math.hypot((S[0][0] - S[1][1]) / 2.0, S[0][1])
+    small = min(det_q * det_p / big, big)
+    if not (math.isfinite(big) and 0.0 < small < math.inf):
+        return None
+    return np.array([math.sqrt(big), math.sqrt(small)])
+
+
 def ref_symplectic_spectrum(m):
+    two_mode = ref_two_mode_spectrum(m)
+    if two_mode is not None:
+        return two_mode
     w, U = np.linalg.eigh(m)
     if w[0] < -1e-9 * max(1.0, float(w[-1])):
         raise NumericalDegeneracyError(f"covariance matrix has negative eigenvalue {w[0]:g}")
@@ -174,22 +202,18 @@ def ref_key_rate_numeric(params, spec):
     V = ref_total_cm(params, spec.mu)
     total_spectrum = ref_symplectic_spectrum(V.mat)
     s_total = entropy(total_spectrum)
-    v_b = V.mat[4, 4]
-    v_b_cond = het(het(V, 0), 0).mat[0, 0]
     if spec.variant == NO_SWITCHING:
         cond_spectrum = ref_symplectic_spectrum(het(het(V, 3), 2).mat)
         s_cond = entropy(cond_spectrum)
-        i_ab = 2.0 * math.log2((v_b + 1.0) / (v_b_cond + 1.0))
     elif spec.variant == SWITCHING:
         spec_q = ref_symplectic_spectrum(hom(hom(V, 3, "q"), 2, "q").mat)
         spec_p = ref_symplectic_spectrum(hom(hom(V, 3, "p"), 2, "p").mat)
         s_cond = 0.5 * (entropy(spec_q) + entropy(spec_p))
         cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
-        i_ab = math.log2(v_b / v_b_cond)
     else:
         cond_spectrum = ref_symplectic_spectrum(hom(hom(V, 3, "p"), 2, "q").mat)
         s_cond = entropy(cond_spectrum)
-        i_ab = math.log2(v_b / v_b_cond)
+    i_ab = rates.mutual_information(params, spec)
     holevo = s_total - s_cond
     return rates.RateReport(
         params=params,
@@ -257,7 +281,17 @@ def pipeline_cms(draw):
     return total_cm_via_beamsplitters(params, draw(mus))
 
 
-any_cm = st.one_of(covariance_matrices(), pipeline_cms())
+@st.composite
+def conditional_cms(draw):
+    """Two-mode sender CMs conditioned as key_rate_numeric conditions them."""
+    V = draw(pipeline_cms())
+    measured = draw(st.sampled_from([None, ("q", "q"), ("p", "p"), ("p", "q")]))
+    if measured is None:
+        return heterodyne_condition(heterodyne_condition(V, 3), 2)
+    return homodyne_condition(homodyne_condition(V, 3, measured[0]), 2, measured[1])
+
+
+any_cm = st.one_of(covariance_matrices(), pipeline_cms(), conditional_cms())
 conditionable_cm = st.one_of(covariance_matrices(min_modes=2), pipeline_cms())
 
 # -------------------------------------------------------------- bit identity
@@ -330,8 +364,8 @@ def test_report_total_spectrum_is_the_spectrum_of_the_total_cm(seed, mu, variant
 
 
 @st.composite
-def lens_points(draw):
-    """(omega, g, g') in the lens, interior or on its rim.
+def lens_points(draw, interior_only=False):
+    """(omega, g, g') in the lens, interior or (unless interior_only) on its rim.
 
     |g| <= sqrt(omega^2 - 1) spans the lens; for each g the two rim
     constraints bound g' to [-omega + 1/(omega + g), omega - 1/(omega - g)].
@@ -339,7 +373,7 @@ def lens_points(draw):
     computed, so round-off leaves some of them just outside the lens.
     """
     omega = math.exp(draw(st.floats(math.log(1.0001), math.log(1e3))))
-    rim = draw(st.booleans())
+    rim = not interior_only and draw(st.booleans())
     reach = math.sqrt(omega * omega - 1.0)
     if rim:
         a = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0))
@@ -364,6 +398,43 @@ def test_numeric_report_matches_covmat_chain_bytes(point, tau, mu, variant):
     params = AttackParams(tau=tau, omega=omega, g=g, g_prime=gp)
     spec = ProtocolSpec(variant, mu=mu, asymptotic=False)
     assert outcome(key_rate_numeric, params, spec) == outcome(ref_key_rate_numeric, params, spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    point=lens_points(interior_only=True),
+    tau=st.floats(0.01, 0.99),
+    mu=st.floats(2.0, 8.0).map(lambda e: 10.0**e),
+    variant=st.sampled_from(VARIANTS),
+)
+def test_numeric_i_ab_is_mutual_information(point, tau, mu, variant):
+    params = AttackParams(tau, *point)
+    spec = ProtocolSpec(variant, mu=mu, asymptotic=False)
+    report = key_rate_numeric(params, spec)
+    expected = rates.mutual_information(params, spec)
+    assert struct.pack("<d", report.i_ab) == struct.pack("<d", expected)
+
+
+# Bound on |V_B|A - (tau + (1 - tau) omega)| for the double heterodyne
+# conditioning, in units of eps*mu*omega.  The largest of 20,000 draws
+# over this test's domain was 1.75.
+RECEIVER_VARIANCE_BUDGET = 4.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    point=lens_points(interior_only=True),
+    tau=st.floats(0.01, 0.99) | st.just(1.0),
+    mu=st.floats(2.0, 8.0).map(lambda e: 10.0**e),
+)
+def test_double_heterodyne_receiver_variance_is_the_closed_form(point, tau, mu):
+    """The Schur-complement V_B|A that the pipeline once read, against its closed form."""
+    omega, g, gp = point
+    V = ref_total_cm(AttackParams(tau, omega, g, gp), mu)
+    v_b_cond = ref_heterodyne_condition(ref_heterodyne_condition(V.mat, 0), 0)[0, 0]
+    exact = Fraction(tau) + (1 - Fraction(tau)) * Fraction(omega)
+    error = abs(Fraction(v_b_cond) - exact)
+    assert error <= Fraction(RECEIVER_VARIANCE_BUDGET * 2.0**-52 * mu * omega)
 
 
 PINNED_ERRORS = [
@@ -539,22 +610,22 @@ def test_wrapper_and_kernel_raise_the_same_degeneracy_error(public, args, text):
 
 
 def test_mutating_symplectic_form_leaves_spectrum_alone():
-    V = tmsv_cm(3.0)
+    V = direct_sum(tmsv_cm(3.0), tmsv_cm(2.0))  # four modes: the route that uses the form
     before = symplectic_spectrum(V)
-    form = symplectic_form(2)
+    form = symplectic_form(4)
     assert form.flags.writeable
     form[:] = 7.0
     assert_same_bits(symplectic_spectrum(V), before)
-    assert_same_bits(symplectic_form(2), ref_symplectic_form(2))
+    assert_same_bits(symplectic_form(4), ref_symplectic_form(4))
 
 
 def test_cached_symplectic_form_is_read_only():
-    symplectic_spectrum(tmsv_cm(2.0))
-    cached = gaussian._frozen_symplectic_form(2)
+    symplectic_spectrum(direct_sum(tmsv_cm(2.0), tmsv_cm(2.0)))
+    cached = gaussian._frozen_symplectic_form(4)
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
         cached[0, 1] = 0.0
-    assert_same_bits(cached, ref_symplectic_form(2))
+    assert_same_bits(cached, ref_symplectic_form(4))
 
 
 def test_cached_block_indices_are_read_only():
