@@ -2,8 +2,9 @@
 
 Library layout:
 
-* :mod:`gausskey.gaussian`  -- covariance-matrix calculus (spectra,
-  entropies, beam splitters, measurement conditioning);
+* :mod:`gausskey.gaussian`  -- covariance-matrix calculus: the validated
+  ``CovMat`` input type, symplectic spectra and entropies (the CM
+  operations of the numeric pipeline are private kernels);
 * :mod:`gausskey.attack`    -- the correlated two-mode attack model and
   its physicality region;
 * :mod:`gausskey.rates`     -- protocol rates, closed-form and numeric;
@@ -14,7 +15,6 @@ Library layout:
 
 from .attack import (
     AttackParams,
-    attack_cm,
     boundary_curve_arrays,
     constraint_slack,
     lens_mask,
@@ -25,17 +25,11 @@ from .gaussian import (
     CovMat,
     DomainError,
     NumericalDegeneracyError,
-    beamsplitter_apply,
-    direct_sum,
     entropy_h,
     entropy_h_array,
-    heterodyne_condition,
-    homodyne_condition,
     is_physical,
-    keep_modes,
     symplectic_form,
     symplectic_spectrum,
-    tmsv_cm,
 )
 from .landscape import (
     CriticalPointReport,
@@ -62,8 +56,6 @@ from .rates import (
     VARIANTS,
     ProtocolSpec,
     RateReport,
-    conditional_cm_noswitching,
-    conditional_cm_switching,
     conditional_spectra_switching,
     conditional_spectrum_noswitching,
     holevo_noswitching,
@@ -76,8 +68,6 @@ from .rates import (
     key_rates,
     mutual_information,
     rate_report,
-    total_cm,
-    total_cm_via_beamsplitters,
     total_spectrum_asymptotic,
 )
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import landscape as _landscape
 from . import rates as _rates
-from .attack import AttackParams, boundary_curve_arrays, violated_constraint
+from .attack import AttackParams, boundary_curve_arrays
 from .gaussian import DomainError, NumericalDegeneracyError
 
 SCAN_HEADER = "g,g_prime,rate,physical,on_boundary"
@@ -96,7 +96,6 @@ class RunConfig:
     g: float
     g_prime: float
     mu: float | None          # None means asymptotic
-    asymptotic: bool
     grid_resolution: int
     output: str | None
     format: str
@@ -200,11 +199,11 @@ def _coerce(key: str, value: str):
     return value
 
 
-def _parse_mu(raw: str) -> tuple[float | None, bool]:
+def _parse_mu(raw: str) -> float | None:
     if raw.lower() == "asymptotic":
-        return None, True
+        return None
     try:
-        return float(raw), False
+        return float(raw)
     except ValueError as exc:
         raise ConfigError(f"--mu must be a number or 'asymptotic', got {raw!r}") from exc
 
@@ -225,8 +224,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"missing required parameter --{required}")
     if args.command == "converge" and "mu" in merged:
         raise ConfigError("converge sweeps its own mu values and takes no --mu or mu key")
-    mu_raw = merged.get("mu", "asymptotic")
-    mu, asymptotic = _parse_mu(str(mu_raw))
+    mu = _parse_mu(str(merged.get("mu", "asymptotic")))
     return RunConfig(
         command=args.command,
         protocol=str(merged.get("protocol", _rates.NO_SWITCHING)),
@@ -235,7 +233,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         g=float(merged.get("g", 0.0)),
         g_prime=float(merged.get("gprime", 0.0)),
         mu=mu,
-        asymptotic=asymptotic,
         grid_resolution=int(merged.get("grid_resolution", 101)),
         output=merged.get("output"),  # type: ignore[arg-type]
         format=str(merged.get("format", "csv")),
@@ -245,9 +242,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
 def _params(cfg: RunConfig) -> AttackParams:
     params = AttackParams(tau=cfg.tau, omega=cfg.omega, g=cfg.g, g_prime=cfg.g_prime)
-    violated = violated_constraint(params)
-    if violated is not None:
-        raise DomainError(f"unphysical attack parameters: violated {violated}")
+    _rates._require_physical(params)
     return params
 
 
@@ -274,10 +269,10 @@ def _kv_csv(pairs: Iterable[tuple[str, str]]) -> str:
 
 def cmd_rate(cfg: RunConfig) -> str:
     params = _params(cfg)
-    spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu, asymptotic=cfg.asymptotic)
+    spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu, asymptotic=cfg.mu is None)
     report = _rates.rate_report(params, spec)
     rate = _clamp(cfg, report.rate)
-    mu_text = "asymptotic" if cfg.asymptotic else fmt(cfg.mu)
+    mu_text = "asymptotic" if cfg.mu is None else fmt(cfg.mu)
     if cfg.format == "json":
         payload = {
             "protocol": cfg.protocol,
@@ -336,7 +331,7 @@ def _render_rows(
                 "protocol": cfg.protocol,
                 "tau": cfg.tau,
                 "omega": cfg.omega,
-                "mu": "asymptotic" if cfg.asymptotic else fmt(cfg.mu),
+                "mu": "asymptotic" if cfg.mu is None else fmt(cfg.mu),
                 "grid_resolution": cfg.grid_resolution,
             },
             "rows": [],

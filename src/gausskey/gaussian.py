@@ -10,18 +10,20 @@ large x, in numpy ufuncs only; ``entropy_h`` (floats) and
 ``entropy_h_array`` (arrays) share that one expression and so agree bit
 for bit.
 
-Each CM operation has one private kernel on plain ``ndarray``s
+Each CM operation is one private function on plain ``ndarray``s
 (``_tmsv``, ``_direct_sum``, ``_keep_modes``, ``_beamsplitter``,
-``_heterodyne``, ``_homodyne``, ``_symplectic_spectrum``) and one public
-function that wraps it: the wrapper reads ``V.mat`` and, where the result
-is a CM, returns it as a validated ``CovMat``.  Pipelines that chain the
-kernels (``rates.key_rate_numeric``) skip the copy and the symmetry test
-of each intermediate ``CovMat``: every kernel output is symmetric by
-construction, and each kernel that forms new entries still rejects
-non-finite ones with the ``CovMat`` text.  All other checks -- input
-validation, the homodyne variance floor, the spectrum's eigenvalue and
-pairing checks, and ``entropy_h``'s domain -- live in the kernels, so
-both routes raise the same errors.
+``_heterodyne``, ``_homodyne``, ``_symplectic_spectrum``), and the
+finite-modulation pipeline (``rates.key_rate_numeric``) chains them
+directly.  Every kernel output is symmetric by construction, and each
+kernel that forms new entries rejects non-finite ones with the
+``CovMat`` text.  All other checks -- input validation, the homodyne
+variance floor, the spectrum's eigenvalue and pairing checks, and
+``entropy_h``'s domain -- live in the kernels.
+
+``CovMat`` is the validated type of a CM that a caller supplies: it
+checks shape, finiteness and symmetry, and freezes a copy.  The public
+functions that take a state (``symplectic_spectrum``, ``is_physical``)
+take a ``CovMat``; no public function returns one.
 
 Symplectic spectra take one of two routes behind ``_symplectic_spectrum``:
 a two-mode CM with no q-p correlation and positive-definite sectors (every
@@ -74,7 +76,7 @@ def _require_finite(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovMat:
-    """Covariance matrix of an n-mode Gaussian state.
+    """Covariance matrix of an n-mode Gaussian state, as a caller supplies it.
 
     The wrapped array is 2n x 2n, real and symmetric (checked to
     ``SYMMETRY_ATOL``), in (q1, p1, ..., qn, pn) ordering and shot-noise
@@ -122,6 +124,7 @@ def _frozen_symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _direct_sum(*mats: np.ndarray) -> np.ndarray:
+    """Covariance matrix of a product state: the blocks along the diagonal."""
     dims = [m.shape[0] for m in mats]
     out = np.zeros((sum(dims), sum(dims)))
     at = 0
@@ -129,11 +132,6 @@ def _direct_sum(*mats: np.ndarray) -> np.ndarray:
         out[at : at + d, at : at + d] = m
         at += d
     return out
-
-
-def direct_sum(*cms: CovMat) -> CovMat:
-    """Covariance matrix of a product state."""
-    return CovMat(_direct_sum(*(cm.mat for cm in cms)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -162,19 +160,20 @@ def _block_index(n_modes: int, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]
 
 
 def _keep_modes(m: np.ndarray, modes: tuple[int, ...] | list[int]) -> np.ndarray:
-    return m.take(_block_index(m.shape[0] // 2, tuple(modes))[0])
-
-
-def keep_modes(V: CovMat, modes: tuple[int, ...] | list[int]) -> CovMat:
     """Reduced covariance matrix of the listed modes, in the order given.
 
     Doubles as the canonical mode-permutation helper: passing a
     permutation of range(n) reorders the modes.
     """
-    return CovMat(_keep_modes(V.mat, modes))
+    return m.take(_block_index(m.shape[0] // 2, tuple(modes))[0])
 
 
 def _tmsv(mu: float) -> np.ndarray:
+    """Two-mode squeezed vacuum CM with local variance mu >= 1.
+
+    Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2-1)*Z with
+    Z = diag(1, -1); mu = 1 is vacuum (x) vacuum.
+    """
     if not (mu >= 1.0):
         raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
     c = math.sqrt(mu * mu - 1.0)  # inf once mu*mu overflows
@@ -183,15 +182,6 @@ def _tmsv(mu: float) -> np.ndarray:
     m[0, 2] = m[2, 0] = c
     m[1, 3] = m[3, 1] = -c
     return _require_finite(m)
-
-
-def tmsv_cm(mu: float) -> CovMat:
-    """Two-mode squeezed vacuum CM with local variance mu >= 1.
-
-    Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2-1)*Z with
-    Z = diag(1, -1); mu = 1 is vacuum (x) vacuum.
-    """
-    return CovMat(_tmsv(mu))
 
 
 # Flat indices of the q-p cross entries of a 4x4 CM, both triangles.
@@ -279,8 +269,9 @@ def symplectic_spectrum(V: CovMat) -> np.ndarray:
     eigenvalues, each doubled.  That stays accurate for the large,
     nearly degenerate spectra of the finite-modulation pipeline's 8x8
     state, where an eigendecomposition of -(Omega V)^2 loses four to
-    five digits on the doubled eigenvalues.  ``is_physical`` and the
-    pipeline use this same entry point; no option selects the route.
+    five digits on the doubled eigenvalues.  ``is_physical`` calls this
+    function and the pipeline its kernel, ``_symplectic_spectrum``; no
+    option selects the route.
 
     Raises
     ------
@@ -337,6 +328,12 @@ def entropy_h_array(x) -> np.ndarray:
 
 
 def _beamsplitter(m: np.ndarray, mode_a: int, mode_b: int, tau: float) -> np.ndarray:
+    """Mix two modes on a beam splitter of transmissivity tau.
+
+    The transmitted combination sqrt(tau)*A + sqrt(1-tau)*B replaces
+    mode_a; mode_b carries the reflected arm -sqrt(1-tau)*A +
+    sqrt(tau)*B.  Both outputs stay in the returned CM.
+    """
     n = m.shape[0] // 2
     if mode_a == mode_b:
         raise DomainError("beam splitter needs two distinct modes")
@@ -358,16 +355,6 @@ def _beamsplitter(m: np.ndarray, mode_a: int, mode_b: int, tau: float) -> np.nda
     return _require_finite((out + out.T) / 2.0)
 
 
-def beamsplitter_apply(V: CovMat, mode_a: int, mode_b: int, tau: float) -> CovMat:
-    """Mix two modes on a beam splitter of transmissivity tau.
-
-    The transmitted combination sqrt(tau)*A + sqrt(1-tau)*B replaces
-    mode_a; mode_b carries the reflected arm -sqrt(1-tau)*A +
-    sqrt(tau)*B.  Both outputs stay in the returned CM.
-    """
-    return CovMat(_beamsplitter(V.mat, mode_a, mode_b, tau))
-
-
 def _split_measured(m: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = m.shape[0] // 2
     measured, retained, cross = _block_index(n, (mode,))
@@ -377,6 +364,12 @@ def _split_measured(m: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _heterodyne(m: np.ndarray, mode: int) -> np.ndarray:
+    """Condition on a heterodyne measurement of one mode.
+
+    Returns the Schur complement A - B (C + I)^-1 B^T on the retained
+    modes.  The conditional CM of a Gaussian measurement is independent
+    of the outcome, so no outcome argument exists.
+    """
     A, B, C = _split_measured(m, mode)
     try:
         update = B @ np.linalg.solve(C + _EYE2, B.T)
@@ -388,17 +381,13 @@ def _heterodyne(m: np.ndarray, mode: int) -> np.ndarray:
     return _require_finite((out + out.T) / 2.0)
 
 
-def heterodyne_condition(V: CovMat, mode: int) -> CovMat:
-    """Condition on a heterodyne measurement of one mode.
-
-    Returns the Schur complement A - B (C + I)^-1 B^T on the retained
-    modes.  The conditional CM of a Gaussian measurement is independent
-    of the outcome, so no outcome argument exists.
-    """
-    return CovMat(_heterodyne(V.mat, mode))
-
-
 def _homodyne(m: np.ndarray, mode: int, quadrature: str) -> np.ndarray:
+    """Condition on a homodyne measurement of one quadrature of one mode.
+
+    The pseudo-inverse of the projected measured block is rank one, so
+    the update reduces to subtracting the outer product of the cross
+    covariances with the measured quadrature, divided by its variance.
+    """
     if quadrature not in ("q", "p"):
         raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
     A, B, C = _split_measured(m, mode)
@@ -411,16 +400,6 @@ def _homodyne(m: np.ndarray, mode: int, quadrature: str) -> np.ndarray:
     b = B[:, j]
     out = A - b[:, None] * b / c
     return _require_finite((out + out.T) / 2.0)
-
-
-def homodyne_condition(V: CovMat, mode: int, quadrature: str) -> CovMat:
-    """Condition on a homodyne measurement of one quadrature of one mode.
-
-    The pseudo-inverse of the projected measured block is rank one, so
-    the update reduces to subtracting the outer product of the cross
-    covariances with the measured quadrature, divided by its variance.
-    """
-    return CovMat(_homodyne(V.mat, mode, quadrature))
 
 
 def is_physical(V: CovMat) -> bool:

@@ -8,13 +8,16 @@ Two protocol families are covered, both in reverse reconciliation:
 
 Each rate exists in two routes: a closed asymptotic form in which the
 modulation variance cancels, and a finite-modulation numeric pipeline.
-The pipeline's Holevo bound is built entirely from covariance-matrix
-operations (beam splitters, Schur-complement conditioning, symplectic
-diagonalisation, entropies) and uses none of the rate formulas; it is the
-oracle that every closed form is validated against.  Its mutual
-information is ``mutual_information``, the exact finite-mu closed form:
-the receiver variances it needs are read off Lambda and
-tau + (1-tau)*omega, not off a measured-down CM.
+The pipeline's Holevo bound is built entirely from the private
+covariance-matrix kernels of ``gaussian`` (beam splitters,
+Schur-complement conditioning, symplectic diagonalisation, entropies) and
+uses none of the rate formulas; it is the oracle that every closed form
+is validated against.  The joint CM comes only from that construction
+(``_total_cm_via_beamsplitters``), and no function here returns a CM:
+the library keeps no closed form of the joint or conditional CMs.  The
+pipeline's mutual information is ``mutual_information``, the exact
+finite-mu closed form: the receiver variances it needs are read off
+Lambda and tau + (1-tau)*omega, not off a measured-down CM.
 
 Conventions.  The source is a two-mode squeezed vacuum of local
 variance mu + 1, so the classical modulation variance is mu - 1 and the
@@ -36,7 +39,6 @@ import numpy as np
 
 from .attack import AttackParams, _attack_block, lens_mask, violated_constraint
 from .gaussian import (
-    CovMat,
     DomainError,
     _beamsplitter,
     _direct_sum,
@@ -102,6 +104,11 @@ _ARRAY = _Elementwise(np.sqrt, np.log2, np.maximum, np.minimum, _entropies_array
 _KERNEL_CHUNK = 2048
 
 
+def _require_finite_mu(mu: float) -> None:
+    if not (math.isfinite(mu) and mu > 1.0):
+        raise DomainError(f"modulation variance must be finite and > 1, got {mu}")
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Protocol variant plus the modulation bookkeeping.
@@ -118,8 +125,8 @@ class ProtocolSpec:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown protocol variant {self.variant!r}")
-        if self.mu is not None and not (math.isfinite(self.mu) and self.mu > 1.0):
-            raise DomainError(f"modulation variance must be finite and > 1, got {self.mu}")
+        if self.mu is not None:
+            _require_finite_mu(self.mu)
         if not self.asymptotic and self.mu is None:
             raise DomainError("finite-modulation mode requires mu")
 
@@ -149,11 +156,6 @@ def _require_physical(params: AttackParams) -> None:
     violated = violated_constraint(params)
     if violated is not None:
         raise DomainError(f"unphysical attack parameters: violated {violated}")
-
-
-def _require_finite_mu(mu: float) -> None:
-    if not (math.isfinite(mu) and mu > 1.0):
-        raise DomainError(f"modulation variance must be finite and > 1, got {mu}")
 
 
 def total_spectrum_asymptotic(params: AttackParams, mu: float) -> np.ndarray:
@@ -188,33 +190,14 @@ def _nbar_noswitching(tau, om, g, gp, ew: _Elementwise = _SCALAR):
     return ew.maximum(plus, minus), ew.minimum(plus, minus)
 
 
-def total_cm(params: AttackParams, mu: float) -> CovMat:
+def _total_cm_via_beamsplitters(params: AttackParams, mu: float) -> np.ndarray:
     """Joint CM of sender modes (a, a') and receiver modes (B, B').
 
-    Closed form of the two-beam-splitter construction: sender blocks
-    (mu+1)*I, receiver blocks Lambda*I, sender/receiver cross Phi*Z, and
-    the attack correlations (1-tau)*diag(g, g') between B and B'.
+    Starts from TMSV(mu+1) (x) TMSV(mu+1) (x) attack CM in mode order
+    (a, A, a', A', e, E), applies a beam splitter of transmissivity tau
+    on (A, e) and on (A', E), keeps (a, a', B, B') where B, B' are the
+    transmitted outputs, and discards the reflected arms.
     """
-    _require_physical(params)
-    _require_finite_mu(mu)
-    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
-    lam = tau * (mu + 1.0) + (1.0 - tau) * om
-    phi = math.sqrt(tau * ((mu + 1.0) ** 2 - 1.0))
-    eye2 = np.eye(2)
-    z = np.diag([1.0, -1.0])
-    G = np.diag([g, gp])
-    V = np.zeros((8, 8))
-    V[0:2, 0:2] = (mu + 1.0) * eye2
-    V[2:4, 2:4] = (mu + 1.0) * eye2
-    V[4:6, 4:6] = lam * eye2
-    V[6:8, 6:8] = lam * eye2
-    V[0:2, 4:6] = V[4:6, 0:2] = phi * z
-    V[2:4, 6:8] = V[6:8, 2:4] = phi * z
-    V[4:6, 6:8] = V[6:8, 4:6] = (1.0 - tau) * G
-    return CovMat(V)
-
-
-def _total_cm_via_beamsplitters(params: AttackParams, mu: float) -> np.ndarray:
     _require_physical(params)
     _require_finite_mu(mu)
     source = _tmsv(mu + 1.0)  # read, never written, so one array serves both uses
@@ -222,17 +205,6 @@ def _total_cm_via_beamsplitters(params: AttackParams, mu: float) -> np.ndarray:
     mixed = _beamsplitter(src, 1, 4, params.tau)
     mixed = _beamsplitter(mixed, 3, 5, params.tau)
     return _keep_modes(mixed, (0, 2, 1, 3))
-
-
-def total_cm_via_beamsplitters(params: AttackParams, mu: float) -> CovMat:
-    """Constructive route to total_cm: mix two TMSVs with the ancilla pair.
-
-    Starts from TMSV(mu+1) (x) TMSV(mu+1) (x) attack CM in mode order
-    (a, A, a', A', e, E), applies a beam splitter of transmissivity tau
-    on (A, e) and on (A', E), keeps (a, a', B, B') where B, B' are the
-    transmitted outputs, and discards the reflected arms.
-    """
-    return CovMat(_total_cm_via_beamsplitters(params, mu))
 
 
 def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
@@ -257,31 +229,6 @@ def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
     if spec.variant == NO_SWITCHING:
         return 2.0 * math.log2((lam + 1.0) / het_den)
     return math.log2(lam / hom_den)
-
-
-def conditional_cm_noswitching(params: AttackParams, mu: float) -> CovMat:
-    """Sender CM conditioned on heterodyne detection of both receiver modes.
-
-    Closed form of the double Schur-complement update.  The q and p
-    sectors decouple; each is a symmetric 2x2 with numerators k, k_tilde
-    (q, denominator D_g) and k_prime, k_tilde_prime (p, denominator
-    D_g').  The a/a' cross terms come out positive for positive
-    correlations; that sign is fixed by the measurement update (its
-    global flip is a spectrum-preserving reflection of one mode).
-    """
-    _require_physical(params)
-    _require_finite_mu(mu)
-    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
-    lam = tau * (mu + 1.0) + (1.0 - tau) * om
-    phi2 = tau * mu * (mu + 2.0)
-    d_g = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * g * g
-    d_gp = (lam + 1.0) ** 2 - (1.0 - tau) ** 2 * gp * gp
-    V = np.zeros((4, 4))
-    V[0, 0] = V[2, 2] = ((mu + 1.0) * d_g - phi2 * (lam + 1.0)) / d_g
-    V[1, 1] = V[3, 3] = ((mu + 1.0) * d_gp - phi2 * (lam + 1.0)) / d_gp
-    V[0, 2] = V[2, 0] = (1.0 - tau) * g * phi2 / d_g
-    V[1, 3] = V[3, 1] = (1.0 - tau) * gp * phi2 / d_gp
-    return CovMat(V)
 
 
 def conditional_spectrum_noswitching(params: AttackParams) -> np.ndarray:
@@ -353,42 +300,6 @@ def conditional_spectra_switching(
     p = np.sort(np.array([math.sqrt(ratio * (om + gp)), math.sqrt(ratio * (om - gp))]))[::-1]
     m = math.sqrt(ratio * om)
     return q, p, np.array([m, m])
-
-
-def conditional_cm_switching(
-    params: AttackParams, mu: float, quadratures: tuple[str, str] = ("q", "q")
-) -> CovMat:
-    """Sender CM conditioned on homodyne detection of both receiver modes.
-
-    quadratures gives the measured quadrature of (B, B').  Matching
-    quadratures leave the other sector untouched at variance mu + 1 and
-    correlate the measured sector through the attack; mixed quadratures
-    decouple the two senders entirely, removing every trace of (g, g').
-    """
-    _require_physical(params)
-    _require_finite_mu(mu)
-    for quad in quadratures:
-        if quad not in ("q", "p"):
-            raise DomainError(f"quadrature must be 'q' or 'p', got {quad!r}")
-    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
-    lam = tau * (mu + 1.0) + (1.0 - tau) * om
-    phi2 = tau * mu * (mu + 2.0)
-    V = np.diag([mu + 1.0] * 4)
-    if quadratures[0] == quadratures[1]:
-        corr = g if quadratures[0] == "q" else gp
-        d = lam * lam - (1.0 - tau) ** 2 * corr * corr
-        diag = (mu + 1.0) - phi2 * lam / d
-        cross = phi2 * (1.0 - tau) * corr / d
-        j = 0 if quadratures[0] == "q" else 1
-        V[j, j] = V[2 + j, 2 + j] = diag
-        V[j, 2 + j] = V[2 + j, j] = cross
-    else:
-        diag = (mu + 1.0) - phi2 / lam
-        j0 = 0 if quadratures[0] == "q" else 1
-        j1 = 0 if quadratures[1] == "q" else 1
-        V[j0, j0] = diag
-        V[2 + j1, 2 + j1] = diag
-    return CovMat(V)
 
 
 def holevo_switching(params: AttackParams, mu: float, mixed: bool = False) -> float:
@@ -548,9 +459,8 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     tau = 0.99, and grows as tau -> 1 (5e6 at tau = 1 - 1e-6).  The rate
     carries half of it; i_ab stays within about 2 ulps.
 
-    Every stage runs on the plain-array kernels of ``gaussian``, which
-    raise what the public ``CovMat`` functions raise and give the same
-    bits.
+    Every stage runs on the plain-array kernels of ``gaussian``; no
+    intermediate CM is wrapped in a ``CovMat``.
     """
     if spec.asymptotic:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")

@@ -5,7 +5,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -15,18 +14,14 @@ import pytest
 
 from gausskey import (
     AttackParams,
+    CovMat,
     ProtocolSpec,
     analytic_detH_noswitching,
     analytic_detH_switching,
     analytic_second_derivs_switching,
-    attack_cm,
-    beamsplitter_apply,
-    direct_sum,
     entropy_h,
     hessian_at_origin,
-    heterodyne_condition,
     holevo_noswitching,
-    homodyne_condition,
     is_physical,
     key_rate_noswitching,
     key_rate_numeric,
@@ -35,9 +30,10 @@ from gausskey import (
     find_zero_rate_transmissivity,
     rate_function,
     symplectic_spectrum,
-    tmsv_cm,
     verify_minimality,
 )
+from gausskey.attack import _attack_block
+from gausskey.gaussian import _beamsplitter, _direct_sum, _heterodyne, _homodyne, _tmsv
 from gausskey.rates import NO_SWITCHING, SWITCHING
 from conftest import random_attack
 
@@ -190,30 +186,30 @@ def test_criterion_8_gaussian_property_suite():
     cases = 0
     for _ in range(250):  # TMSV purity
         mu = 1.0 + 99.0 * rng.random()
-        assert symplectic_spectrum(tmsv_cm(mu)) == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert symplectic_spectrum(CovMat(_tmsv(mu))) == pytest.approx([1.0, 1.0], abs=1e-9)
         cases += 1
     for _ in range(250):  # beam-splitter spectrum preservation
         p = random_attack(rng)
-        cm = direct_sum(tmsv_cm(1.0 + 9.0 * rng.random()), attack_cm(p.omega, p.g, p.g_prime))
+        cm = _direct_sum(_tmsv(1.0 + 9.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime))
         tau = rng.random()
-        before = symplectic_spectrum(cm)
-        after = symplectic_spectrum(beamsplitter_apply(cm, 1, 3, tau))
+        before = symplectic_spectrum(CovMat(cm))
+        after = symplectic_spectrum(CovMat(_beamsplitter(cm, 1, 3, tau)))
         assert after == pytest.approx(before, abs=1e-9)
         cases += 1
     for _ in range(250):  # conditioning keeps physicality
         p = random_attack(rng)
-        cm = beamsplitter_apply(
-            direct_sum(tmsv_cm(1.0 + 9.0 * rng.random()), attack_cm(p.omega, p.g, p.g_prime)),
+        cm = _beamsplitter(
+            _direct_sum(_tmsv(1.0 + 9.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime)),
             1,
             2,
             rng.random(),
         )
-        assert is_physical(heterodyne_condition(cm, 1))
-        assert is_physical(homodyne_condition(cm, 0, "q" if rng.random() < 0.5 else "p"))
+        assert is_physical(CovMat(_heterodyne(cm, 1)))
+        assert is_physical(CovMat(_homodyne(cm, 0, "q" if rng.random() < 0.5 else "p")))
         cases += 1
     for _ in range(250):  # two-mode closed-form spectrum
         p = random_attack(rng)
-        spec = symplectic_spectrum(attack_cm(p.omega, p.g, p.g_prime))
+        spec = symplectic_spectrum(CovMat(_attack_block(p.omega, p.g, p.g_prime)))
         expected = sorted(
             (
                 math.sqrt((p.omega + p.g) * (p.omega + p.g_prime)),
@@ -231,15 +227,9 @@ def test_criterion_8_gaussian_property_suite():
 
 
 def test_criterion_9_cli_contract(tmp_path):
-    env = dict(os.environ)
-    env.pop("GAUSSKEY_THREADS", None)
-
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "gausskey", *args],
-            capture_output=True,
-            text=True,
-            env=env,
+            [sys.executable, "-m", "gausskey", *args], capture_output=True, text=True
         )
 
     scan_args = ("scan", "--tau", "0.44", "--omega", "1.2", "--grid-resolution", "21")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gausskey import (
     EPS_PHYS,
     AttackParams,
+    CovMat,
     DomainError,
-    attack_cm,
     boundary_curve_arrays,
     constraint_slack,
     is_physical,
@@ -17,7 +17,7 @@ from gausskey import (
     lens_mask,
     violated_constraint,
 )
-from gausskey.attack import physical_grid_mirror
+from gausskey.attack import _attack_block, physical_grid_mirror
 
 
 def _params(omega, g, gp, tau=0.5):
@@ -48,9 +48,9 @@ def test_attack_params_validation():
 
 
 def test_attack_cm_construction():
-    assert np.array_equal(attack_cm(1.0, 0.0, 0.0).mat, np.eye(4))
-    assert np.array_equal(attack_cm(1.2, 0.0, 0.0).mat, 1.2 * np.eye(4))
-    cm = attack_cm(1.2, 0.3, -0.1).mat
+    assert np.array_equal(_attack_block(1.0, 0.0, 0.0), np.eye(4))
+    assert np.array_equal(_attack_block(1.2, 0.0, 0.0), 1.2 * np.eye(4))
+    cm = _attack_block(1.2, 0.3, -0.1)
     assert np.array_equal(cm[0:2, 2:4], np.diag([0.3, -0.1]))
     assert np.array_equal(cm[2:4, 0:2], np.diag([0.3, -0.1]))
 
@@ -87,7 +87,7 @@ def test_constraints_equivalent_to_cm_physicality():
         g = rng.uniform(-omega, omega)
         gp = rng.uniform(-omega, omega)
         by_inequalities = bool(lens_mask(omega, g, gp))
-        by_spectrum = is_physical(attack_cm(omega, g, gp))
+        by_spectrum = is_physical(CovMat(_attack_block(omega, g, gp)))
         assert by_inequalities == by_spectrum, (omega, g, gp)
 
 
@@ -193,7 +193,7 @@ def rim_band(omega):
 
     is_physical admits nu >= 1 - EPS_PHYS, that is nu^2 down to about
     1 - 2 EPS_PHYS, where lens_mask stops at 1 - EPS_PHYS; and the
-    symplectic spectrum of attack_cm carries a round-off of a few
+    symplectic spectrum of the attack CM carries a round-off of a few
     eps*omega^2 in nu^2 (measured up to 1.6 eps*omega^2 for omega <= 1e8).
     """
     return 4.0 * EPS_PHYS + 16.0 * EPS * omega * omega
@@ -245,7 +245,7 @@ def test_violated_constraint_is_none_iff_lens_mask(point, tau):
 def test_lens_mask_is_cm_physicality_off_the_rim(point):
     omega, g, gp = point
     assume(not abs(float(constraint_slack(omega, g, gp))) <= rim_band(omega))
-    assert bool(lens_mask(omega, g, gp)) == is_physical(attack_cm(omega, g, gp))
+    assert bool(lens_mask(omega, g, gp)) == is_physical(CovMat(_attack_block(omega, g, gp)))
 
 
 @settings(max_examples=60, deadline=None)

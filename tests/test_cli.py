@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -8,14 +7,8 @@ import pytest
 CLI = [sys.executable, "-m", "gausskey"]
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("GAUSSKEY_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env
-    )
+def run_cli(*args):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True)
 
 
 def csv_pairs(text):
@@ -95,12 +88,11 @@ def test_scan_schema_and_minimum(tmp_path):
     assert any(r[4] == "true" for r in rows)
 
 
-def test_scan_deterministic_and_thread_invariant(tmp_path):
+def test_scan_deterministic():
     args = ["scan", "--tau", "0.44", "--omega", "1.2", "--grid-resolution", "21"]
     first = run_cli(*args).stdout
     second = run_cli(*args).stdout
-    threaded = run_cli(*args, env_extra={"GAUSSKEY_THREADS": "4"}).stdout
-    assert first == second == threaded
+    assert first == second
 
 
 def test_scan_clamp_keeps_verdict():

@@ -40,7 +40,7 @@ def reference_render_rows(cfg, points, raw_origin=None, verdict=None):
                 "protocol": cfg.protocol,
                 "tau": cfg.tau,
                 "omega": cfg.omega,
-                "mu": "asymptotic" if cfg.asymptotic else cli.fmt(cfg.mu),
+                "mu": "asymptotic" if cfg.mu is None else cli.fmt(cfg.mu),
                 "grid_resolution": cfg.grid_resolution,
             },
             "rows": rows,
@@ -73,7 +73,6 @@ def scan_config(fmt, clamp, mu=None, protocol="noswitching", tau=0.44, omega=1.2
         g=0.0,
         g_prime=0.0,
         mu=mu,
-        asymptotic=mu is None,
         grid_resolution=resolution,
         output=None,
         format=fmt,

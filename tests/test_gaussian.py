@@ -7,17 +7,19 @@ from gausskey import (
     CovMat,
     DomainError,
     NumericalDegeneracyError,
-    attack_cm,
-    beamsplitter_apply,
-    direct_sum,
     entropy_h,
-    heterodyne_condition,
-    homodyne_condition,
     is_physical,
-    keep_modes,
     symplectic_form,
     symplectic_spectrum,
-    tmsv_cm,
+)
+from gausskey.attack import _attack_block
+from gausskey.gaussian import (
+    _beamsplitter,
+    _direct_sum,
+    _heterodyne,
+    _homodyne,
+    _keep_modes,
+    _tmsv,
 )
 from conftest import random_attack
 
@@ -43,9 +45,12 @@ def test_covmat_rejects_odd_dimension():
 
 
 def test_covmat_is_immutable():
-    cm = tmsv_cm(2.0)
+    source = _tmsv(2.0)
+    cm = CovMat(source)
     with pytest.raises(ValueError):
         cm.mat[0, 0] = 5.0
+    source[0, 0] = 5.0  # the CovMat holds a copy
+    assert cm.mat[0, 0] == 2.0
 
 
 def test_symplectic_form_invariants():
@@ -55,28 +60,28 @@ def test_symplectic_form_invariants():
         assert np.array_equal(form @ form, -np.eye(2 * n))
 
 
-# ---------------------------------------------------------------- tmsv_cm
+# ------------------------------------------------------------------- TMSV
 
 def test_tmsv_vacuum_is_identity():
-    assert np.array_equal(tmsv_cm(1.0).mat, np.eye(4))
+    assert np.array_equal(_tmsv(1.0), np.eye(4))
 
 
 def test_tmsv_blocks_mu2():
-    cm = tmsv_cm(2.0).mat
+    cm = _tmsv(2.0)
     assert np.allclose(cm[0:2, 0:2], 2.0 * np.eye(2))
     assert np.allclose(cm[0:2, 2:4], math.sqrt(3.0) * np.diag([1.0, -1.0]))
-    assert np.allclose(symplectic_spectrum(tmsv_cm(2.0)), [1.0, 1.0], atol=1e-12)
+    assert np.allclose(symplectic_spectrum(CovMat(cm)), [1.0, 1.0], atol=1e-12)
 
 
 def test_tmsv_offdiagonal_mu5():
-    cm = tmsv_cm(5.0).mat
+    cm = _tmsv(5.0)
     assert cm[0, 2] == pytest.approx(SQRT_24, abs=1e-12)
     assert cm[1, 3] == pytest.approx(-SQRT_24, abs=1e-12)
 
 
 def test_tmsv_domain():
     with pytest.raises(DomainError):
-        tmsv_cm(0.999)
+        _tmsv(0.999)
 
 
 # ---------------------------------------------------- symplectic_spectrum
@@ -87,12 +92,12 @@ def test_spectrum_thermal():
 
 
 def test_spectrum_tmsv_pure():
-    spec = symplectic_spectrum(tmsv_cm(3.0))
+    spec = symplectic_spectrum(CovMat(_tmsv(3.0)))
     assert spec == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_spectrum_attack_closed_form():
-    spec = symplectic_spectrum(attack_cm(1.2, 0.3, -0.1))
+    spec = symplectic_spectrum(CovMat(_attack_block(1.2, 0.3, -0.1)))
     # nu_pm = sqrt((omega +- g)(omega +- g')): sqrt(1.65), sqrt(1.17)
     assert spec == pytest.approx([math.sqrt(1.65), math.sqrt(1.17)], abs=1e-9)
 
@@ -106,7 +111,7 @@ def test_spectrum_random_attack_matches_two_mode_formula():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p = random_attack(rng)
-        spec = symplectic_spectrum(attack_cm(p.omega, p.g, p.g_prime))
+        spec = symplectic_spectrum(CovMat(_attack_block(p.omega, p.g, p.g_prime)))
         expected = sorted(
             (
                 math.sqrt((p.omega + p.g) * (p.omega + p.g_prime)),
@@ -164,9 +169,9 @@ def von_neumann_entropy(V: CovMat) -> float:
 
 
 def test_von_neumann_entropy():
-    assert von_neumann_entropy(tmsv_cm(4.0)) == pytest.approx(0.0, abs=1e-9)
+    assert von_neumann_entropy(CovMat(_tmsv(4.0))) == pytest.approx(0.0, abs=1e-9)
     assert von_neumann_entropy(CovMat(np.diag([3.0, 3.0]))) == pytest.approx(2.0, abs=1e-12)
-    assert von_neumann_entropy(attack_cm(1.2, 0.3, -0.1)) == pytest.approx(
+    assert von_neumann_entropy(CovMat(_attack_block(1.2, 0.3, -0.1))) == pytest.approx(
         H_ATTACK_EXAMPLE, abs=1e-9
     )
 
@@ -183,95 +188,93 @@ def _bs_oracle(mat: np.ndarray, tau: float) -> np.ndarray:
 
 
 def test_beamsplitter_transparent():
-    cm = tmsv_cm(3.0)
-    out = beamsplitter_apply(cm, 0, 1, 1.0)
-    assert np.allclose(out.mat, cm.mat, atol=1e-12)
+    cm = _tmsv(3.0)
+    out = _beamsplitter(cm, 0, 1, 1.0)
+    assert np.allclose(out, cm, atol=1e-12)
 
 
 def test_beamsplitter_full_reflection_swaps():
-    cm = tmsv_cm(2.0)
-    out = beamsplitter_apply(cm, 0, 1, 0.0)
-    assert np.allclose(out.mat, _bs_oracle(cm.mat, 0.0), atol=1e-12)
+    cm = _tmsv(2.0)
+    out = _beamsplitter(cm, 0, 1, 0.0)
+    assert np.allclose(out, _bs_oracle(cm, 0.0), atol=1e-12)
     # reflected arm: blocks swap, cross block flips sign
-    assert np.allclose(out.mat[0:2, 0:2], cm.mat[2:4, 2:4], atol=1e-12)
-    assert np.allclose(out.mat[0:2, 2:4], -cm.mat[0:2, 2:4], atol=1e-12)
+    assert np.allclose(out[0:2, 0:2], cm[2:4, 2:4], atol=1e-12)
+    assert np.allclose(out[0:2, 2:4], -cm[0:2, 2:4], atol=1e-12)
 
 
 def test_beamsplitter_transmitted_variance():
-    cm = CovMat(np.diag([3.0, 3.0, 1.2, 1.2]))
-    out = beamsplitter_apply(cm, 0, 1, 0.6)
-    assert np.allclose(out.mat, _bs_oracle(cm.mat, 0.6), atol=1e-12)
+    cm = np.diag([3.0, 3.0, 1.2, 1.2])
+    out = _beamsplitter(cm, 0, 1, 0.6)
+    assert np.allclose(out, _bs_oracle(cm, 0.6), atol=1e-12)
     # transmitted block: tau*mu + (1-tau)*omega = 0.6*3 + 0.4*1.2
-    assert out.mat[0, 0] == pytest.approx(2.28, abs=1e-12)
+    assert out[0, 0] == pytest.approx(2.28, abs=1e-12)
 
 
 def test_beamsplitter_validation():
-    cm = tmsv_cm(2.0)
+    cm = _tmsv(2.0)
     with pytest.raises(DomainError):
-        beamsplitter_apply(cm, 0, 0, 0.5)
+        _beamsplitter(cm, 0, 0, 0.5)
     with pytest.raises(DomainError):
-        beamsplitter_apply(cm, 0, 1, 1.5)
+        _beamsplitter(cm, 0, 1, 1.5)
 
 
 def test_beamsplitter_preserves_spectrum():
     rng = np.random.default_rng(5)
     for tau in np.linspace(0.0, 1.0, 11):
         p = random_attack(rng)
-        cm = direct_sum(tmsv_cm(1.0 + 3.0 * rng.random()), attack_cm(p.omega, p.g, p.g_prime))
-        before = symplectic_spectrum(cm)
-        after = symplectic_spectrum(beamsplitter_apply(cm, 0, 2, float(tau)))
+        cm = _direct_sum(_tmsv(1.0 + 3.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime))
+        before = symplectic_spectrum(CovMat(cm))
+        after = symplectic_spectrum(CovMat(_beamsplitter(cm, 0, 2, float(tau))))
         assert after == pytest.approx(before, abs=1e-9)
 
 
 # ------------------------------------------------------------ conditioning
 
 def test_heterodyne_product_state_unchanged():
-    cm = CovMat(np.eye(4))
-    out = heterodyne_condition(cm, 1)
-    assert np.allclose(out.mat, np.eye(2), atol=1e-12)
+    out = _heterodyne(np.eye(4), 1)
+    assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
 def test_heterodyne_tmsv_gives_vacuum():
     # mu - (mu^2-1)/(mu+1) = 1 for every mu
-    out = heterodyne_condition(tmsv_cm(3.0), 1)
-    assert np.allclose(out.mat, np.eye(2), atol=1e-12)
+    out = _heterodyne(_tmsv(3.0), 1)
+    assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
 def test_homodyne_product_state_unchanged():
-    cm = CovMat(np.diag([1.7, 1.7, 2.5, 2.5]))
-    out = homodyne_condition(cm, 1, "q")
-    assert np.allclose(out.mat, np.diag([1.7, 1.7]), atol=1e-12)
+    out = _homodyne(np.diag([1.7, 1.7, 2.5, 2.5]), 1, "q")
+    assert np.allclose(out, np.diag([1.7, 1.7]), atol=1e-12)
 
 
 def test_homodyne_tmsv_schur():
     # measuring q of one arm: remaining CM diag(mu - (mu^2-1)/mu, mu)
-    out = homodyne_condition(tmsv_cm(3.0), 1, "q")
-    assert np.allclose(out.mat, np.diag([1.0 / 3.0, 3.0]), atol=1e-12)
-    out_p = homodyne_condition(tmsv_cm(3.0), 1, "p")
-    assert np.allclose(out_p.mat, np.diag([3.0, 1.0 / 3.0]), atol=1e-12)
+    out = _homodyne(_tmsv(3.0), 1, "q")
+    assert np.allclose(out, np.diag([1.0 / 3.0, 3.0]), atol=1e-12)
+    out_p = _homodyne(_tmsv(3.0), 1, "p")
+    assert np.allclose(out_p, np.diag([3.0, 1.0 / 3.0]), atol=1e-12)
 
 
 def test_homodyne_degenerate_quadrature():
-    cm = CovMat(np.diag([1.0, 1.0, 1e-14, 1e6]))
+    cm = np.diag([1.0, 1.0, 1e-14, 1e6])
     with pytest.raises(DomainError):
-        homodyne_condition(cm, 1, "q")
+        _homodyne(cm, 1, "q")
     with pytest.raises(DomainError):
-        homodyne_condition(cm, 1, "x")
+        _homodyne(cm, 1, "x")
 
 
 def test_conditioning_keeps_physicality():
     rng = np.random.default_rng(17)
     for _ in range(50):
         p = random_attack(rng)
-        cm = beamsplitter_apply(
-            direct_sum(tmsv_cm(1.0 + 5.0 * rng.random()), attack_cm(p.omega, p.g, p.g_prime)),
+        cm = _beamsplitter(
+            _direct_sum(_tmsv(1.0 + 5.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime)),
             1,
             2,
             rng.random(),
         )
-        assert is_physical(heterodyne_condition(cm, 0))
-        assert is_physical(homodyne_condition(cm, 2, "q"))
-        assert is_physical(homodyne_condition(cm, 1, "p"))
+        assert is_physical(CovMat(_heterodyne(cm, 0)))
+        assert is_physical(CovMat(_homodyne(cm, 2, "q")))
+        assert is_physical(CovMat(_homodyne(cm, 1, "p")))
 
 
 # -------------------------------------------------------------- physicality
@@ -280,18 +283,18 @@ def test_is_physical_examples():
     assert is_physical(CovMat(np.eye(2)))
     assert not is_physical(CovMat(np.diag([0.5, 0.5])))
     # omega*|g+g'| = 1.2 > omega^2 + g g' - 1 = 0.69
-    assert not is_physical(attack_cm(1.2, 0.5, 0.5))
+    assert not is_physical(CovMat(_attack_block(1.2, 0.5, 0.5)))
 
 
 def test_tmsv_purity_sweep():
     for mu in (1.0, 1.5, 2.0, 10.0, 100.0):
-        spec = symplectic_spectrum(tmsv_cm(mu))
+        spec = symplectic_spectrum(CovMat(_tmsv(mu)))
         assert spec == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_keep_modes_reorders():
-    cm = direct_sum(CovMat(np.diag([2.0, 2.0])), CovMat(np.diag([3.0, 3.0])))
-    swapped = keep_modes(cm, (1, 0))
-    assert np.allclose(swapped.mat, np.diag([3.0, 3.0, 2.0, 2.0]))
+    cm = _direct_sum(np.diag([2.0, 2.0]), np.diag([3.0, 3.0]))
+    swapped = _keep_modes(cm, (1, 0))
+    assert np.allclose(swapped, np.diag([3.0, 3.0, 2.0, 2.0]))
     with pytest.raises(DomainError):
-        keep_modes(cm, (0, 2))
+        _keep_modes(cm, (0, 2))

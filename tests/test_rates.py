@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from cm_reference import (
+    closed_conditional_cm_noswitching,
+    closed_conditional_cm_switching,
+    closed_total_cm,
+)
 from gausskey import (
     AttackParams,
+    CovMat,
     DomainError,
     ProtocolSpec,
-    conditional_cm_noswitching,
-    conditional_cm_switching,
     conditional_spectra_switching,
     conditional_spectrum_noswitching,
     entropy_h,
-    heterodyne_condition,
     holevo_noswitching,
     holevo_switching,
-    homodyne_condition,
     key_rate_noswitching,
     key_rate_numeric,
     key_rate_switching,
@@ -23,11 +25,10 @@ from gausskey import (
     mutual_information,
     rate_report,
     symplectic_spectrum,
-    total_cm,
-    total_cm_via_beamsplitters,
     total_spectrum_asymptotic,
 )
-from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED
+from gausskey.gaussian import _heterodyne, _homodyne
+from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, _total_cm_via_beamsplitters
 from conftest import random_attack
 
 EXAMPLE = AttackParams(tau=0.6, omega=1.2, g=0.3, g_prime=-0.1)
@@ -74,22 +75,26 @@ def test_protocol_spec_validation():
 
 # ---------------------------------------------------------------- total CM
 
+# The closed-form oracles of cm_reference and the constructive pipeline are
+# held to the same hand-derived values.
+
+
 def test_total_cm_transparent_channel():
     p = AttackParams(tau=1.0, omega=1.2, g=0.0, g_prime=0.0)
-    V = total_cm(p, 9.0).mat
-    assert np.allclose(V[0:2, 0:2], 10.0 * np.eye(2))
-    assert np.allclose(V[4:6, 4:6], 10.0 * np.eye(2))  # Lambda = mu + 1 at tau = 1
-    assert np.allclose(V[4:6, 6:8], 0.0)
-    # the untouched source cross block: sqrt((mu+1)^2 - 1) * Z
-    assert np.allclose(V[0:2, 4:6], math.sqrt(99.0) * np.diag([1.0, -1.0]))
+    for V in (closed_total_cm(p, 9.0), _total_cm_via_beamsplitters(p, 9.0)):
+        assert np.allclose(V[0:2, 0:2], 10.0 * np.eye(2))
+        assert np.allclose(V[4:6, 4:6], 10.0 * np.eye(2))  # Lambda = mu + 1 at tau = 1
+        assert np.allclose(V[4:6, 6:8], 0.0)
+        # the untouched source cross block: sqrt((mu+1)^2 - 1) * Z
+        assert np.allclose(V[0:2, 4:6], math.sqrt(99.0) * np.diag([1.0, -1.0]))
 
 
 def test_total_cm_receiver_variance():
     p = AttackParams(tau=0.6, omega=1.2, g=0.0, g_prime=0.0)
-    V = total_cm(p, 9.0).mat
-    # Lambda = tau (mu+1) + (1-tau) omega = 0.6*10 + 0.4*1.2
-    assert V[4, 4] == pytest.approx(6.48, abs=1e-12)
-    assert V[6, 6] == pytest.approx(6.48, abs=1e-12)
+    for V in (closed_total_cm(p, 9.0), _total_cm_via_beamsplitters(p, 9.0)):
+        # Lambda = tau (mu+1) + (1-tau) omega = 0.6*10 + 0.4*1.2
+        assert V[4, 4] == pytest.approx(6.48, abs=1e-12)
+        assert V[6, 6] == pytest.approx(6.48, abs=1e-12)
 
 
 def test_total_cm_matches_constructive_pipeline():
@@ -97,16 +102,16 @@ def test_total_cm_matches_constructive_pipeline():
     for _ in range(100):
         p = random_attack(rng)
         mu = 1.0 + 10.0 ** rng.uniform(0.0, 3.0)
-        closed = total_cm(p, mu).mat
-        piped = total_cm_via_beamsplitters(p, mu).mat
+        closed = closed_total_cm(p, mu)
+        piped = _total_cm_via_beamsplitters(p, mu)
         assert np.max(np.abs(closed - piped)) < 1e-10
 
 
 def test_total_cm_rejects_unphysical():
     with pytest.raises(DomainError):
-        total_cm(AttackParams(tau=0.6, omega=1.2, g=0.5, g_prime=0.5), 10.0)
+        _total_cm_via_beamsplitters(AttackParams(tau=0.6, omega=1.2, g=0.5, g_prime=0.5), 10.0)
     with pytest.raises(DomainError):
-        total_cm(EXAMPLE, 1.0)
+        _total_cm_via_beamsplitters(EXAMPLE, 1.0)
 
 
 # ------------------------------------------------------- mutual information
@@ -159,30 +164,33 @@ def test_total_spectrum_asymptotic_values():
 
 def test_total_spectrum_matches_finite_mu():
     mu = 1e6
-    finite = symplectic_spectrum(total_cm(EXAMPLE, mu))
+    finite = symplectic_spectrum(CovMat(closed_total_cm(EXAMPLE, mu)))
     asym = total_spectrum_asymptotic(EXAMPLE, mu)
     assert np.max(np.abs(finite - asym) / asym) < 1e-4
 
 
+def _double_heterodyne(params, mu):
+    return _heterodyne(_heterodyne(_total_cm_via_beamsplitters(params, mu), 3), 2)
+
+
 def test_conditional_cm_diagonal_without_correlations():
     p = AttackParams(tau=0.6, omega=1.2, g=0.0, g_prime=0.0)
-    V = conditional_cm_noswitching(p, 1e4).mat
-    assert np.allclose(V, np.diag(np.diag(V)), atol=1e-12)
+    for V in (closed_conditional_cm_noswitching(p, 1e4), _double_heterodyne(p, 1e4)):
+        assert np.allclose(V, np.diag(np.diag(V)), atol=1e-12)
 
 
 def test_conditional_cm_matches_double_heterodyne():
     mu = 1e6
-    closed = conditional_cm_noswitching(EXAMPLE, mu).mat
-    piped = heterodyne_condition(
-        heterodyne_condition(total_cm_via_beamsplitters(EXAMPLE, mu), 3), 2
-    ).mat
+    closed = closed_conditional_cm_noswitching(EXAMPLE, mu)
+    piped = _double_heterodyne(EXAMPLE, mu)
     assert np.allclose(closed, piped, rtol=1e-6, atol=1e-9)
 
 
 def test_conditional_cm_cross_sign():
-    V = conditional_cm_noswitching(EXAMPLE, 100.0).mat
-    assert V[0, 2] > 0.0   # follows sign of g = 0.3
-    assert V[1, 3] < 0.0   # follows sign of g' = -0.1
+    closed = closed_conditional_cm_noswitching(EXAMPLE, 100.0)
+    for V in (closed, _double_heterodyne(EXAMPLE, 100.0)):
+        assert V[0, 2] > 0.0   # follows sign of g = 0.3
+        assert V[1, 3] < 0.0   # follows sign of g' = -0.1
 
 
 def test_conditional_spectrum_noswitching_values():
@@ -200,7 +208,7 @@ def test_conditional_spectrum_mu_independent():
     gaps = {}
     for mu in (1e3, 1e6):
         piped = symplectic_spectrum(
-            heterodyne_condition(heterodyne_condition(total_cm(EXAMPLE, mu), 3), 2)
+            CovMat(_heterodyne(_heterodyne(closed_total_cm(EXAMPLE, mu), 3), 2))
         )
         gaps[mu] = np.max(np.abs(piped - asym) / asym)
     assert gaps[1e3] < 5e-3
@@ -218,10 +226,10 @@ def test_holevo_reduces_to_single_mode():
 
 def test_holevo_matches_numeric_entropies():
     mu = 1e6
-    V = total_cm_via_beamsplitters(EXAMPLE, mu)
-    cond = heterodyne_condition(heterodyne_condition(V, 3), 2)
-    numeric = sum(entropy_h(float(nu)) for nu in symplectic_spectrum(V)) - sum(
-        entropy_h(float(nu)) for nu in symplectic_spectrum(cond)
+    V = _total_cm_via_beamsplitters(EXAMPLE, mu)
+    cond = _heterodyne(_heterodyne(V, 3), 2)
+    numeric = sum(entropy_h(float(nu)) for nu in symplectic_spectrum(CovMat(V))) - sum(
+        entropy_h(float(nu)) for nu in symplectic_spectrum(CovMat(cond))
     )
     assert holevo_noswitching(EXAMPLE, mu) == pytest.approx(numeric, abs=1e-3)
 
@@ -298,24 +306,24 @@ def test_switching_spectra_coefficients():
 
 def test_switching_spectra_match_pipeline():
     mu = 1e6
-    V = total_cm_via_beamsplitters(EXAMPLE, mu)
-    q_cond = homodyne_condition(homodyne_condition(V, 3, "q"), 2, "q")
-    coeffs = symplectic_spectrum(q_cond) / math.sqrt(mu)
+    V = _total_cm_via_beamsplitters(EXAMPLE, mu)
+    q_cond = _homodyne(_homodyne(V, 3, "q"), 2, "q")
+    coeffs = symplectic_spectrum(CovMat(q_cond)) / math.sqrt(mu)
     q, _, _ = conditional_spectra_switching(EXAMPLE)
     assert np.max(np.abs(coeffs - q) / q) < 1e-3
 
 
 def test_switching_conditional_cms_match_pipeline():
     mu = 1e6
-    V = total_cm_via_beamsplitters(EXAMPLE, mu)
+    V = _total_cm_via_beamsplitters(EXAMPLE, mu)
     cases = {
-        ("q", "q"): homodyne_condition(homodyne_condition(V, 3, "q"), 2, "q"),
-        ("p", "p"): homodyne_condition(homodyne_condition(V, 3, "p"), 2, "p"),
-        ("q", "p"): homodyne_condition(homodyne_condition(V, 3, "p"), 2, "q"),
+        ("q", "q"): _homodyne(_homodyne(V, 3, "q"), 2, "q"),
+        ("p", "p"): _homodyne(_homodyne(V, 3, "p"), 2, "p"),
+        ("q", "p"): _homodyne(_homodyne(V, 3, "p"), 2, "q"),
     }
     for quads, piped in cases.items():
-        closed = conditional_cm_switching(EXAMPLE, mu, quadratures=quads).mat
-        assert np.allclose(closed, piped.mat, rtol=1e-6, atol=1e-9 * mu)
+        closed = closed_conditional_cm_switching(EXAMPLE, mu, quadratures=quads)
+        assert np.allclose(closed, piped, rtol=1e-6, atol=1e-9 * mu)
 
 
 def test_switching_rate_reduction_and_example():
