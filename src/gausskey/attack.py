@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import EPS_PHYS, DomainError
+from .gaussian import EPS_PHYS, DomainError, Sectors
 
 # Whole ulps a boundary sample may move into the lens before it is dropped.
 # Samples need up to about n_samples/2 (at most 246 in a probe with n <= 401).
@@ -53,13 +53,9 @@ class AttackParams:
             raise DomainError(f"thermal variance must satisfy omega >= 1, got {self.omega}")
 
 
-def _attack_block(omega: float, g: float, g_prime: float) -> np.ndarray:
-    """Two-mode ancilla CM: diagonal blocks omega*I, cross block diag(g, g')."""
-    m = np.zeros((4, 4))
-    m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = omega
-    m[0, 2] = m[2, 0] = g
-    m[1, 3] = m[3, 1] = g_prime
-    return m
+def _attack_qp(omega: float, g: float, g_prime: float) -> Sectors:
+    """Two-mode ancilla state as q and p sectors: [[omega, g], [g, omega]], g' in p."""
+    return [[omega, g], [g, omega]], [[omega, g_prime], [g_prime, omega]]
 
 
 def _slack(omega, g, g_prime, minimum):

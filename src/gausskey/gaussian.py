@@ -1,35 +1,31 @@
 """Gaussian-state covariance-matrix calculus in shot-noise units.
 
-All covariance matrices (CMs) use the interleaved quadrature ordering
-(q1, p1, ..., qn, pn) and shot-noise units, i.e. the vacuum quadrature
-variance is 1.  A state is physical iff every symplectic eigenvalue is
->= 1 (up to the slack ``EPS_PHYS``).
+A covariance matrix (CM) that a caller supplies uses the interleaved
+quadrature ordering (q1, p1, ..., qn, pn) and shot-noise units, i.e. the
+vacuum quadrature variance is 1.  A state is physical iff every
+symplectic eigenvalue is >= 1 (up to the slack ``EPS_PHYS``).
 
 The bosonic entropy h(x) is evaluated in a form that cancels nothing at
 large x, in numpy ufuncs only; ``entropy_h`` (floats) and
 ``entropy_h_array`` (arrays) share that one expression and so agree bit
 for bit.
 
-Each CM operation is one private function on plain ``ndarray``s
-(``_tmsv``, ``_direct_sum``, ``_keep_modes``, ``_beamsplitter``,
-``_heterodyne``, ``_homodyne``, ``_symplectic_spectrum``), and the
-finite-modulation pipeline (``rates.key_rate_numeric``) chains them
-directly.  Every kernel output is symmetric by construction, and each
-kernel that forms new entries rejects non-finite ones with the
-``CovMat`` text.  All other checks -- input validation, the homodyne
-variance floor, the spectrum's eigenvalue and pairing checks, and
-``entropy_h``'s domain -- live in the kernels.
-
 ``CovMat`` is the validated type of a CM that a caller supplies: it
 checks shape, finiteness and symmetry, and freezes a copy.  The public
 functions that take a state (``symplectic_spectrum``, ``is_physical``)
 take a ``CovMat``; no public function returns one.
 
-Symplectic spectra take one of two routes behind ``_symplectic_spectrum``:
-a two-mode CM with no q-p correlation and positive-definite sectors (every
-conditional state of the finite-modulation pipeline) is diagonalised from
-its 2x2 q and p sectors in closed arithmetic; every other CM goes through
-``eigh`` and ``svd``.  Both are constructive: neither uses a rate formula.
+The finite-modulation pipeline (``rates.key_rate_numeric``) never forms
+an interleaved CM.  Its states have exactly zero q-p cross entries, so
+it holds each as its n x n sectors (Q, P), lists of rows of Python
+floats, through one private kernel per operation (``_qp_tmsv``,
+``_qp_direct_sum``, ``_qp_keep``, ``_qp_beamsplitter``,
+``_qp_heterodyne``, ``_qp_homodyne``).  Each kernel's output is
+symmetric by construction, and each kernel that forms new entries
+rejects non-finite ones with the ``CovMat`` text.  ``_qp_mirror_spectrum``
+splits the joint state into two two-mode halves; every pipeline
+spectrum comes from ``_qp_spectrum``, with no ``eigh``, ``svd`` or
+``solve`` and no rate formula.
 
 Everything here is a pure function of its inputs; ``CovMat`` instances
 are immutable after construction and safe to share across threads.
@@ -40,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -55,8 +52,10 @@ DEGENERACY_RTOL = 1e-9
 
 LN2 = math.log(2.0)
 
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
+_NON_FINITE = "covariance matrix contains non-finite entries"
+
+# q and p sectors: at six modes, Python lists cost less than numpy's dispatch.
+Sectors = tuple[list[list[float]], list[list[float]]]
 
 
 class DomainError(ValueError):
@@ -65,13 +64,6 @@ class DomainError(ValueError):
 
 class NumericalDegeneracyError(RuntimeError):
     """A linear-algebra result is too degenerate to trust at working tolerance."""
-
-
-def _require_finite(m: np.ndarray) -> np.ndarray:
-    """m itself, once every entry is finite."""
-    if not np.isfinite(m).all():
-        raise DomainError("covariance matrix contains non-finite entries")
-    return m
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,8 @@ class CovMat:
             raise DomainError(f"covariance matrix must be square, got shape {m.shape}")
         if m.shape[0] == 0 or m.shape[0] % 2:
             raise DomainError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
-        _require_finite(m)
+        if not np.isfinite(m).all():
+            raise DomainError(_NON_FINITE)
         # m - m.T is antisymmetric, so its largest entry is max |m - m.T|
         if (m - m.T).max() > SYMMETRY_ATOL:
             raise DomainError(
@@ -123,109 +116,201 @@ def _frozen_symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
-def _direct_sum(*mats: np.ndarray) -> np.ndarray:
-    """Covariance matrix of a product state: the blocks along the diagonal."""
-    dims = [m.shape[0] for m in mats]
-    out = np.zeros((sum(dims), sum(dims)))
-    at = 0
-    for m, d in zip(mats, dims):
-        out[at : at + d, at : at + d] = m
-        at += d
+def _require_finite_rows(rows: list[list[float]]) -> None:
+    """Reject a non-finite entry in any of the rows with the CovMat text."""
+    # A non-finite entry makes the sum non-finite; a sum can also overflow.
+    if not math.isfinite(sum(map(sum, rows))) and not all(map(math.isfinite, chain(*rows))):
+        raise DomainError(_NON_FINITE)
+
+
+def _check_mode(mode: int, n_modes: int) -> None:
+    if not 0 <= mode < n_modes:
+        raise DomainError(f"mode index {mode} out of range for {n_modes} modes")
+
+
+def _qp_tmsv(mu: float) -> Sectors:
+    """TMSV of local variance mu >= 1: Q = [[mu, c], [c, mu]], P with -c, c = sqrt(mu^2 - 1)."""
+    if not (mu >= 1.0):
+        raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
+    c = math.sqrt(mu * mu - 1.0)  # inf once mu*mu overflows, and whenever mu is inf
+    if not math.isfinite(c):
+        raise DomainError(_NON_FINITE)
+    return [[mu, c], [c, mu]], [[mu, -c], [-c, mu]]
+
+
+def _qp_direct_sum(*states: Sectors) -> Sectors:
+    """Sectors of a product state: each sector's blocks along the diagonal."""
+    zeros = [0.0] * sum([len(state[0]) for state in states])
+    q, p, at = [], [], 0
+    for sq, sp in states:
+        end = at + len(sq)
+        for u, w in zip(sq, sp):
+            q.append(zeros.copy())
+            p.append(zeros.copy())
+            q[-1][at:end], p[-1][at:end] = u, w
+        at = end
+    return q, p
+
+
+def _qp_keep(state: Sectors, modes: tuple[int, ...] | list[int]) -> Sectors:
+    """Reduced state of the listed modes, in the order given (a permutation reorders)."""
+    for mode in modes:
+        _check_mode(mode, len(state[0]))
+    return tuple([[row[j] for j in modes] for row in [x[i] for i in modes]] for x in state)
+
+
+def _rotate(x: list[list[float]], a: int, b: int, t: float, r: float) -> list[list[float]]:
+    """S x S^T for S sending row a to t*a + r*b and row b to t*b - r*a, symmetric as built."""
+    xa, xb = x[a], x[b]
+    ya = [t * u + r * w for u, w in zip(xa, xb)]
+    yb = [t * w - r * u for u, w in zip(xa, xb)]
+    ya[a], ya[b] = t * ya[a] + r * ya[b], t * ya[b] - r * ya[a]
+    yb[a], yb[b] = ya[b], t * yb[b] - r * yb[a]
+    out = [row.copy() for row in x]
+    for row, u, w in zip(out, ya, yb):
+        row[a], row[b] = u, w
+    out[a], out[b] = ya, yb
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _block_index(n_modes: int, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Flat take-indices into a 2n x 2n CM for the listed modes and the rest.
+def _qp_beamsplitter(state: Sectors, mode_a: int, mode_b: int, tau: float) -> Sectors:
+    """Mix two modes on a beam splitter of transmissivity tau.
 
-    Returns the (listed, listed), (rest, rest) and (rest, listed) blocks,
-    listed modes in the order given, the rest in ascending order; each
-    ``mat.take(index)`` equals the matching ``mat[np.ix_(rows, cols)]``.
-    A mode index outside range(n_modes) raises DomainError (never cached).
+    sqrt(tau)*A + sqrt(1-tau)*B replaces mode_a and mode_b carries
+    -sqrt(1-tau)*A + sqrt(tau)*B.  Both sectors take the same rotation,
+    entry by entry, so mirror-image beam splitters give bit-equal entries.
     """
-    for m in modes:
-        if not 0 <= m < n_modes:
-            raise DomainError(f"mode index {m} out of range for {n_modes} modes")
-    rest = [m for m in range(n_modes) if m not in modes]
-    listed = np.array([i for m in modes for i in (2 * m, 2 * m + 1)], dtype=np.intp)
-    others = np.array([i for m in rest for i in (2 * m, 2 * m + 1)], dtype=np.intp)
-    width = 2 * n_modes
-    blocks = tuple(
-        rows[:, None] * width + cols
-        for rows, cols in ((listed, listed), (others, others), (others, listed))
-    )
-    for block in blocks:
-        block.setflags(write=False)
-    return blocks
+    if mode_a == mode_b:
+        raise DomainError("beam splitter needs two distinct modes")
+    for mode in (mode_a, mode_b):
+        _check_mode(mode, len(state[0]))
+    if not 0.0 <= tau <= 1.0:
+        raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
+    t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
+    q, p = _rotate(state[0], mode_a, mode_b, t, r), _rotate(state[1], mode_a, mode_b, t, r)
+    _require_finite_rows([q[mode_a], q[mode_b], p[mode_a], p[mode_b]])  # the new entries
+    return q, p
 
 
-def _keep_modes(m: np.ndarray, modes: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Reduced covariance matrix of the listed modes, in the order given.
+def _retained(n_modes: int, mode: int) -> list[int]:
+    _check_mode(mode, n_modes)
+    if n_modes < 2:
+        raise DomainError("conditioning needs at least one retained mode")
+    return [k for k in range(n_modes) if k != mode]
 
-    Doubles as the canonical mode-permutation helper: passing a
-    permutation of range(n) reorders the modes.
+
+def _schur(x: list[list[float]], mode: int, keep: list[int], d: float) -> list[list[float]]:
+    """x on the kept modes minus the outer product of its measured column, over d."""
+    col = x[mode]
+    return [[x[i][j] - col[i] * col[j] / d for j in keep] for i in keep]
+
+
+def _qp_heterodyne(state: Sectors, mode: int) -> Sectors:
+    """Condition on a heterodyne measurement of one mode (the outcome does not matter).
+
+    The Schur complement A - B (C + I)^-1 B^T on the retained modes: C is
+    diagonal, so each sector X takes the rank-one update of its measured
+    column over X_kk + 1.
     """
-    return m.take(_block_index(m.shape[0] // 2, tuple(modes))[0])
+    keep = _retained(len(state[0]), mode)
+    dq, dp = state[0][mode][mode] + 1.0, state[1][mode][mode] + 1.0
+    if dq == 0.0 or dp == 0.0:  # impossible for a physical state
+        raise NumericalDegeneracyError(
+            "singular heterodyne update; measured block + I is not invertible"
+        )
+    q, p = _schur(state[0], mode, keep, dq), _schur(state[1], mode, keep, dp)
+    _require_finite_rows(q + p)
+    return q, p
 
 
-def _tmsv(mu: float) -> np.ndarray:
-    """Two-mode squeezed vacuum CM with local variance mu >= 1.
+def _qp_homodyne(state: Sectors, mode: int, quadrature: str) -> Sectors:
+    """Condition on a homodyne measurement of one quadrature of one mode.
 
-    Diagonal blocks mu*I, off-diagonal blocks sqrt(mu^2-1)*Z with
-    Z = diag(1, -1); mu = 1 is vacuum (x) vacuum.
+    The measured sector takes the rank-one update of its measured column
+    over that quadrature's variance; the other sector drops the mode.
     """
-    if not (mu >= 1.0):
-        raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
-    c = math.sqrt(mu * mu - 1.0)  # inf once mu*mu overflows
-    m = np.zeros((4, 4))
-    m[0, 0] = m[1, 1] = m[2, 2] = m[3, 3] = mu
-    m[0, 2] = m[2, 0] = c
-    m[1, 3] = m[3, 1] = -c
-    return _require_finite(m)
+    if quadrature not in ("q", "p"):
+        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+    keep = _retained(len(state[0]), mode)
+    j = 0 if quadrature == "q" else 1
+    measured, other = state[j], state[1 - j]
+    c = measured[mode][mode]
+    if c < 1e-12:
+        raise DomainError(
+            f"degenerate homodyne measurement: {quadrature} variance {c:g} below 1e-12"
+        )
+    updated = _schur(measured, mode, keep, c)
+    _require_finite_rows(updated)
+    dropped = [[row[k] for k in keep] for row in [other[i] for i in keep]]
+    return (updated, dropped) if j == 0 else (dropped, updated)
 
 
-# Flat indices of the q-p cross entries of a 4x4 CM, both triangles.
-_QP_CROSS_4 = (1, 3, 4, 6, 9, 11, 12, 14)
+def _qp_spectrum(q00, q01, q11, p00, p01, p11) -> list[float]:
+    """Spectrum of a two-mode state from its 2x2 q and p sectors, larger first.
 
-
-def _two_mode_qp_spectrum(m: np.ndarray) -> np.ndarray | None:
-    """Spectrum of a 4x4 CM whose q-p cross entries are all exactly 0, or None.
-
-    Such a CM is Q (+) P with Q, P the 2x2 q and p sectors, and its
-    symplectic eigenvalues squared are the eigenvalues of R Q R with
-    R = P^(1/2) (Williamson's theorem; Weedbrook et al., Rev. Mod. Phys.
-    84, 621 (2012)).  R Q R equals M Q M / (tr P + 2 sqrt(det P)) with
+    A CM with no q-p correlation is Q (+) P, and its symplectic
+    eigenvalues squared are the eigenvalues of R Q R with R = P^(1/2)
+    (Williamson's theorem; Weedbrook et al., Rev. Mod. Phys. 84, 621
+    (2012)).  R Q R equals M Q M / (tr P + 2 sqrt(det P)) with
     M = P + sqrt(det P) I.  The larger eigenvalue comes from the trace
     plus a hypot, a sum of non-negative terms, and the smaller one from
     det Q det P over the larger (capped at the larger), so a degenerate
     pair keeps its digits; the form (t +- sqrt(t^2 - 4 det))/2 would lose
-    about sqrt(eps) there.  Returns None unless both sectors are strictly
-    positive definite and the result is finite; the caller then takes the
-    general route.
+    about sqrt(eps) there.  Raises NumericalDegeneracyError unless both
+    sectors are strictly positive definite and the result is finite.
     """
-    e = m.ravel().tolist()
-    if any(e[k] for k in _QP_CROSS_4):  # NaN counts as nonzero
-        return None
-    q00, q01, q11 = e[0], e[8], e[10]
-    p00, p01, p11 = e[5], e[13], e[15]
     det_q = q00 * q11 - q01 * q01
     det_p = p00 * p11 - p01 * p01
-    if not (q00 > 0.0 and det_q > 0.0 and p00 > 0.0 and det_p > 0.0):
-        return None
-    root = math.sqrt(det_p)
-    m00, m11 = p00 + root, p11 + root
-    # rows of M Q, then M Q M
-    a00, a01 = m00 * q00 + p01 * q01, m00 * q01 + p01 * q11
-    a10, a11 = p01 * q00 + m11 * q01, p01 * q01 + m11 * q11
-    trace = m00 + m11
-    s00 = (a00 * m00 + a01 * p01) / trace
-    s01 = (a00 * p01 + a01 * m11) / trace
-    s11 = (a10 * p01 + a11 * m11) / trace
-    big = (s00 + s11) / 2.0 + math.hypot((s00 - s11) / 2.0, s01)
-    small = min(det_q * det_p / big, big)  # a degenerate pair may round above big
+    big = small = math.nan
+    if q00 > 0.0 and det_q > 0.0 and p00 > 0.0 and det_p > 0.0:
+        root = math.sqrt(det_p)
+        m00, m11 = p00 + root, p11 + root
+        # rows of M Q, then M Q M
+        a00, a01 = m00 * q00 + p01 * q01, m00 * q01 + p01 * q11
+        a10, a11 = p01 * q00 + m11 * q01, p01 * q01 + m11 * q11
+        trace = m00 + m11
+        s00 = (a00 * m00 + a01 * p01) / trace
+        s01 = (a00 * p01 + a01 * m11) / trace
+        s11 = (a10 * p01 + a11 * m11) / trace
+        big = (s00 + s11) / 2.0 + math.hypot((s00 - s11) / 2.0, s01)
+        small = min(det_q * det_p / big, big)  # a degenerate pair may round above big
     if not (math.isfinite(big) and 0.0 < small < math.inf):
-        return None
-    return np.array([math.sqrt(big), math.sqrt(small)])
+        raise NumericalDegeneracyError(
+            "q and p sectors are not both positive definite, or their products overflow"
+        )
+    return [math.sqrt(big), math.sqrt(small)]
+
+
+def _qp_two_mode_spectrum(state: Sectors) -> np.ndarray:
+    """Symplectic spectrum of a two-mode state, descending."""
+    (q00, q01), (_, q11) = state[0]
+    (p00, p01), (_, p11) = state[1]
+    return np.array(_qp_spectrum(q00, q01, q11, p00, p01, p11))
+
+
+def _qp_mirror_spectrum(state: Sectors) -> np.ndarray:
+    """Symplectic spectrum of a state of modes (a, a', B, B'), descending.
+
+    The state must be symmetric under swapping (a, B) with (a', B'), its
+    mirror entries bit-equal; anything else raises.  Balanced beam
+    splitters on (a, a') and (B, B'), a passive symplectic map, send each
+    sector X exactly to the halves [[X_aa +- X_aa', X_aB +- X_aB'],
+    [., X_BB +- X_BB']]: their cross terms are differences of equal entries.
+    """
+    plus, minus = [], []
+    for x in state:
+        (x00, x01, x02, x03), (_, x11, x12, x13), (_, _, x22, x23), (_, _, _, x33) = x
+        if not (x00 == x11 and x02 == x13 and x03 == x12 and x22 == x33):
+            raise NumericalDegeneracyError(
+                "joint state is not symmetric under swapping (a, B) with (a', B')"
+            )
+        plus += (x00 + x01, x02 + x03, x22 + x23)
+        minus += (x00 - x01, x02 - x03, x22 - x23)
+    return np.array(sorted(_qp_spectrum(*plus) + _qp_spectrum(*minus), reverse=True))
+
+
+# Flat indices of the q-p cross entries of a 4x4 CM, both triangles.
+_QP_CROSS_4 = (1, 3, 4, 6, 9, 11, 12, 14)
 
 
 def _svd_spectrum(m: np.ndarray) -> np.ndarray:
@@ -248,39 +333,25 @@ def _svd_spectrum(m: np.ndarray) -> np.ndarray:
     return (sv[0::2] + sv[1::2]) / 2.0
 
 
-def _symplectic_spectrum(m: np.ndarray) -> np.ndarray:
-    if m.shape[0] == 4:
-        spectrum = _two_mode_qp_spectrum(m)
-        if spectrum is not None:
-            return spectrum
-    return _svd_spectrum(m)
-
-
 def symplectic_spectrum(V: CovMat) -> np.ndarray:
     """Symplectic eigenvalues of V, sorted descending.
 
     A two-mode V with every q-p cross entry exactly 0 and strictly
-    positive-definite q and p sectors Q, P takes the two-mode route:
-    nu^2 are the eigenvalues of P^(1/2) Q P^(1/2), a 2x2 problem solved
-    in closed arithmetic (within about 2 kappa eps nu_max of 40-digit mpmath,
-    kappa the larger sector condition number).  Every other V takes the
-    general route: the singular values of V^(1/2) Omega V^(1/2), a real
-    antisymmetric matrix whose singular values are the symplectic
-    eigenvalues, each doubled.  That stays accurate for the large,
-    nearly degenerate spectra of the finite-modulation pipeline's 8x8
-    state, where an eigendecomposition of -(Omega V)^2 loses four to
-    five digits on the doubled eigenvalues.  ``is_physical`` calls this
-    function and the pipeline its kernel, ``_symplectic_spectrum``; no
-    option selects the route.
-
-    Raises
-    ------
-    NumericalDegeneracyError
-        If V has a negative eigenvalue beyond tolerance, or the doubled
-        singular values fail to pair up (general route only: the
-        two-mode route admits only positive-definite sectors).
+    positive-definite q and p sectors takes ``_qp_spectrum`` (within
+    about 2 kappa eps nu_max of 40-digit mpmath, kappa the larger sector
+    condition number).  Every other V takes ``_svd_spectrum``, which
+    raises NumericalDegeneracyError for a negative eigenvalue beyond
+    tolerance or doubled singular values that fail to pair up.
     """
-    return _symplectic_spectrum(V.mat)
+    m = V.mat
+    if m.shape[0] == 4:
+        e = m.ravel().tolist()
+        if not any(e[k] for k in _QP_CROSS_4):  # NaN counts as nonzero
+            try:
+                return np.array(_qp_spectrum(e[0], e[8], e[10], e[5], e[13], e[15]))
+            except NumericalDegeneracyError:
+                pass  # a sector that is not positive definite takes the general route
+    return _svd_spectrum(m)
 
 
 def _h_above_one(x):
@@ -318,6 +389,8 @@ def entropy_h_array(x) -> np.ndarray:
     DomainError that entropy_h raises for it.
     """
     x = np.asarray(x, dtype=float)
+    if (x > 1.0).all():  # nothing to reject or clamp: one pass over the whole array
+        return np.asarray(_h_above_one(x))
     low = x < 1.0 - EPS_PHYS
     if low.any():
         raise DomainError(f"unphysical symplectic eigenvalue {float(x[low][0])} < 1")
@@ -325,81 +398,6 @@ def entropy_h_array(x) -> np.ndarray:
     live = ~(x <= 1.0)  # NaN stays NaN, as in entropy_h
     out[live] = _h_above_one(x[live])
     return out
-
-
-def _beamsplitter(m: np.ndarray, mode_a: int, mode_b: int, tau: float) -> np.ndarray:
-    """Mix two modes on a beam splitter of transmissivity tau.
-
-    The transmitted combination sqrt(tau)*A + sqrt(1-tau)*B replaces
-    mode_a; mode_b carries the reflected arm -sqrt(1-tau)*A +
-    sqrt(tau)*B.  Both outputs stay in the returned CM.
-    """
-    n = m.shape[0] // 2
-    if mode_a == mode_b:
-        raise DomainError("beam splitter needs two distinct modes")
-    for mode in (mode_a, mode_b):
-        if not 0 <= mode < n:
-            raise DomainError(f"mode index {mode} out of range for {n} modes")
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
-    t = math.sqrt(tau)
-    r = math.sqrt(1.0 - tau)
-    S = np.eye(2 * n)
-    a, b = 2 * mode_a, 2 * mode_b
-    S[a, a] = S[a + 1, a + 1] = S[b, b] = S[b + 1, b + 1] = t
-    S[a, b] = S[a + 1, b + 1] = r
-    S[b, a] = S[b + 1, a + 1] = -r
-    S[b, a + 1] = S[b + 1, a] = -0.0  # the block is -r * I, signed zeros included
-    out = S @ m @ S.T
-    # matmul round-off breaks exact symmetry at large variances
-    return _require_finite((out + out.T) / 2.0)
-
-
-def _split_measured(m: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = m.shape[0] // 2
-    measured, retained, cross = _block_index(n, (mode,))
-    if n < 2:
-        raise DomainError("conditioning needs at least one retained mode")
-    return m.take(retained), m.take(cross), m.take(measured)
-
-
-def _heterodyne(m: np.ndarray, mode: int) -> np.ndarray:
-    """Condition on a heterodyne measurement of one mode.
-
-    Returns the Schur complement A - B (C + I)^-1 B^T on the retained
-    modes.  The conditional CM of a Gaussian measurement is independent
-    of the outcome, so no outcome argument exists.
-    """
-    A, B, C = _split_measured(m, mode)
-    try:
-        update = B @ np.linalg.solve(C + _EYE2, B.T)
-    except np.linalg.LinAlgError as exc:  # impossible for a physical state
-        raise NumericalDegeneracyError(
-            "singular heterodyne update; measured block + I is not invertible"
-        ) from exc
-    out = A - update
-    return _require_finite((out + out.T) / 2.0)
-
-
-def _homodyne(m: np.ndarray, mode: int, quadrature: str) -> np.ndarray:
-    """Condition on a homodyne measurement of one quadrature of one mode.
-
-    The pseudo-inverse of the projected measured block is rank one, so
-    the update reduces to subtracting the outer product of the cross
-    covariances with the measured quadrature, divided by its variance.
-    """
-    if quadrature not in ("q", "p"):
-        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    A, B, C = _split_measured(m, mode)
-    j = 0 if quadrature == "q" else 1
-    c = C[j, j]
-    if c < 1e-12:
-        raise DomainError(
-            f"degenerate homodyne measurement: {quadrature} variance {c:g} below 1e-12"
-        )
-    b = B[:, j]
-    out = A - b[:, None] * b / c
-    return _require_finite((out + out.T) / 2.0)
 
 
 def is_physical(V: CovMat) -> bool:

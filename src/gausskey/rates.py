@@ -8,16 +8,16 @@ Two protocol families are covered, both in reverse reconciliation:
 
 Each rate exists in two routes: a closed asymptotic form in which the
 modulation variance cancels, and a finite-modulation numeric pipeline.
-The pipeline's Holevo bound is built entirely from the private
-covariance-matrix kernels of ``gaussian`` (beam splitters,
-Schur-complement conditioning, symplectic diagonalisation, entropies) and
-uses none of the rate formulas; it is the oracle that every closed form
-is validated against.  The joint CM comes only from that construction
-(``_total_cm_via_beamsplitters``), and no function here returns a CM:
-the library keeps no closed form of the joint or conditional CMs.  The
-pipeline's mutual information is ``mutual_information``, the exact
-finite-mu closed form: the receiver variances it needs are read off
-Lambda and tau + (1-tau)*omega, not off a measured-down CM.
+The pipeline's Holevo bound is built entirely from the private q/p-sector
+kernels of ``gaussian`` (beam splitters, Schur-complement conditioning,
+symplectic diagonalisation, entropies) and uses none of the rate
+formulas; it is the oracle that every closed form is validated against.
+The joint state comes only from that construction (``_joint_qp``), and
+no function here returns a CM: the library keeps no closed form of the
+joint or conditional CMs.  The pipeline's mutual information is
+``mutual_information``, the exact finite-mu closed form: the receiver
+variances it needs are read off Lambda and tau + (1-tau)*omega, not off a
+measured-down CM.
 
 Conventions.  The source is a two-mode squeezed vacuum of local
 variance mu + 1, so the classical modulation variance is mu - 1 and the
@@ -33,20 +33,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, _attack_block, lens_mask, violated_constraint
+from .attack import AttackParams, _attack_qp, lens_mask, violated_constraint
 from .gaussian import (
     DomainError,
-    _beamsplitter,
-    _direct_sum,
-    _heterodyne,
-    _homodyne,
-    _keep_modes,
-    _symplectic_spectrum,
-    _tmsv,
+    Sectors,
+    _qp_beamsplitter,
+    _qp_direct_sum,
+    _qp_heterodyne,
+    _qp_homodyne,
+    _qp_keep,
+    _qp_mirror_spectrum,
+    _qp_tmsv,
+    _qp_two_mode_spectrum,
     entropy_h,
     entropy_h_array,
 )
@@ -190,21 +193,21 @@ def _nbar_noswitching(tau, om, g, gp, ew: _Elementwise = _SCALAR):
     return ew.maximum(plus, minus), ew.minimum(plus, minus)
 
 
-def _total_cm_via_beamsplitters(params: AttackParams, mu: float) -> np.ndarray:
-    """Joint CM of sender modes (a, a') and receiver modes (B, B').
+def _joint_qp(params: AttackParams, mu: float) -> Sectors:
+    """q and p sectors of the joint state of sender modes (a, a') and receiver modes (B, B').
 
-    Starts from TMSV(mu+1) (x) TMSV(mu+1) (x) attack CM in mode order
+    Starts from TMSV(mu+1) (x) TMSV(mu+1) (x) attack state in mode order
     (a, A, a', A', e, E), applies a beam splitter of transmissivity tau
     on (A, e) and on (A', E), keeps (a, a', B, B') where B, B' are the
     transmitted outputs, and discards the reflected arms.
     """
     _require_physical(params)
     _require_finite_mu(mu)
-    source = _tmsv(mu + 1.0)  # read, never written, so one array serves both uses
-    src = _direct_sum(source, source, _attack_block(params.omega, params.g, params.g_prime))
-    mixed = _beamsplitter(src, 1, 4, params.tau)
-    mixed = _beamsplitter(mixed, 3, 5, params.tau)
-    return _keep_modes(mixed, (0, 2, 1, 3))
+    source = _qp_tmsv(mu + 1.0)  # read, never written, so one state serves both uses
+    src = _qp_direct_sum(source, source, _attack_qp(params.omega, params.g, params.g_prime))
+    mixed = _qp_beamsplitter(src, 1, 4, params.tau)
+    mixed = _qp_beamsplitter(mixed, 3, 5, params.tau)
+    return _qp_keep(mixed, (0, 2, 1, 3))
 
 
 def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
@@ -436,9 +439,13 @@ def key_rates(
     return rates.reshape(shape)
 
 
-def _spectrum_entropy(spectrum: np.ndarray) -> float:
-    """Entropy of a Gaussian state in bits, from its symplectic spectrum."""
-    return float(sum(entropy_h(nu) for nu in spectrum.tolist()))
+def _spectrum_entropies(*spectra: np.ndarray) -> list[float]:
+    """Entropy in bits of each state from its spectrum, its h terms summed in order.
+
+    One entropy_h_array call: the first unphysical eigenvalue, in the order given, raises.
+    """
+    h = iter(entropy_h_array(np.concatenate(spectra)).tolist())
+    return [float(sum(islice(h, len(s)))) for s in spectra]
 
 
 def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
@@ -451,39 +458,35 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     mutual information is ``mutual_information(params, spec)``, exact in
     closed form.  Converges to the closed-form rate as O(1/mu).
 
-    Round-off: the CM entries are of order mu*omega and the conditional
-    sender variances cancel down from mu, so the Holevo bound carries an
-    absolute error that scales with eps*mu*omega.  Against 40-digit
-    mpmath (mu from 1e2 to 1e8, interior lens points and the origin) it
-    stayed within 220 eps*mu*omega for tau in [0.05, 0.95] and 440 at
-    tau = 0.99, and grows as tau -> 1 (5e6 at tau = 1 - 1e-6).  The rate
-    carries half of it; i_ab stays within about 2 ulps.
+    Round-off: the CM entries are of order mu*omega and the small
+    eigenvalues cancel down from them, so the Holevo bound carries an
+    absolute error that scales with eps*mu*omega, times tau/(1 - tau) and
+    h'(nu_-) as tau -> 1 and as the smaller attack eigenvalue nears 1.
+    Against 40-digit mpmath (mu 1e2 to 1e8, interior lens points) it
+    reached 209 eps*mu*omega for tau in [0.05, 0.95] (3.3 with those
+    factors divided out), 641 at tau = 0.99 and 1.6e6 at tau = 1 - 1e-6.
+    The rate carries half of it; i_ab stays within about 2 ulps.
 
-    Every stage runs on the plain-array kernels of ``gaussian``; no
-    intermediate CM is wrapped in a ``CovMat``.
+    Every stage runs on the q/p-sector kernels of ``gaussian``: no CM is
+    formed, and no ``eigh``, ``svd`` or ``solve`` is called.
     """
     if spec.asymptotic:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
-    mu = spec.mu
-    V = _total_cm_via_beamsplitters(params, mu)
-    total_spectrum = _symplectic_spectrum(V)
-    s_total = _spectrum_entropy(total_spectrum)
+    V = _joint_qp(params, spec.mu)
+    total_spectrum = _qp_mirror_spectrum(V)
 
     if spec.variant == NO_SWITCHING:
-        cond = _heterodyne(_heterodyne(V, 3), 2)
-        cond_spectrum = _symplectic_spectrum(cond)
-        s_cond = _spectrum_entropy(cond_spectrum)
+        cond_spectrum = _qp_two_mode_spectrum(_qp_heterodyne(_qp_heterodyne(V, 3), 2))
+        s_total, s_cond = _spectrum_entropies(total_spectrum, cond_spectrum)
     elif spec.variant == SWITCHING:
-        cond_q = _homodyne(_homodyne(V, 3, "q"), 2, "q")
-        cond_p = _homodyne(_homodyne(V, 3, "p"), 2, "p")
-        spec_q = _symplectic_spectrum(cond_q)
-        spec_p = _symplectic_spectrum(cond_p)
-        s_cond = 0.5 * (_spectrum_entropy(spec_q) + _spectrum_entropy(spec_p))
+        spec_q = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "q"), 2, "q"))
+        spec_p = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "p"), 2, "p"))
+        s_total, s_q, s_p = _spectrum_entropies(total_spectrum, spec_q, spec_p)
+        s_cond = 0.5 * (s_q + s_p)
         cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
     elif spec.variant == SWITCHING_MIXED:
-        cond = _homodyne(_homodyne(V, 3, "p"), 2, "q")
-        cond_spectrum = _symplectic_spectrum(cond)
-        s_cond = _spectrum_entropy(cond_spectrum)
+        cond_spectrum = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "p"), 2, "q"))
+        s_total, s_cond = _spectrum_entropies(total_spectrum, cond_spectrum)
     else:
         raise DomainError(f"unknown protocol variant {spec.variant!r}")
 

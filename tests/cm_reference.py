@@ -1,11 +1,13 @@
 """Plain reference forms of the covariance-matrix (CM) operations, and closed-form CMs.
 
-The ``ref_*`` forms index with np.ix_, build blocks with np.block/np.eye
-and rebuild the symplectic form on every call, where the kernels of
-``gausskey.gaussian`` take cached index arrays and fill matrices entry
-by entry; ``tests/test_cm_bit_identity.py`` holds the two to the same
-bits.  ``ref_total_cm`` chains them into the joint CM, every stage a
-validated ``CovMat``.
+The ``ref_*`` forms act on interleaved CMs: they index with np.ix_,
+build blocks with np.block/np.eye, multiply dense matrices and rebuild
+the symplectic form on every call.  ``gausskey.gaussian`` instead holds
+each state as its q and p sectors; the ``cm_*`` helpers below assemble
+a sector kernel's output into one interleaved CM (and split a q-p-free
+CM into sectors), so that ``tests/test_cm_bit_identity.py`` can hold
+every kernel to its reference.  ``ref_total_cm`` chains the references
+into the joint CM, every stage a validated ``CovMat``.
 
 The ``closed_*`` forms are the joint and conditional CMs of the
 finite-modulation pipeline written out entry by entry.  The library
@@ -20,6 +22,59 @@ import math
 import numpy as np
 
 from gausskey import CovMat, DomainError, NumericalDegeneracyError, violated_constraint
+from gausskey import gaussian, rates
+from gausskey.attack import _attack_qp
+
+# ------------------------------------------------ sectors and interleaved CMs
+
+
+def assemble_cm(state):
+    """The interleaved CM of a state held as its q and p sectors."""
+    q, p = (np.array(x, dtype=float) for x in state)
+    m = np.zeros((2 * len(q), 2 * len(q)))
+    m[0::2, 0::2] = q
+    m[1::2, 1::2] = p
+    return m
+
+
+def qp_state(m):
+    """The q and p sectors of an interleaved CM with no q-p cross entries."""
+    assert not m[0::2, 1::2].any(), "the CM has q-p cross entries"
+    return m[0::2, 0::2].tolist(), m[1::2, 1::2].tolist()
+
+
+def cm_tmsv(mu):
+    return assemble_cm(gaussian._qp_tmsv(mu))
+
+
+def cm_attack(omega, g, g_prime):
+    return assemble_cm(_attack_qp(omega, g, g_prime))
+
+
+def cm_direct_sum(*mats):
+    return assemble_cm(gaussian._qp_direct_sum(*(qp_state(m) for m in mats)))
+
+
+def cm_keep_modes(m, modes):
+    return assemble_cm(gaussian._qp_keep(qp_state(m), modes))
+
+
+def cm_beamsplitter(m, mode_a, mode_b, tau):
+    return assemble_cm(gaussian._qp_beamsplitter(qp_state(m), mode_a, mode_b, tau))
+
+
+def cm_heterodyne(m, mode):
+    return assemble_cm(gaussian._qp_heterodyne(qp_state(m), mode))
+
+
+def cm_homodyne(m, mode, quadrature):
+    return assemble_cm(gaussian._qp_homodyne(qp_state(m), mode, quadrature))
+
+
+def cm_joint(params, mu):
+    """The pipeline's joint state of (a, a', B, B') as one interleaved CM."""
+    return assemble_cm(rates._joint_qp(params, mu))
+
 
 # ------------------------------------------------------------ reference forms
 

@@ -32,9 +32,8 @@ from gausskey import (
     symplectic_spectrum,
     verify_minimality,
 )
-from gausskey.attack import _attack_block
-from gausskey.gaussian import _beamsplitter, _direct_sum, _heterodyne, _homodyne, _tmsv
 from gausskey.rates import NO_SWITCHING, SWITCHING
+from cm_reference import cm_attack, cm_beamsplitter, cm_direct_sum, cm_heterodyne, cm_homodyne, cm_tmsv
 from conftest import random_attack
 
 
@@ -186,30 +185,30 @@ def test_criterion_8_gaussian_property_suite():
     cases = 0
     for _ in range(250):  # TMSV purity
         mu = 1.0 + 99.0 * rng.random()
-        assert symplectic_spectrum(CovMat(_tmsv(mu))) == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert symplectic_spectrum(CovMat(cm_tmsv(mu))) == pytest.approx([1.0, 1.0], abs=1e-9)
         cases += 1
     for _ in range(250):  # beam-splitter spectrum preservation
         p = random_attack(rng)
-        cm = _direct_sum(_tmsv(1.0 + 9.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime))
+        cm = cm_direct_sum(cm_tmsv(1.0 + 9.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime))
         tau = rng.random()
         before = symplectic_spectrum(CovMat(cm))
-        after = symplectic_spectrum(CovMat(_beamsplitter(cm, 1, 3, tau)))
+        after = symplectic_spectrum(CovMat(cm_beamsplitter(cm, 1, 3, tau)))
         assert after == pytest.approx(before, abs=1e-9)
         cases += 1
     for _ in range(250):  # conditioning keeps physicality
         p = random_attack(rng)
-        cm = _beamsplitter(
-            _direct_sum(_tmsv(1.0 + 9.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime)),
+        cm = cm_beamsplitter(
+            cm_direct_sum(cm_tmsv(1.0 + 9.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime)),
             1,
             2,
             rng.random(),
         )
-        assert is_physical(CovMat(_heterodyne(cm, 1)))
-        assert is_physical(CovMat(_homodyne(cm, 0, "q" if rng.random() < 0.5 else "p")))
+        assert is_physical(CovMat(cm_heterodyne(cm, 1)))
+        assert is_physical(CovMat(cm_homodyne(cm, 0, "q" if rng.random() < 0.5 else "p")))
         cases += 1
     for _ in range(250):  # two-mode closed-form spectrum
         p = random_attack(rng)
-        spec = symplectic_spectrum(CovMat(_attack_block(p.omega, p.g, p.g_prime)))
+        spec = symplectic_spectrum(CovMat(cm_attack(p.omega, p.g, p.g_prime)))
         expected = sorted(
             (
                 math.sqrt((p.omega + p.g) * (p.omega + p.g_prime)),

@@ -17,7 +17,8 @@ from gausskey import (
     lens_mask,
     violated_constraint,
 )
-from gausskey.attack import _attack_block, physical_grid_mirror
+from gausskey.attack import _attack_qp, physical_grid_mirror
+from cm_reference import cm_attack
 
 
 def _params(omega, g, gp, tau=0.5):
@@ -48,9 +49,10 @@ def test_attack_params_validation():
 
 
 def test_attack_cm_construction():
-    assert np.array_equal(_attack_block(1.0, 0.0, 0.0), np.eye(4))
-    assert np.array_equal(_attack_block(1.2, 0.0, 0.0), 1.2 * np.eye(4))
-    cm = _attack_block(1.2, 0.3, -0.1)
+    assert _attack_qp(1.2, 0.3, -0.1) == ([[1.2, 0.3], [0.3, 1.2]], [[1.2, -0.1], [-0.1, 1.2]])
+    assert np.array_equal(cm_attack(1.0, 0.0, 0.0), np.eye(4))
+    assert np.array_equal(cm_attack(1.2, 0.0, 0.0), 1.2 * np.eye(4))
+    cm = cm_attack(1.2, 0.3, -0.1)
     assert np.array_equal(cm[0:2, 2:4], np.diag([0.3, -0.1]))
     assert np.array_equal(cm[2:4, 0:2], np.diag([0.3, -0.1]))
 
@@ -87,7 +89,7 @@ def test_constraints_equivalent_to_cm_physicality():
         g = rng.uniform(-omega, omega)
         gp = rng.uniform(-omega, omega)
         by_inequalities = bool(lens_mask(omega, g, gp))
-        by_spectrum = is_physical(CovMat(_attack_block(omega, g, gp)))
+        by_spectrum = is_physical(CovMat(cm_attack(omega, g, gp)))
         assert by_inequalities == by_spectrum, (omega, g, gp)
 
 
@@ -245,7 +247,7 @@ def test_violated_constraint_is_none_iff_lens_mask(point, tau):
 def test_lens_mask_is_cm_physicality_off_the_rim(point):
     omega, g, gp = point
     assume(not abs(float(constraint_slack(omega, g, gp))) <= rim_band(omega))
-    assert bool(lens_mask(omega, g, gp)) == is_physical(CovMat(_attack_block(omega, g, gp)))
+    assert bool(lens_mask(omega, g, gp)) == is_physical(CovMat(cm_attack(omega, g, gp)))
 
 
 @settings(max_examples=60, deadline=None)

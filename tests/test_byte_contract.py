@@ -9,8 +9,8 @@ import pytest
 RECORDED_NUMPY = "2.4.6"
 RECORDED = {
     "verify_minimality": "6017804ada81436479412540dfde23aa400805fc046c221de00e730a274ddc83",
-    "cli": "d1ee54804a3eec0f0355d79e2fdeb6927a2886ba1a58034e5388a1c09f837420",
-    "key_rate_numeric": "0a7fb601c84555a0a7c3ddcf3396f0527b744fe380f2a275a5d575cf5092aa8a",
+    "cli": "c06f485d97691c1c051134e0c443cf584459cec173675aa379dc542af11a3d53",
+    "key_rate_numeric": "133acd4964c62ca5fdadcab02168a979b03f8dfcabebb4561335741cf55e83ba",
 }
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "byte_contract.py"
 

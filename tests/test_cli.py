@@ -213,7 +213,7 @@ def test_empty_boundary_exits_two():
 
 @pytest.mark.parametrize("protocol", ["noswitching", "switching", "switching-mixed"])
 def test_numerical_degeneracy_exits_two(protocol):
-    """At tau = 1, mu = 1e8 the 8x8 spectrum fails its pairing check: exit 2, not a traceback."""
+    """At tau = 1, mu = 1e8 a mirror half's q sector rounds to det 0: exit 2, not a traceback."""
     result = run_cli(
         "rate", "--protocol", protocol, "--tau", "1", "--omega", "1.2",
         "--g", "0", "--gprime", "0", "--mu", "1e8",
@@ -221,9 +221,21 @@ def test_numerical_degeneracy_exits_two(protocol):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == (
-        "numerical error: symplectic spectrum did not split into doubled singular values "
-        "(worst pair mismatch 1.01615e-08)\n"
+        "numerical error: q and p sectors are not both positive definite, "
+        "or their products overflow\n"
     )
+
+
+@pytest.mark.parametrize("protocol", ["noswitching", "switching", "switching-mixed"])
+def test_finite_mu_rate_at_the_origin_near_unit_omega(protocol):
+    """mu*omega far above 1/(nu_- - 1) = 1e4: the pipeline's round-off stays clear of nu >= 1."""
+    result = run_cli(
+        "rate", "--protocol", protocol, "--tau", "0.5", "--omega", "1.0001",
+        "--g", "0", "--gprime", "0", "--mu", "1e12",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert float(csv_pairs(result.stdout)["mu"]) == 1e12
 
 
 @pytest.mark.parametrize("command", ["scan", "boundary"])

@@ -1,16 +1,22 @@
-"""The covariance-matrix kernels against plain reference forms, bit for bit.
+"""The q/p-sector kernels against plain interleaved reference forms.
 
-The reference forms (``cm_reference``) index with np.ix_, build blocks
-with np.block/np.eye and rebuild the symplectic form on every call.  The
-kernels of ``gausskey.gaussian`` take cached index arrays and fill
-matrices entry by entry; every entry, signed zeros included, must come
-out the same.  The kernels also raise the error texts pinned here.
+The reference forms (``cm_reference``) act on interleaved CMs: they
+index with np.ix_, build blocks with np.block/np.eye, multiply dense
+matrices and rebuild the symplectic form on every call.  The kernels of
+``gausskey.gaussian`` hold each state as its q and p sectors; each
+kernel's output, assembled into one CM, must match its reference.  The
+kernels that only move entries (TMSV, attack state, keep modes) and the
+homodyne update match bit for bit, signed zeros included; the beam
+splitter and the heterodyne update round differently from a dense
+product and a ``solve``, and stay within a few ulps of the terms they
+add.  The kernels also raise the error texts pinned here.
 
-``ref_key_rate_numeric`` chains the references with every stage wrapped
-in a validated ``CovMat``, and takes the mutual information from
-``rates.mutual_information`` as the pipeline does.  ``key_rate_numeric``
-chains the private array kernels instead; its reports must match the
-chained form byte for byte, and its errors in type and text.
+``ref_key_rate_numeric`` runs the same kernels with every stage
+assembled into a validated ``CovMat`` and read back, splits the joint
+CM into its mirror halves from the interleaved entries, and sums scalar
+``entropy_h``; the mutual information comes from
+``rates.mutual_information`` as in the pipeline.  ``key_rate_numeric``
+must match it byte for byte, and its errors in type and text.
 """
 
 import math
@@ -23,11 +29,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cm_reference import (
+    assemble_cm,
+    qp_state,
     ref_attack_cm,
     ref_beamsplitter_apply,
+    ref_direct_sum,
     ref_heterodyne_condition,
     ref_homodyne_condition,
     ref_keep_modes,
+    ref_split_measured,
     ref_symplectic_form,
     ref_symplectic_spectrum,
     ref_tmsv_cm,
@@ -48,36 +58,82 @@ from gausskey import (
 from gausskey import attack, gaussian, rates
 from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, VARIANTS
 
+EPS = 2.0**-52
+
+# Worst |kernel - reference| seen in 3,000 draws of random and pipeline
+# states, in eps times the entry's scale (|S| |V| |S|^T for the beam
+# splitter, |A| + |B| (C + I)^-1 |B|^T for heterodyne): 1.8 and 1.6.
+BEAMSPLITTER_BUDGET = 4.0
+HETERODYNE_BUDGET = 3.0
+
 # ------------------------------------------------------- reference pipeline
 
 
+def _stage(state):
+    """state assembled into a validated CovMat and read back into sectors."""
+    return qp_state(CovMat(assemble_cm(state)).mat)
+
+
+def _mirror_spectrum(m):
+    """Spectrum of the joint (a, a', B, B') CM from its mirror halves, read off m."""
+    halves = ([], [])
+    for j in (0, 1):
+        x = m[j::2, j::2].tolist()
+        if not (x[0][0] == x[1][1] and x[0][2] == x[1][3] and x[0][3] == x[1][2]
+                and x[2][2] == x[3][3]):
+            raise NumericalDegeneracyError(
+                "joint state is not symmetric under swapping (a, B) with (a', B')"
+            )
+        halves[0].extend([x[0][0] + x[0][1], x[0][2] + x[0][3], x[2][2] + x[2][3]])
+        halves[1].extend([x[0][0] - x[0][1], x[0][2] - x[0][3], x[2][2] - x[2][3]])
+    nu = gaussian._qp_spectrum(*halves[0]) + gaussian._qp_spectrum(*halves[1])
+    return np.sort(np.array(nu))[::-1]
+
+
+def _two_mode_spectrum(m):
+    (q00, q01), (_, q11) = m[0::2, 0::2].tolist()
+    (p00, p01), (_, p11) = m[1::2, 1::2].tolist()
+    return np.array(gaussian._qp_spectrum(q00, q01, q11, p00, p01, p11))
+
+
 def ref_key_rate_numeric(params, spec):
-    """key_rate_numeric from the plain references, every stage a validated CovMat."""
+    """key_rate_numeric with every stage a validated CovMat (see the module docstring)."""
     if spec.asymptotic:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
+    rates._require_physical(params)
+    rates._require_finite_mu(spec.mu)
 
-    def het(V, mode):
-        return CovMat(ref_heterodyne_condition(V.mat, mode))
+    def het(state, mode):
+        return _stage(gaussian._qp_heterodyne(state, mode))
 
-    def hom(V, mode, quadrature):
-        return CovMat(ref_homodyne_condition(V.mat, mode, quadrature))
+    def hom(state, mode, quadrature):
+        return _stage(gaussian._qp_homodyne(state, mode, quadrature))
 
     def entropy(spectrum):
         return float(sum(entropy_h(float(nu)) for nu in spectrum))
 
-    V = ref_total_cm(params, spec.mu)
-    total_spectrum = ref_symplectic_spectrum(V.mat)
-    s_total = entropy(total_spectrum)
-    if spec.variant == NO_SWITCHING:
-        cond_spectrum = ref_symplectic_spectrum(het(het(V, 3), 2).mat)
-        s_cond = entropy(cond_spectrum)
-    elif spec.variant == SWITCHING:
-        spec_q = ref_symplectic_spectrum(hom(hom(V, 3, "q"), 2, "q").mat)
-        spec_p = ref_symplectic_spectrum(hom(hom(V, 3, "p"), 2, "p").mat)
+    source = _stage(gaussian._qp_tmsv(spec.mu + 1.0))
+    ancillas = _stage(attack._attack_qp(params.omega, params.g, params.g_prime))
+    src = _stage(gaussian._qp_direct_sum(source, source, ancillas))
+    mixed = _stage(gaussian._qp_beamsplitter(src, 1, 4, params.tau))
+    mixed = _stage(gaussian._qp_beamsplitter(mixed, 3, 5, params.tau))
+    V = _stage(gaussian._qp_keep(mixed, (0, 2, 1, 3)))
+    total_spectrum = _mirror_spectrum(assemble_cm(V))
+    # every spectrum first, then the entropies: the first unphysical
+    # eigenvalue, total spectrum first, raises
+    if spec.variant == SWITCHING:
+        spec_q = _two_mode_spectrum(assemble_cm(hom(hom(V, 3, "q"), 2, "q")))
+        spec_p = _two_mode_spectrum(assemble_cm(hom(hom(V, 3, "p"), 2, "p")))
+        s_total = entropy(total_spectrum)
         s_cond = 0.5 * (entropy(spec_q) + entropy(spec_p))
         cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
     else:
-        cond_spectrum = ref_symplectic_spectrum(hom(hom(V, 3, "p"), 2, "q").mat)
+        if spec.variant == NO_SWITCHING:
+            cond = het(het(V, 3), 2)
+        else:
+            cond = hom(hom(V, 3, "p"), 2, "q")
+        cond_spectrum = _two_mode_spectrum(assemble_cm(cond))
+        s_total = entropy(total_spectrum)
         s_cond = entropy(cond_spectrum)
     i_ab = rates.mutual_information(params, spec)
     holevo = s_total - s_cond
@@ -129,59 +185,80 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 mus = st.floats(min_value=1e2, max_value=1e6)
 
 
-@st.composite
-def covariance_matrices(draw, min_modes=1, max_modes=4):
-    """Symmetric positive-definite CMs, some with large variances."""
-    n = draw(st.integers(min_value=min_modes, max_value=max_modes))
-    scale = draw(st.floats(min_value=1.0, max_value=1e6))
-    rng = np.random.default_rng(draw(seeds))
-    a = rng.normal(size=(2 * n, 2 * n)) * math.sqrt(scale)
-    m = a @ a.T + np.eye(2 * n)
+def _spd(rng, n, scale):
+    a = rng.normal(size=(n, n)) * math.sqrt(scale)
+    m = a @ a.T + np.eye(n)
     return (m + m.T) / 2.0
 
 
 @st.composite
-def pipeline_cms(draw):
-    """Joint sender/receiver CMs as key_rate_numeric builds them."""
-    params = random_attack(np.random.default_rng(draw(seeds)), omega_hi=100.0, strict=True)
-    return rates._total_cm_via_beamsplitters(params, draw(mus))
+def covariance_matrices(draw, min_modes=1, max_modes=4):
+    """Symmetric positive-definite CMs, q-p correlated, some with large variances."""
+    n = draw(st.integers(min_value=min_modes, max_value=max_modes))
+    scale = draw(st.floats(min_value=1.0, max_value=1e6))
+    return _spd(np.random.default_rng(draw(seeds)), 2 * n, scale)
 
 
 @st.composite
-def conditional_cms(draw):
-    """Two-mode sender CMs conditioned as key_rate_numeric conditions them."""
-    V = draw(pipeline_cms())
+def qp_states(draw, min_modes=1, max_modes=4):
+    """q and p sectors of random positive-definite states, some with large variances."""
+    n = draw(st.integers(min_value=min_modes, max_value=max_modes))
+    scale = draw(st.floats(min_value=1.0, max_value=1e6))
+    rng = np.random.default_rng(draw(seeds))
+    return _spd(rng, n, scale).tolist(), _spd(rng, n, scale).tolist()
+
+
+@st.composite
+def pipeline_states(draw):
+    """Joint sender/receiver states as key_rate_numeric builds them."""
+    params = random_attack(np.random.default_rng(draw(seeds)), omega_hi=100.0, strict=True)
+    return rates._joint_qp(params, draw(mus))
+
+
+@st.composite
+def conditional_states(draw):
+    """Two-mode sender states conditioned as key_rate_numeric conditions them."""
+    V = draw(pipeline_states())
     measured = draw(st.sampled_from([None, ("q", "q"), ("p", "p"), ("p", "q")]))
     if measured is None:
-        return gaussian._heterodyne(gaussian._heterodyne(V, 3), 2)
-    return gaussian._homodyne(gaussian._homodyne(V, 3, measured[0]), 2, measured[1])
+        return gaussian._qp_heterodyne(gaussian._qp_heterodyne(V, 3), 2)
+    return gaussian._qp_homodyne(gaussian._qp_homodyne(V, 3, measured[0]), 2, measured[1])
 
 
-any_cm = st.one_of(covariance_matrices(), pipeline_cms(), conditional_cms())
-conditionable_cm = st.one_of(covariance_matrices(min_modes=2), pipeline_cms())
+any_state = st.one_of(qp_states(), pipeline_states(), conditional_states())
+conditionable_state = st.one_of(qp_states(min_modes=2), pipeline_states())
+any_cm = st.one_of(covariance_matrices(), any_state.map(assemble_cm))
 
-# -------------------------------------------------------------- bit identity
+# -------------------------------------------------------- kernels against references
 
 
 @settings(max_examples=60, deadline=None)
-@given(V=any_cm, data=st.data())
-def test_keep_modes_matches_ix_indexing(V, data):
-    n = V.shape[0] // 2
+@given(state=any_state, data=st.data())
+def test_keep_modes_matches_ix_indexing(state, data):
+    n = len(state[0])
     perm = data.draw(st.permutations(range(n)))
     subset = perm[: data.draw(st.integers(min_value=1, max_value=n))]
-    for modes in (perm, subset, list(subset)):
-        assert_same_bits(gaussian._keep_modes(V, modes), ref_keep_modes(V, modes))
+    for modes in (perm, subset, tuple(subset)):
+        assert_same_bits(
+            assemble_cm(gaussian._qp_keep(state, modes)), ref_keep_modes(assemble_cm(state), modes)
+        )
 
 
 @settings(max_examples=60, deadline=None)
-@given(V=conditionable_cm)
-def test_conditioning_matches_reference_on_every_mode(V):
-    for mode in range(V.shape[0] // 2):
-        assert_same_bits(gaussian._heterodyne(V, mode), ref_heterodyne_condition(V, mode))
+@given(state=conditionable_state)
+def test_conditioning_matches_reference_on_every_mode(state):
+    m = assemble_cm(state)
+    for mode in range(len(state[0])):
+        A, B, C = ref_split_measured(m, mode)
+        scale = np.abs(A) + np.abs(B) @ np.diag(1.0 / (np.diag(C) + 1.0)) @ np.abs(B).T
+        error = np.abs(
+            assemble_cm(gaussian._qp_heterodyne(state, mode)) - ref_heterodyne_condition(m, mode)
+        )
+        assert (error <= HETERODYNE_BUDGET * EPS * scale).all()
         for quadrature in ("q", "p"):
             assert_same_bits(
-                gaussian._homodyne(V, mode, quadrature),
-                ref_homodyne_condition(V, mode, quadrature),
+                assemble_cm(gaussian._qp_homodyne(state, mode, quadrature)),
+                ref_homodyne_condition(m, mode, quadrature),
             )
 
 
@@ -193,27 +270,53 @@ def test_conditioning_matches_reference_on_every_mode(V):
     v=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_tmsv_and_attack_cm_match_block_construction(mu, omega, u, v):
-    assert_same_bits(gaussian._tmsv(mu), ref_tmsv_cm(mu))
+    assert_same_bits(assemble_cm(gaussian._qp_tmsv(mu)), ref_tmsv_cm(mu))
     g, gp = u * omega, v * omega
-    assert_same_bits(attack._attack_block(omega, g, gp), ref_attack_cm(omega, g, gp))
-    assert_same_bits(attack._attack_block(omega, -0.0, 0.0), ref_attack_cm(omega, -0.0, 0.0))
+    assert_same_bits(assemble_cm(attack._attack_qp(omega, g, gp)), ref_attack_cm(omega, g, gp))
+    assert_same_bits(
+        assemble_cm(attack._attack_qp(omega, -0.0, 0.0)), ref_attack_cm(omega, -0.0, 0.0)
+    )
+    source = ref_tmsv_cm(mu)
+    assert_same_bits(
+        assemble_cm(gaussian._qp_direct_sum(qp_state(source), attack._attack_qp(omega, g, gp))),
+        ref_direct_sum(source, ref_attack_cm(omega, g, gp)),
+    )
+
+
+def _abs_rotation(n_modes, a, b, tau):
+    """|S| of the beam splitter on modes a, b, interleaved."""
+    S = np.eye(2 * n_modes)
+    t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
+    for k in range(2):
+        S[2 * a + k, 2 * a + k] = S[2 * b + k, 2 * b + k] = t
+        S[2 * a + k, 2 * b + k] = S[2 * b + k, 2 * a + k] = r
+    return S
 
 
 @settings(max_examples=60, deadline=None)
-@given(V=conditionable_cm, tau=st.floats(0.0, 1.0), data=st.data())
-def test_beamsplitter_matches_five_eye_construction(V, tau, data):
-    a, b = data.draw(st.permutations(range(V.shape[0] // 2)))[:2]
-    assert_same_bits(
-        gaussian._beamsplitter(V, a, b, tau), ref_beamsplitter_apply(V, a, b, tau)
+@given(state=conditionable_state, tau=st.floats(0.0, 1.0), data=st.data())
+def test_beamsplitter_matches_five_eye_construction(state, tau, data):
+    n = len(state[0])
+    a, b = data.draw(st.permutations(range(n)))[:2]
+    m = assemble_cm(state)
+    error = np.abs(
+        assemble_cm(gaussian._qp_beamsplitter(state, a, b, tau))
+        - ref_beamsplitter_apply(m, a, b, tau)
     )
+    S = _abs_rotation(n, a, b, tau)
+    assert (error <= BEAMSPLITTER_BUDGET * EPS * (S @ np.abs(m) @ S.T)).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(V=any_cm)
 def test_symplectic_spectrum_matches_uncached_form(V):
-    expected = ref_symplectic_spectrum(V)
-    assert_same_bits(gaussian._symplectic_spectrum(V), expected)
-    assert_same_bits(symplectic_spectrum(CovMat(V)), expected)
+    assert_same_bits(symplectic_spectrum(CovMat(V)), ref_symplectic_spectrum(V))
+
+
+# Worst |report.total_spectrum - eigh/svd route| seen in 2,000 draws of the
+# test below, in eps * w_max * sqrt(w_max / w_min) with w the eigenvalues of
+# the joint CM: 1.9.  The eigh/svd route's own error sets this scale.
+ROUTE_BUDGET = 8.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -221,9 +324,11 @@ def test_symplectic_spectrum_matches_uncached_form(V):
 def test_report_total_spectrum_is_the_spectrum_of_the_total_cm(seed, mu, variant):
     params = random_attack(np.random.default_rng(seed), omega_hi=100.0, strict=True)
     report = key_rate_numeric(params, ProtocolSpec(variant, mu=mu, asymptotic=False))
-    V = rates._total_cm_via_beamsplitters(params, mu)
-    assert_same_bits(report.total_spectrum, symplectic_spectrum(CovMat(V)))
-    assert_same_bits(report.total_spectrum, ref_symplectic_spectrum(V))
+    V = assemble_cm(rates._joint_qp(params, mu))
+    dense = symplectic_spectrum(CovMat(V))
+    w = np.linalg.eigvalsh(V)
+    bound = ROUTE_BUDGET * EPS * w[-1] * math.sqrt(w[-1] / w[0])
+    assert np.abs(report.total_spectrum - dense).max() <= bound
 
 
 # ------------------------------------------------- pipeline against the chain
@@ -314,17 +419,18 @@ PINNED_ERRORS = [
     ),
     pytest.param(
         (0.5, 1e150, 0.0, 0.0), NO_SWITCHING, 1e10,
-        DomainError, "unphysical symplectic eigenvalue 2.8914273913279026e-77 < 1",
+        NumericalDegeneracyError,
+        "q and p sectors are not both positive definite, or their products overflow",
         id="omega-1e150",
     ),
     pytest.param(
         (1.0, 1.2, 0.3, -0.1), SWITCHING, 1e4,
-        DomainError, "unphysical symplectic eigenvalue 0.9999999965402822 < 1",
+        DomainError, "unphysical symplectic eigenvalue 0.9999999925501643 < 1",
         id="tau-1-switching",
     ),
     pytest.param(
         (1.0, 1.2, 0.3, -0.1), SWITCHING_MIXED, 1e4,
-        DomainError, "unphysical symplectic eigenvalue 0.9999999965402822 < 1",
+        DomainError, "unphysical symplectic eigenvalue 0.9999999925501643 < 1",
         id="tau-1-mixed",
     ),
     pytest.param(
@@ -353,18 +459,18 @@ def test_numeric_errors_pinned(point, variant, mu, error, text):
 
 # Each operation's kernel, under the operation name that the test ids carry.
 KERNELS = {
-    "tmsv_cm": gaussian._tmsv,
-    "keep_modes": gaussian._keep_modes,
-    "beamsplitter_apply": gaussian._beamsplitter,
-    "heterodyne_condition": gaussian._heterodyne,
-    "homodyne_condition": gaussian._homodyne,
-    "symplectic_spectrum": gaussian._symplectic_spectrum,
+    "tmsv_cm": gaussian._qp_tmsv,
+    "keep_modes": gaussian._qp_keep,
+    "beamsplitter_apply": gaussian._qp_beamsplitter,
+    "heterodyne_condition": gaussian._qp_heterodyne,
+    "homodyne_condition": gaussian._qp_homodyne,
+    "symplectic_spectrum": gaussian._svd_spectrum,
 }
 
 
 def _bad_calls():
-    V = rates._total_cm_via_beamsplitters(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
-    flat = np.diag([1.0, 1.0, 1e-14, 1e6])
+    V = rates._joint_qp(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
+    flat = qp_state(np.diag([1.0, 1.0, 1e-14, 1e6]))
     return [
         ("mode index 4 out of range for 4 modes", "keep_modes", (V, (0, 4))),
         ("mode index -1 out of range for 4 modes", "heterodyne_condition", (V, -1)),
@@ -383,7 +489,7 @@ def _bad_calls():
         (
             "conditioning needs at least one retained mode",
             "heterodyne_condition",
-            (np.eye(2), 0),
+            (([[1.0]], [[1.0]]), 0),
         ),
     ]
 
@@ -415,7 +521,7 @@ def test_public_entry_points_keep_covmat_validation(mat, text):
     [
         (  # the measured block + I is zero
             "heterodyne_condition",
-            (np.diag([1.0, 1.0, -1.0, -1.0]), 1),
+            (qp_state(np.diag([1.0, 1.0, -1.0, -1.0])), 1),
             "singular heterodyne update; measured block + I is not invertible",
         ),
         (
@@ -440,17 +546,17 @@ def test_wrapper_and_kernel_raise_the_same_degeneracy_error(operation, args, tex
 
 def test_mutating_symplectic_form_leaves_spectrum_alone():
     # four modes: the route that uses the form
-    V = gaussian._direct_sum(gaussian._tmsv(3.0), gaussian._tmsv(2.0))
-    before = gaussian._symplectic_spectrum(V)
+    V = CovMat(ref_direct_sum(ref_tmsv_cm(3.0), ref_tmsv_cm(2.0)))
+    before = symplectic_spectrum(V)
     form = symplectic_form(4)
     assert form.flags.writeable
     form[:] = 7.0
-    assert_same_bits(gaussian._symplectic_spectrum(V), before)
+    assert_same_bits(symplectic_spectrum(V), before)
     assert_same_bits(symplectic_form(4), ref_symplectic_form(4))
 
 
 def test_cached_symplectic_form_is_read_only():
-    gaussian._symplectic_spectrum(gaussian._direct_sum(gaussian._tmsv(2.0), gaussian._tmsv(2.0)))
+    symplectic_spectrum(CovMat(ref_direct_sum(ref_tmsv_cm(2.0), ref_tmsv_cm(2.0))))
     cached = gaussian._frozen_symplectic_form(4)
     assert not cached.flags.writeable
     with pytest.raises(ValueError):
@@ -458,35 +564,31 @@ def test_cached_symplectic_form_is_read_only():
     assert_same_bits(cached, ref_symplectic_form(4))
 
 
-def test_cached_block_indices_are_read_only():
-    for index in gaussian._block_index(3, (1,)):
-        assert not index.flags.writeable
-
-
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_bad_mode_message_unchanged_after_cached_calls(bad):
+    """A bad mode raises the same text before and after good calls on the same state."""
     params = random_attack(np.random.default_rng(3))
-    V = gaussian._keep_modes(rates._total_cm_via_beamsplitters(params, 1e3), (0, 1, 2))
+    V = gaussian._qp_keep(rates._joint_qp(params, 1e3), (0, 1, 2))
     expected = f"mode index {bad} out of range for 3 modes"
-    for _ in range(2):  # the second round runs with the good keys cached
+    for _ in range(2):  # the second round runs after the good calls
         with pytest.raises(DomainError) as exc:
-            gaussian._keep_modes(V, (0, bad))
+            gaussian._qp_keep(V, (0, bad))
         assert str(exc.value) == expected
         with pytest.raises(DomainError) as exc:
-            gaussian._heterodyne(V, bad)
+            gaussian._qp_heterodyne(V, bad)
         assert str(exc.value) == expected
         with pytest.raises(DomainError) as exc:
-            gaussian._homodyne(V, bad, "q")
+            gaussian._qp_homodyne(V, bad, "q")
         assert str(exc.value) == expected
         with pytest.raises(DomainError) as exc:
-            gaussian._beamsplitter(V, 0, bad, 0.5)
+            gaussian._qp_beamsplitter(V, 0, bad, 0.5)
         assert str(exc.value) == expected
-        gaussian._keep_modes(V, (2, 0))
-        gaussian._heterodyne(V, 1)
-        gaussian._homodyne(V, 2, "p")
-        gaussian._beamsplitter(V, 0, 2, 0.5)
+        gaussian._qp_keep(V, (2, 0))
+        gaussian._qp_heterodyne(V, 1)
+        gaussian._qp_homodyne(V, 2, "p")
+        gaussian._qp_beamsplitter(V, 0, 2, 0.5)
 
 
 def test_single_mode_conditioning_still_rejected():
     with pytest.raises(DomainError, match="at least one retained mode"):
-        gaussian._heterodyne(gaussian._keep_modes(gaussian._tmsv(2.0), (0,)), 0)
+        gaussian._qp_heterodyne(gaussian._qp_keep(gaussian._qp_tmsv(2.0), (0,)), 0)

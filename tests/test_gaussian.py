@@ -12,14 +12,14 @@ from gausskey import (
     symplectic_form,
     symplectic_spectrum,
 )
-from gausskey.attack import _attack_block
-from gausskey.gaussian import (
-    _beamsplitter,
-    _direct_sum,
-    _heterodyne,
-    _homodyne,
-    _keep_modes,
-    _tmsv,
+from cm_reference import (
+    cm_attack,
+    cm_beamsplitter,
+    cm_direct_sum,
+    cm_heterodyne,
+    cm_homodyne,
+    cm_keep_modes,
+    cm_tmsv,
 )
 from conftest import random_attack
 
@@ -45,7 +45,7 @@ def test_covmat_rejects_odd_dimension():
 
 
 def test_covmat_is_immutable():
-    source = _tmsv(2.0)
+    source = cm_tmsv(2.0)
     cm = CovMat(source)
     with pytest.raises(ValueError):
         cm.mat[0, 0] = 5.0
@@ -63,25 +63,25 @@ def test_symplectic_form_invariants():
 # ------------------------------------------------------------------- TMSV
 
 def test_tmsv_vacuum_is_identity():
-    assert np.array_equal(_tmsv(1.0), np.eye(4))
+    assert np.array_equal(cm_tmsv(1.0), np.eye(4))
 
 
 def test_tmsv_blocks_mu2():
-    cm = _tmsv(2.0)
+    cm = cm_tmsv(2.0)
     assert np.allclose(cm[0:2, 0:2], 2.0 * np.eye(2))
     assert np.allclose(cm[0:2, 2:4], math.sqrt(3.0) * np.diag([1.0, -1.0]))
     assert np.allclose(symplectic_spectrum(CovMat(cm)), [1.0, 1.0], atol=1e-12)
 
 
 def test_tmsv_offdiagonal_mu5():
-    cm = _tmsv(5.0)
+    cm = cm_tmsv(5.0)
     assert cm[0, 2] == pytest.approx(SQRT_24, abs=1e-12)
     assert cm[1, 3] == pytest.approx(-SQRT_24, abs=1e-12)
 
 
 def test_tmsv_domain():
     with pytest.raises(DomainError):
-        _tmsv(0.999)
+        cm_tmsv(0.999)
 
 
 # ---------------------------------------------------- symplectic_spectrum
@@ -92,12 +92,12 @@ def test_spectrum_thermal():
 
 
 def test_spectrum_tmsv_pure():
-    spec = symplectic_spectrum(CovMat(_tmsv(3.0)))
+    spec = symplectic_spectrum(CovMat(cm_tmsv(3.0)))
     assert spec == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_spectrum_attack_closed_form():
-    spec = symplectic_spectrum(CovMat(_attack_block(1.2, 0.3, -0.1)))
+    spec = symplectic_spectrum(CovMat(cm_attack(1.2, 0.3, -0.1)))
     # nu_pm = sqrt((omega +- g)(omega +- g')): sqrt(1.65), sqrt(1.17)
     assert spec == pytest.approx([math.sqrt(1.65), math.sqrt(1.17)], abs=1e-9)
 
@@ -111,7 +111,7 @@ def test_spectrum_random_attack_matches_two_mode_formula():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p = random_attack(rng)
-        spec = symplectic_spectrum(CovMat(_attack_block(p.omega, p.g, p.g_prime)))
+        spec = symplectic_spectrum(CovMat(cm_attack(p.omega, p.g, p.g_prime)))
         expected = sorted(
             (
                 math.sqrt((p.omega + p.g) * (p.omega + p.g_prime)),
@@ -169,9 +169,9 @@ def von_neumann_entropy(V: CovMat) -> float:
 
 
 def test_von_neumann_entropy():
-    assert von_neumann_entropy(CovMat(_tmsv(4.0))) == pytest.approx(0.0, abs=1e-9)
+    assert von_neumann_entropy(CovMat(cm_tmsv(4.0))) == pytest.approx(0.0, abs=1e-9)
     assert von_neumann_entropy(CovMat(np.diag([3.0, 3.0]))) == pytest.approx(2.0, abs=1e-12)
-    assert von_neumann_entropy(CovMat(_attack_block(1.2, 0.3, -0.1))) == pytest.approx(
+    assert von_neumann_entropy(CovMat(cm_attack(1.2, 0.3, -0.1))) == pytest.approx(
         H_ATTACK_EXAMPLE, abs=1e-9
     )
 
@@ -188,14 +188,14 @@ def _bs_oracle(mat: np.ndarray, tau: float) -> np.ndarray:
 
 
 def test_beamsplitter_transparent():
-    cm = _tmsv(3.0)
-    out = _beamsplitter(cm, 0, 1, 1.0)
+    cm = cm_tmsv(3.0)
+    out = cm_beamsplitter(cm, 0, 1, 1.0)
     assert np.allclose(out, cm, atol=1e-12)
 
 
 def test_beamsplitter_full_reflection_swaps():
-    cm = _tmsv(2.0)
-    out = _beamsplitter(cm, 0, 1, 0.0)
+    cm = cm_tmsv(2.0)
+    out = cm_beamsplitter(cm, 0, 1, 0.0)
     assert np.allclose(out, _bs_oracle(cm, 0.0), atol=1e-12)
     # reflected arm: blocks swap, cross block flips sign
     assert np.allclose(out[0:2, 0:2], cm[2:4, 2:4], atol=1e-12)
@@ -204,77 +204,77 @@ def test_beamsplitter_full_reflection_swaps():
 
 def test_beamsplitter_transmitted_variance():
     cm = np.diag([3.0, 3.0, 1.2, 1.2])
-    out = _beamsplitter(cm, 0, 1, 0.6)
+    out = cm_beamsplitter(cm, 0, 1, 0.6)
     assert np.allclose(out, _bs_oracle(cm, 0.6), atol=1e-12)
     # transmitted block: tau*mu + (1-tau)*omega = 0.6*3 + 0.4*1.2
     assert out[0, 0] == pytest.approx(2.28, abs=1e-12)
 
 
 def test_beamsplitter_validation():
-    cm = _tmsv(2.0)
+    cm = cm_tmsv(2.0)
     with pytest.raises(DomainError):
-        _beamsplitter(cm, 0, 0, 0.5)
+        cm_beamsplitter(cm, 0, 0, 0.5)
     with pytest.raises(DomainError):
-        _beamsplitter(cm, 0, 1, 1.5)
+        cm_beamsplitter(cm, 0, 1, 1.5)
 
 
 def test_beamsplitter_preserves_spectrum():
     rng = np.random.default_rng(5)
     for tau in np.linspace(0.0, 1.0, 11):
         p = random_attack(rng)
-        cm = _direct_sum(_tmsv(1.0 + 3.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime))
+        cm = cm_direct_sum(cm_tmsv(1.0 + 3.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime))
         before = symplectic_spectrum(CovMat(cm))
-        after = symplectic_spectrum(CovMat(_beamsplitter(cm, 0, 2, float(tau))))
+        after = symplectic_spectrum(CovMat(cm_beamsplitter(cm, 0, 2, float(tau))))
         assert after == pytest.approx(before, abs=1e-9)
 
 
 # ------------------------------------------------------------ conditioning
 
 def test_heterodyne_product_state_unchanged():
-    out = _heterodyne(np.eye(4), 1)
+    out = cm_heterodyne(np.eye(4), 1)
     assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
 def test_heterodyne_tmsv_gives_vacuum():
     # mu - (mu^2-1)/(mu+1) = 1 for every mu
-    out = _heterodyne(_tmsv(3.0), 1)
+    out = cm_heterodyne(cm_tmsv(3.0), 1)
     assert np.allclose(out, np.eye(2), atol=1e-12)
 
 
 def test_homodyne_product_state_unchanged():
-    out = _homodyne(np.diag([1.7, 1.7, 2.5, 2.5]), 1, "q")
+    out = cm_homodyne(np.diag([1.7, 1.7, 2.5, 2.5]), 1, "q")
     assert np.allclose(out, np.diag([1.7, 1.7]), atol=1e-12)
 
 
 def test_homodyne_tmsv_schur():
     # measuring q of one arm: remaining CM diag(mu - (mu^2-1)/mu, mu)
-    out = _homodyne(_tmsv(3.0), 1, "q")
+    out = cm_homodyne(cm_tmsv(3.0), 1, "q")
     assert np.allclose(out, np.diag([1.0 / 3.0, 3.0]), atol=1e-12)
-    out_p = _homodyne(_tmsv(3.0), 1, "p")
+    out_p = cm_homodyne(cm_tmsv(3.0), 1, "p")
     assert np.allclose(out_p, np.diag([3.0, 1.0 / 3.0]), atol=1e-12)
 
 
 def test_homodyne_degenerate_quadrature():
     cm = np.diag([1.0, 1.0, 1e-14, 1e6])
     with pytest.raises(DomainError):
-        _homodyne(cm, 1, "q")
+        cm_homodyne(cm, 1, "q")
     with pytest.raises(DomainError):
-        _homodyne(cm, 1, "x")
+        cm_homodyne(cm, 1, "x")
 
 
 def test_conditioning_keeps_physicality():
     rng = np.random.default_rng(17)
     for _ in range(50):
         p = random_attack(rng)
-        cm = _beamsplitter(
-            _direct_sum(_tmsv(1.0 + 5.0 * rng.random()), _attack_block(p.omega, p.g, p.g_prime)),
+        cm = cm_beamsplitter(
+            cm_direct_sum(cm_tmsv(1.0 + 5.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime)),
             1,
             2,
             rng.random(),
         )
-        assert is_physical(CovMat(_heterodyne(cm, 0)))
-        assert is_physical(CovMat(_homodyne(cm, 2, "q")))
-        assert is_physical(CovMat(_homodyne(cm, 1, "p")))
+        assert is_physical(CovMat(cm_heterodyne(cm, 0)))
+        assert is_physical(CovMat(cm_homodyne(cm, 2, "q")))
+        assert is_physical(CovMat(cm_homodyne(cm, 1, "p")))
 
 
 # -------------------------------------------------------------- physicality
@@ -283,18 +283,18 @@ def test_is_physical_examples():
     assert is_physical(CovMat(np.eye(2)))
     assert not is_physical(CovMat(np.diag([0.5, 0.5])))
     # omega*|g+g'| = 1.2 > omega^2 + g g' - 1 = 0.69
-    assert not is_physical(CovMat(_attack_block(1.2, 0.5, 0.5)))
+    assert not is_physical(CovMat(cm_attack(1.2, 0.5, 0.5)))
 
 
 def test_tmsv_purity_sweep():
     for mu in (1.0, 1.5, 2.0, 10.0, 100.0):
-        spec = symplectic_spectrum(CovMat(_tmsv(mu)))
+        spec = symplectic_spectrum(CovMat(cm_tmsv(mu)))
         assert spec == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def test_keep_modes_reorders():
-    cm = _direct_sum(np.diag([2.0, 2.0]), np.diag([3.0, 3.0]))
-    swapped = _keep_modes(cm, (1, 0))
+    cm = cm_direct_sum(np.diag([2.0, 2.0]), np.diag([3.0, 3.0]))
+    swapped = cm_keep_modes(cm, (1, 0))
     assert np.allclose(swapped, np.diag([3.0, 3.0, 2.0, 2.0]))
     with pytest.raises(DomainError):
-        _keep_modes(cm, (0, 2))
+        cm_keep_modes(cm, (0, 2))

@@ -21,12 +21,8 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="8x8 CM round-off at mu = 1e6 pushes a rim eigenvalue to 0.9999999984543066",
-)
 def test_finite_mu_scan_at_large_mu():
+    """Rim points at mu = 1e6 keep their eigenvalues >= 1 - EPS_PHYS through the pipeline."""
     code, _, err = run_main(
         ["scan", "--tau", "0.5", "--omega", "10", "--grid-resolution", "7", "--mu", "1e6"]
     )

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from cm_reference import (
+    cm_heterodyne,
+    cm_homodyne,
+    cm_joint,
     closed_conditional_cm_noswitching,
     closed_conditional_cm_switching,
     closed_total_cm,
@@ -27,8 +30,7 @@ from gausskey import (
     symplectic_spectrum,
     total_spectrum_asymptotic,
 )
-from gausskey.gaussian import _heterodyne, _homodyne
-from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, _total_cm_via_beamsplitters
+from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED
 from conftest import random_attack
 
 EXAMPLE = AttackParams(tau=0.6, omega=1.2, g=0.3, g_prime=-0.1)
@@ -81,7 +83,7 @@ def test_protocol_spec_validation():
 
 def test_total_cm_transparent_channel():
     p = AttackParams(tau=1.0, omega=1.2, g=0.0, g_prime=0.0)
-    for V in (closed_total_cm(p, 9.0), _total_cm_via_beamsplitters(p, 9.0)):
+    for V in (closed_total_cm(p, 9.0), cm_joint(p, 9.0)):
         assert np.allclose(V[0:2, 0:2], 10.0 * np.eye(2))
         assert np.allclose(V[4:6, 4:6], 10.0 * np.eye(2))  # Lambda = mu + 1 at tau = 1
         assert np.allclose(V[4:6, 6:8], 0.0)
@@ -91,7 +93,7 @@ def test_total_cm_transparent_channel():
 
 def test_total_cm_receiver_variance():
     p = AttackParams(tau=0.6, omega=1.2, g=0.0, g_prime=0.0)
-    for V in (closed_total_cm(p, 9.0), _total_cm_via_beamsplitters(p, 9.0)):
+    for V in (closed_total_cm(p, 9.0), cm_joint(p, 9.0)):
         # Lambda = tau (mu+1) + (1-tau) omega = 0.6*10 + 0.4*1.2
         assert V[4, 4] == pytest.approx(6.48, abs=1e-12)
         assert V[6, 6] == pytest.approx(6.48, abs=1e-12)
@@ -103,15 +105,15 @@ def test_total_cm_matches_constructive_pipeline():
         p = random_attack(rng)
         mu = 1.0 + 10.0 ** rng.uniform(0.0, 3.0)
         closed = closed_total_cm(p, mu)
-        piped = _total_cm_via_beamsplitters(p, mu)
+        piped = cm_joint(p, mu)
         assert np.max(np.abs(closed - piped)) < 1e-10
 
 
 def test_total_cm_rejects_unphysical():
     with pytest.raises(DomainError):
-        _total_cm_via_beamsplitters(AttackParams(tau=0.6, omega=1.2, g=0.5, g_prime=0.5), 10.0)
+        cm_joint(AttackParams(tau=0.6, omega=1.2, g=0.5, g_prime=0.5), 10.0)
     with pytest.raises(DomainError):
-        _total_cm_via_beamsplitters(EXAMPLE, 1.0)
+        cm_joint(EXAMPLE, 1.0)
 
 
 # ------------------------------------------------------- mutual information
@@ -170,7 +172,7 @@ def test_total_spectrum_matches_finite_mu():
 
 
 def _double_heterodyne(params, mu):
-    return _heterodyne(_heterodyne(_total_cm_via_beamsplitters(params, mu), 3), 2)
+    return cm_heterodyne(cm_heterodyne(cm_joint(params, mu), 3), 2)
 
 
 def test_conditional_cm_diagonal_without_correlations():
@@ -208,7 +210,7 @@ def test_conditional_spectrum_mu_independent():
     gaps = {}
     for mu in (1e3, 1e6):
         piped = symplectic_spectrum(
-            CovMat(_heterodyne(_heterodyne(closed_total_cm(EXAMPLE, mu), 3), 2))
+            CovMat(cm_heterodyne(cm_heterodyne(closed_total_cm(EXAMPLE, mu), 3), 2))
         )
         gaps[mu] = np.max(np.abs(piped - asym) / asym)
     assert gaps[1e3] < 5e-3
@@ -226,8 +228,8 @@ def test_holevo_reduces_to_single_mode():
 
 def test_holevo_matches_numeric_entropies():
     mu = 1e6
-    V = _total_cm_via_beamsplitters(EXAMPLE, mu)
-    cond = _heterodyne(_heterodyne(V, 3), 2)
+    V = cm_joint(EXAMPLE, mu)
+    cond = cm_heterodyne(cm_heterodyne(V, 3), 2)
     numeric = sum(entropy_h(float(nu)) for nu in symplectic_spectrum(CovMat(V))) - sum(
         entropy_h(float(nu)) for nu in symplectic_spectrum(CovMat(cond))
     )
@@ -306,8 +308,8 @@ def test_switching_spectra_coefficients():
 
 def test_switching_spectra_match_pipeline():
     mu = 1e6
-    V = _total_cm_via_beamsplitters(EXAMPLE, mu)
-    q_cond = _homodyne(_homodyne(V, 3, "q"), 2, "q")
+    V = cm_joint(EXAMPLE, mu)
+    q_cond = cm_homodyne(cm_homodyne(V, 3, "q"), 2, "q")
     coeffs = symplectic_spectrum(CovMat(q_cond)) / math.sqrt(mu)
     q, _, _ = conditional_spectra_switching(EXAMPLE)
     assert np.max(np.abs(coeffs - q) / q) < 1e-3
@@ -315,11 +317,11 @@ def test_switching_spectra_match_pipeline():
 
 def test_switching_conditional_cms_match_pipeline():
     mu = 1e6
-    V = _total_cm_via_beamsplitters(EXAMPLE, mu)
+    V = cm_joint(EXAMPLE, mu)
     cases = {
-        ("q", "q"): _homodyne(_homodyne(V, 3, "q"), 2, "q"),
-        ("p", "p"): _homodyne(_homodyne(V, 3, "p"), 2, "p"),
-        ("q", "p"): _homodyne(_homodyne(V, 3, "p"), 2, "q"),
+        ("q", "q"): cm_homodyne(cm_homodyne(V, 3, "q"), 2, "q"),
+        ("p", "p"): cm_homodyne(cm_homodyne(V, 3, "p"), 2, "p"),
+        ("q", "p"): cm_homodyne(cm_homodyne(V, 3, "p"), 2, "q"),
     }
     for quads, piped in cases.items():
         closed = closed_conditional_cm_switching(EXAMPLE, mu, quadratures=quads)

@@ -1,10 +1,12 @@
 """The q/p-sector route of the symplectic spectrum against 40-digit mpmath.
 
 A 4x4 CM whose q-p cross entries are all exactly 0 and whose q and p
-sectors are strictly positive definite takes the two-mode route of
-``gaussian._symplectic_spectrum``; every other CM takes the eigh/svd
-route (``gaussian._svd_spectrum``).  The oracle here is written inline
-at 40 digits and knows nothing of sectors.
+sectors are strictly positive definite takes the two-mode route
+(``gaussian._qp_spectrum``) of ``symplectic_spectrum``; every other CM
+takes the eigh/svd route (``gaussian._svd_spectrum``).  The
+finite-modulation pipeline takes every spectrum from the two-mode route,
+the joint state's through its mirror halves.  The oracle here is written
+inline at 40 digits and knows nothing of sectors.
 
 Error bounds, each the worst seen in at least 24,000 draws of each
 strategy, with headroom:
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cm_reference import assemble_cm
 from gausskey import (
     AttackParams,
     CovMat,
@@ -71,6 +74,22 @@ def two_mode_cm(Q, P):
     return m
 
 
+def qp_route(m):
+    """The two-mode route's spectrum of m, or None where it does not apply."""
+    if m[0::2, 1::2].any() or m[1::2, 0::2].any():
+        return None
+    (q00, q01), (_, q11) = m[0::2, 0::2].tolist()
+    (p00, p01), (_, p11) = m[1::2, 1::2].tolist()
+    try:
+        return np.array(gaussian._qp_spectrum(q00, q01, q11, p00, p01, p11))
+    except NumericalDegeneracyError:
+        return None
+
+
+def public(m):
+    return symplectic_spectrum(CovMat(m))
+
+
 @st.composite
 def sectors(draw):
     """A 2x2 positive-definite sector: eigenvalues in [1e-3, 1e6], any orientation.
@@ -111,16 +130,17 @@ def pipeline_conditional_cms(draw):
         lo, hi = -omega + 1.0 / (omega + g), omega - 1.0 / (omega - g)
         gp = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
     mu = 10.0 ** draw(st.floats(2.0, 8.0))
-    V = rates._total_cm_via_beamsplitters(AttackParams(tau, omega, g, gp), mu)
+    V = rates._joint_qp(AttackParams(tau, omega, g, gp), mu)
     measured = draw(st.sampled_from([None, ("q", "q"), ("p", "p"), ("p", "q")]))
     if measured is None:  # no-switching
-        return gaussian._heterodyne(gaussian._heterodyne(V, 3), 2)
+        return assemble_cm(gaussian._qp_heterodyne(gaussian._qp_heterodyne(V, 3), 2))
     # switching measures (q, q) or (p, p); switching-mixed (p, q)
-    return gaussian._homodyne(gaussian._homodyne(V, 3, measured[0]), 2, measured[1])
+    hom = gaussian._qp_homodyne
+    return assemble_cm(hom(hom(V, 3, measured[0]), 2, measured[1]))
 
 
 def assert_route_accurate(m):
-    spectrum = gaussian._symplectic_spectrum(m)
+    spectrum = public(m)
     assert spectrum is not None and spectrum.shape == (2,) and spectrum[0] >= spectrum[1]
     reference = mp_spectrum(m)
     kappa = max(sector_condition(m[0::2, 0::2]), sector_condition(m[1::2, 1::2]))
@@ -136,23 +156,35 @@ def assert_route_accurate(m):
 @given(pair=sector_pairs())
 def test_two_mode_route_on_random_sectors(pair):
     m = two_mode_cm(*pair)
-    assert gaussian._two_mode_qp_spectrum(m) is not None
+    assert qp_route(m) is not None
     assert_route_accurate(m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=pipeline_conditional_cms())
 def test_two_mode_route_on_pipeline_states(m):
-    assert gaussian._two_mode_qp_spectrum(m) is not None
+    assert qp_route(m) is not None
     assert_route_accurate(m)
 
 
 def test_public_entry_points_share_the_route():
     m = two_mode_cm(np.array([[2.0, 0.5], [0.5, 3.0]]), np.array([[1.5, -0.2], [-0.2, 1.0]]))
-    route = gaussian._two_mode_qp_spectrum(m)
-    assert symplectic_spectrum(CovMat(m)).tobytes() == route.tobytes()
-    assert gaussian._symplectic_spectrum(m).tobytes() == route.tobytes()
+    route = qp_route(m)
+    assert public(m).tobytes() == route.tobytes()
+    assert gaussian._qp_two_mode_spectrum(
+        (m[0::2, 0::2].tolist(), m[1::2, 1::2].tolist())
+    ).tobytes() == route.tobytes()
     assert is_physical(CovMat(m)) == bool(route[-1] >= 1.0 - gaussian.EPS_PHYS)
+
+
+def test_mirror_split_refuses_an_asymmetric_state():
+    """The joint state's spectrum has no other route: a broken mirror entry raises."""
+    q, p = rates._joint_qp(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
+    assert gaussian._qp_mirror_spectrum((q, p)).shape == (4,)
+    q[1][3] = q[3][1] = math.nextafter(q[0][2], math.inf)  # X_a'B' one ulp off X_aB
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        gaussian._qp_mirror_spectrum((q, p))
+    assert str(exc.value) == "joint state is not symmetric under swapping (a, B) with (a', B')"
 
 
 @pytest.mark.parametrize(
@@ -167,8 +199,8 @@ def test_public_entry_points_share_the_route():
     ],
 )
 def test_other_inputs_keep_the_general_route_error(m):
-    assert gaussian._two_mode_qp_spectrum(m) is None
-    for spectrum in (gaussian._symplectic_spectrum, gaussian._svd_spectrum):
+    assert qp_route(m) is None
+    for spectrum in (public, gaussian._svd_spectrum):
         with pytest.raises(NumericalDegeneracyError) as exc:
             spectrum(m)
         assert str(exc.value) == "covariance matrix has negative eigenvalue -1"
@@ -190,5 +222,5 @@ def test_other_inputs_keep_the_general_route_bits(pair, data):
     correlated[at] = correlated[at[::-1]] = data.draw(st.sampled_from([1e-300, -1e-3, 0.1]))
     singular = two_mode_cm(np.diag([1.0, 0.0]), pair[1])  # semidefinite q sector
     for m in (correlated, singular):
-        assert gaussian._two_mode_qp_spectrum(m) is None
-        assert outcome(gaussian._symplectic_spectrum, m) == outcome(gaussian._svd_spectrum, m)
+        assert qp_route(m) is None
+        assert outcome(public, m) == outcome(gaussian._svd_spectrum, m)
