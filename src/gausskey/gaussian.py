@@ -1,19 +1,14 @@
 """Gaussian-state covariance-matrix calculus in shot-noise units.
 
-A covariance matrix (CM) that a caller supplies uses the interleaved
-quadrature ordering (q1, p1, ..., qn, pn) and shot-noise units, i.e. the
-vacuum quadrature variance is 1.  A state is physical iff every
-symplectic eigenvalue is >= 1 (up to the slack ``EPS_PHYS``).
+A covariance matrix (CM) uses the interleaved quadrature ordering
+(q1, p1, ..., qn, pn) and shot-noise units, i.e. the vacuum quadrature
+variance is 1.  A state is physical iff every symplectic eigenvalue is
+>= 1 (up to the slack ``EPS_PHYS``).
 
 The bosonic entropy h(x) is evaluated in a form that cancels nothing at
 large x, in numpy ufuncs only; ``entropy_h`` (floats) and
 ``entropy_h_array`` (arrays) share that one expression and so agree bit
 for bit.
-
-``CovMat`` is the validated type of a CM that a caller supplies: it
-checks shape, finiteness and symmetry, and freezes a copy.  The public
-functions that take a state (``symplectic_spectrum``, ``is_physical``)
-take a ``CovMat``; no public function returns one.
 
 The finite-modulation pipeline (``rates.key_rate_numeric``) never forms
 an interleaved CM.  Its states have exactly zero q-p cross entries, so
@@ -25,7 +20,8 @@ symmetric by construction, and each kernel that forms new entries
 rejects non-finite ones with the ``CovMat`` text.  ``_qp_mirror_spectrum``
 splits the joint state into two two-mode halves; every pipeline
 spectrum comes from ``_qp_spectrum``, with no ``eigh``, ``svd`` or
-``solve`` and no rate formula.
+``solve`` and no rate formula.  The package has no dense (eigh/svd)
+spectrum; ``tests/cm_reference.py`` keeps one as the tests' oracle.
 
 Everything here is a pure function of its inputs; ``CovMat`` instances
 are immutable after construction and safe to share across threads.
@@ -33,7 +29,6 @@ are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -45,10 +40,6 @@ EPS_PHYS = 1e-9
 
 # Maximum tolerated asymmetry |V - V^T| of a covariance matrix.
 SYMMETRY_ATOL = 1e-12
-
-# Relative tolerance for negative-eigenvalue residue and for the pairing
-# of doubled singular values in the symplectic spectrum.
-DEGENERACY_RTOL = 1e-9
 
 LN2 = math.log(2.0)
 
@@ -68,11 +59,16 @@ class NumericalDegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class CovMat:
-    """Covariance matrix of an n-mode Gaussian state, as a caller supplies it.
+    """Validated covariance matrix of an n-mode Gaussian state.
 
     The wrapped array is 2n x 2n, real and symmetric (checked to
     ``SYMMETRY_ATOL``), in (q1, p1, ..., qn, pn) ordering and shot-noise
     units.  The array is copied and frozen on construction.
+
+    No package function takes or returns one, and ``gausskey`` does not
+    export it.  It stays for the reference chain of ``tests/cm_reference.py``,
+    which validates every stage with it, and for ``bench/spans.py``, which
+    patches ``CovMat.__post_init__`` on every traced benchmark run.
     """
 
     mat: np.ndarray
@@ -96,24 +92,6 @@ class CovMat:
     @property
     def n_modes(self) -> int:
         return self.mat.shape[0] // 2
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Direct sum of n copies of [[0, 1], [-1, 0]]."""
-    if n_modes < 1:
-        raise DomainError("need at least one mode")
-    single = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = single
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _frozen_symplectic_form(n_modes: int) -> np.ndarray:
-    out = symplectic_form(n_modes)
-    out.setflags(write=False)
-    return out
 
 
 def _require_finite_rows(rows: list[list[float]]) -> None:
@@ -309,51 +287,6 @@ def _qp_mirror_spectrum(state: Sectors) -> np.ndarray:
     return np.array(sorted(_qp_spectrum(*plus) + _qp_spectrum(*minus), reverse=True))
 
 
-# Flat indices of the q-p cross entries of a 4x4 CM, both triangles.
-_QP_CROSS_4 = (1, 3, 4, 6, 9, 11, 12, 14)
-
-
-def _svd_spectrum(m: np.ndarray) -> np.ndarray:
-    """Spectrum of any CM from the singular values of V^(1/2) Omega V^(1/2)."""
-    w, U = np.linalg.eigh(m)
-    scale = max(1.0, float(w[-1]))
-    if w[0] < -DEGENERACY_RTOL * scale:
-        raise NumericalDegeneracyError(
-            f"covariance matrix has negative eigenvalue {w[0]:g}"
-        )
-    root = (U * np.sqrt(np.maximum(w, 0.0))) @ U.T
-    L = root @ _frozen_symplectic_form(m.shape[0] // 2) @ root
-    sv = np.linalg.svd(L, compute_uv=False)  # descending, each nu twice
-    worst = abs(sv[0::2] - sv[1::2]).max()
-    if worst > DEGENERACY_RTOL * max(1.0, sv[0]):
-        raise NumericalDegeneracyError(
-            "symplectic spectrum did not split into doubled singular values "
-            f"(worst pair mismatch {worst:g})"
-        )
-    return (sv[0::2] + sv[1::2]) / 2.0
-
-
-def symplectic_spectrum(V: CovMat) -> np.ndarray:
-    """Symplectic eigenvalues of V, sorted descending.
-
-    A two-mode V with every q-p cross entry exactly 0 and strictly
-    positive-definite q and p sectors takes ``_qp_spectrum`` (within
-    about 2 kappa eps nu_max of 40-digit mpmath, kappa the larger sector
-    condition number).  Every other V takes ``_svd_spectrum``, which
-    raises NumericalDegeneracyError for a negative eigenvalue beyond
-    tolerance or doubled singular values that fail to pair up.
-    """
-    m = V.mat
-    if m.shape[0] == 4:
-        e = m.ravel().tolist()
-        if not any(e[k] for k in _QP_CROSS_4):  # NaN counts as nonzero
-            try:
-                return np.array(_qp_spectrum(e[0], e[8], e[10], e[5], e[13], e[15]))
-            except NumericalDegeneracyError:
-                pass  # a sector that is not positive definite takes the general route
-    return _svd_spectrum(m)
-
-
 def _h_above_one(x):
     """h(x) for x > 1 (NaN passes through), free of cancellation.
 
@@ -398,12 +331,3 @@ def entropy_h_array(x) -> np.ndarray:
     live = ~(x <= 1.0)  # NaN stays NaN, as in entropy_h
     out[live] = _h_above_one(x[live])
     return out
-
-
-def is_physical(V: CovMat) -> bool:
-    """True iff every symplectic eigenvalue is >= 1 - EPS_PHYS."""
-    try:
-        spectrum = symplectic_spectrum(V)
-    except NumericalDegeneracyError:
-        return False
-    return bool(spectrum[-1] >= 1.0 - EPS_PHYS)

@@ -7,7 +7,9 @@ Two protocol families are covered, both in reverse reconciliation:
   modes of a block ("switching") or one q and one p ("switching-mixed").
 
 Each rate exists in two routes: a closed asymptotic form in which the
-modulation variance cancels, and a finite-modulation numeric pipeline.
+modulation variance cancels (``key_rate_asymptotic``, ``key_rates``), and
+a finite-modulation numeric pipeline (``key_rate_numeric``);
+``rate_report`` reports either, the asymptotic one in a single pass.
 The pipeline's Holevo bound is built entirely from the private q/p-sector
 kernels of ``gaussian`` (beam splitters, Schur-complement conditioning,
 symplectic diagonalisation, entropies) and uses none of the rate
@@ -143,7 +145,10 @@ class RateReport:
     """Mutual information, Holevo bound and rate, plus their spectra.
 
     i_ab and holevo are bits per two-use block; rate is bits per channel
-    use and equals (i_ab - holevo)/2 exactly as computed.
+    use and equals (i_ab - holevo)/2 exactly as computed.  In asymptotic
+    mode i_ab and holevo are taken at spec.mu_value, and rate differs from
+    key_rate_asymptotic's by at most 4 ulp of max(|i_ab|, |holevo|)
+    (worst measured 2.5 ulp; omega in [1, 1e4], tau in [0.01, 0.99]).
     """
 
     params: AttackParams
@@ -159,18 +164,6 @@ def _require_physical(params: AttackParams) -> None:
     violated = violated_constraint(params)
     if violated is not None:
         raise DomainError(f"unphysical attack parameters: violated {violated}")
-
-
-def total_spectrum_asymptotic(params: AttackParams, mu: float) -> np.ndarray:
-    """Large-mu symplectic spectrum of the joint sender/receiver state.
-
-    Two attack-correlation values sqrt((omega+-g)(omega+-g')) and the
-    doubly degenerate (1-tau)*mu, sorted descending.
-    """
-    _require_physical(params)
-    nu_plus, nu_minus = _nu_pm(params.omega, params.g, params.g_prime)
-    big = (1.0 - params.tau) * mu
-    return np.sort(np.array([nu_plus, nu_minus, big, big]))[::-1]
 
 
 def _nu_pm(om, g, gp, ew: _Elementwise = _SCALAR):
@@ -234,41 +227,6 @@ def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
     return math.log2(lam / hom_den)
 
 
-def conditional_spectrum_noswitching(params: AttackParams) -> np.ndarray:
-    """Large-mu conditional spectrum after double heterodyne detection.
-
-    {sqrt(lam_plus*lam_prime_plus), sqrt(lam_minus*lam_prime_minus)}/tau
-    with lam_pm = 1 + (1-tau)*(omega +- g) and primes carrying g'.
-    Independent of the modulation.
-    """
-    _require_physical(params)
-    return np.array(_nbar_noswitching(params.tau, params.omega, params.g, params.g_prime))
-
-
-def holevo_noswitching(params: AttackParams, mu: float) -> float:
-    """Asymptotic Holevo bound for the heterodyne protocol, bits per block.
-
-    2 log2((e/2)(1-tau) mu) plus the entropy difference between the
-    attack-correlation eigenvalues and the conditional ones.  Diverges
-    logarithmically in mu; the divergence cancels against the mutual
-    information in the rate.
-    """
-    _require_physical(params)
-    if params.tau >= 1.0:
-        raise DomainError(
-            "Holevo bound degenerates at tau = 1: the environment decouples"
-        )
-    nu_plus, nu_minus = _nu_pm(params.omega, params.g, params.g_prime)
-    nbar_plus, nbar_minus = conditional_spectrum_noswitching(params)
-    return (
-        2.0 * (_LOG2_E_HALF + math.log2((1.0 - params.tau) * mu))
-        + entropy_h(nu_plus)
-        + entropy_h(nu_minus)
-        - entropy_h(nbar_plus)
-        - entropy_h(nbar_minus)
-    )
-
-
 def _require_open_tau(params: AttackParams) -> None:
     if not 0.0 < params.tau < 1.0:
         raise DomainError(
@@ -276,77 +234,20 @@ def _require_open_tau(params: AttackParams) -> None:
         )
 
 
-def key_rate_noswitching(params: AttackParams) -> float:
-    """Asymptotic key rate of the no-switching protocol, bits per use.
-
-    log2((2/e) tau / ((1-tau)(1+tau+(1-tau) omega))) plus half the
-    entropy gain of conditioning; the modulation has cancelled here.
-    The block rate is twice this value.
-    """
-    return _key_rate_at(NO_SWITCHING, params)
-
-
-def conditional_spectra_switching(
-    params: AttackParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional-spectrum coefficients for the homodyne protocols.
-
-    The conditional eigenvalues grow as sqrt(mu), so each branch is
-    returned as the pair of coefficients of sqrt(mu): q-branch
-    sqrt((1-tau)(omega +- g)/tau), p-branch the same with g', and the
-    mixed branch doubly degenerate sqrt((1-tau) omega / tau).
-    """
-    _require_physical(params)
-    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
-    ratio = (1.0 - tau) / tau
-    q = np.sort(np.array([math.sqrt(ratio * (om + g)), math.sqrt(ratio * (om - g))]))[::-1]
-    p = np.sort(np.array([math.sqrt(ratio * (om + gp)), math.sqrt(ratio * (om - gp))]))[::-1]
-    m = math.sqrt(ratio * om)
-    return q, p, np.array([m, m])
-
-
-def holevo_switching(params: AttackParams, mu: float, mixed: bool = False) -> float:
-    """Asymptotic Holevo bound for the homodyne protocols, bits per block.
-
-    The conditional entropy averages Bob's two quadrature choices, which
-    replaces the geometric mean sqrt(nu_plus*nu_minus) by omega in the
-    mixed variant.
-    """
-    _require_physical(params)
-    if params.tau >= 1.0:
-        raise DomainError(
-            "Holevo bound degenerates at tau = 1: the environment decouples"
-        )
-    nu_plus, nu_minus = _nu_pm(params.omega, params.g, params.g_prime)
-    gm = params.omega if mixed else math.sqrt(nu_plus * nu_minus)
-    return (
-        entropy_h(nu_plus)
-        + entropy_h(nu_minus)
-        + math.log2((1.0 - params.tau) * params.tau * mu / gm)
-    )
-
-
-def key_rate_switching(params: AttackParams) -> float:
-    """Asymptotic key rate with both block modes homodyned in one quadrature.
-
-    0.5 log2(sqrt(nu_plus*nu_minus) / ((1-tau)(tau+(1-tau) omega)))
-    minus the average entropy of the attack-correlation eigenvalues.
-    """
-    return _key_rate_at(SWITCHING, params)
-
-
-def key_rate_switching_mixed(params: AttackParams) -> float:
-    """Asymptotic key rate with the two block modes homodyned in q and p.
-
-    Same shape as key_rate_switching with omega in place of the
-    geometric mean sqrt(nu_plus*nu_minus); the correlations enter only
-    through the entropy term.
-    """
-    return _key_rate_at(SWITCHING_MIXED, params)
-
-
 def key_rate_asymptotic(params: AttackParams, variant: str) -> float:
-    """Dispatch the mu-free closed-form rate for a protocol variant."""
+    """The mu-free closed-form rate of a protocol variant, bits per channel use.
+
+    With nu_pm = sqrt((omega +- g)(omega +- g')) and nbar_pm =
+    sqrt(lam_pm lam'_pm)/tau, where lam_pm = 1 + (1-tau)(omega +- g) and
+    lam'_pm carries g':
+    * no-switching: log2((2/e) tau / ((1-tau)(1+tau+(1-tau) omega)))
+      + [h(nbar_+) + h(nbar_-) - h(nu_+) - h(nu_-)]/2; a block is twice this;
+    * switching: 0.5 log2(sqrt(nu_+ nu_-) / ((1-tau)(tau+(1-tau) omega)))
+      - [h(nu_+) + h(nu_-)]/2;
+    * switching-mixed: the same with omega in place of sqrt(nu_+ nu_-).
+    Raises DomainError outside the lens, unless 0 < tau < 1, and where
+    the rate is not finite.
+    """
     return _key_rate_at(variant, params)
 
 
@@ -504,32 +405,51 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
 
 
 def rate_report(params: AttackParams, spec: ProtocolSpec) -> RateReport:
-    """RateReport for either route.
+    """RateReport for either route; a finite mu runs key_rate_numeric.
 
-    Asymptotic mode evaluates the divergent pieces (mutual information,
-    Holevo bound) at spec.mu_value so that rate = (i_ab - holevo)/2
-    holds exactly; the rate itself equals the mu-free closed form.
+    Asymptotic mode checks the point once (key_rate_asymptotic's checks)
+    and evaluates the divergent pieces at spec.mu_value.  holevo is
+    2 log2((e/2)(1-tau) mu) + h(nu_+) + h(nu_-) - h(nbar_+) - h(nbar_-)
+    (no-switching) or h(nu_+) + h(nu_-) + log2((1-tau) tau mu / m), with
+    m = sqrt(nu_+ nu_-) (switching) or omega (switching-mixed).  The total
+    spectrum is nu_pm and the doubly degenerate (1-tau) mu; the
+    conditional one is nbar_pm (no-switching), or sqrt(mu (1-tau)/tau)
+    times sqrt(omega +- g) and sqrt(omega +- g') (switching) or times
+    sqrt(omega), twice (switching-mixed).  Spectra are descending.
     """
     if not spec.asymptotic:
         return key_rate_numeric(params, spec)
-    _key_rate_at(spec.variant, params)  # domain checks, and a finite rate
+    _key_rate_at(spec.variant, params)  # the lens, 0 < tau < 1, and a finite rate
+    tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
     mu = spec.mu_value
     i_ab = mutual_information(params, spec)
+    nu_plus, nu_minus = _nu_pm(om, g, gp)
     if spec.variant == NO_SWITCHING:
-        holevo = holevo_noswitching(params, mu)
-        cond_spectrum = conditional_spectrum_noswitching(params)
+        nbar_plus, nbar_minus = _nbar_noswitching(tau, om, g, gp)
+        # summed left to right: pre-summing the h terms changes the bits
+        holevo = (
+            2.0 * (_LOG2_E_HALF + math.log2((1.0 - tau) * mu))
+            + entropy_h(nu_plus)
+            + entropy_h(nu_minus)
+            - entropy_h(nbar_plus)
+            - entropy_h(nbar_minus)
+        )
+        cond_spectrum = np.array([nbar_plus, nbar_minus])
     else:
         mixed = spec.variant == SWITCHING_MIXED
-        holevo = holevo_switching(params, mu, mixed=mixed)
-        q, p, mix = conditional_spectra_switching(params)
-        coeffs = mix if mixed else np.concatenate([q, p])
+        gm = om if mixed else math.sqrt(nu_plus * nu_minus)
+        holevo = entropy_h(nu_plus) + entropy_h(nu_minus) + math.log2((1.0 - tau) * tau * mu / gm)
+        ratio = (1.0 - tau) / tau
+        spread = (om, om) if mixed else (om + g, om - g, om + gp, om - gp)
+        coeffs = np.array([math.sqrt(ratio * x) for x in spread])
         cond_spectrum = np.sort(coeffs * math.sqrt(mu))[::-1]
+    big = (1.0 - tau) * mu
     return RateReport(
         params=params,
         spec=spec,
         i_ab=i_ab,
         holevo=holevo,
         rate=(i_ab - holevo) / 2.0,
-        total_spectrum=total_spectrum_asymptotic(params, mu),
+        total_spectrum=np.sort(np.array([nu_plus, nu_minus, big, big]))[::-1],
         conditional_spectrum=cond_spectrum,
     )

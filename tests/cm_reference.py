@@ -8,6 +8,8 @@ a sector kernel's output into one interleaved CM (and split a q-p-free
 CM into sectors), so that ``tests/test_cm_bit_identity.py`` can hold
 every kernel to its reference.  ``ref_total_cm`` chains the references
 into the joint CM, every stage a validated ``CovMat``.
+``ref_dense_spectrum`` is the project's only double-precision eigh/svd
+symplectic spectrum; the library diagonalises q/p sectors only.
 
 The ``closed_*`` forms are the joint and conditional CMs of the
 finite-modulation pipeline written out entry by entry.  The library
@@ -21,8 +23,9 @@ import math
 
 import numpy as np
 
-from gausskey import CovMat, DomainError, NumericalDegeneracyError, violated_constraint
+from gausskey import EPS_PHYS, DomainError, NumericalDegeneracyError, violated_constraint
 from gausskey import gaussian, rates
+from gausskey.gaussian import CovMat
 from gausskey.attack import _attack_qp
 
 # ------------------------------------------------ sectors and interleaved CMs
@@ -176,10 +179,15 @@ def ref_two_mode_spectrum(m):
     return np.array([math.sqrt(big), math.sqrt(small)])
 
 
-def ref_symplectic_spectrum(m):
-    two_mode = ref_two_mode_spectrum(m)
-    if two_mode is not None:
-        return two_mode
+def ref_dense_spectrum(m):
+    """Symplectic spectrum of any CM, descending: singular values of V^(1/2) Omega V^(1/2).
+
+    Williamson's theorem (Weedbrook et al., Rev. Mod. Phys. 84, 621
+    (2012)): each symplectic eigenvalue is a singular value taken twice.
+    Raises NumericalDegeneracyError for an eigenvalue of V below
+    -1e-9 max(1, w_max), or for doubled singular values that fail to pair
+    up to 1e-9 max(1, sv_max).
+    """
     w, U = np.linalg.eigh(m)
     if w[0] < -1e-9 * max(1.0, float(w[-1])):
         raise NumericalDegeneracyError(f"covariance matrix has negative eigenvalue {w[0]:g}")
@@ -193,6 +201,20 @@ def ref_symplectic_spectrum(m):
             f"(worst pair mismatch {worst:g})"
         )
     return (sv[0::2] + sv[1::2]) / 2.0
+
+
+def ref_symplectic_spectrum(m):
+    """The tests' dense spectrum oracle: the q/p-sector route where it applies, else eigh/svd."""
+    two_mode = ref_two_mode_spectrum(m)
+    return two_mode if two_mode is not None else ref_dense_spectrum(m)
+
+
+def ref_is_physical(m):
+    """True iff every symplectic eigenvalue of m is >= 1 - EPS_PHYS (False if degenerate)."""
+    try:
+        return bool(ref_symplectic_spectrum(m)[-1] >= 1.0 - EPS_PHYS)
+    except NumericalDegeneracyError:
+        return False
 
 
 def ref_total_cm(params, mu):

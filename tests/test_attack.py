@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 from gausskey import (
     EPS_PHYS,
     AttackParams,
-    CovMat,
     DomainError,
     boundary_curve_arrays,
     constraint_slack,
-    is_physical,
     key_rates,
     lens_mask,
     violated_constraint,
 )
 from gausskey.attack import _attack_qp, physical_grid_mirror
-from cm_reference import cm_attack
+from cm_reference import cm_attack, ref_is_physical
 
 
 def _params(omega, g, gp, tau=0.5):
@@ -89,7 +87,7 @@ def test_constraints_equivalent_to_cm_physicality():
         g = rng.uniform(-omega, omega)
         gp = rng.uniform(-omega, omega)
         by_inequalities = bool(lens_mask(omega, g, gp))
-        by_spectrum = is_physical(CovMat(cm_attack(omega, g, gp)))
+        by_spectrum = ref_is_physical(cm_attack(omega, g, gp))
         assert by_inequalities == by_spectrum, (omega, g, gp)
 
 
@@ -191,9 +189,9 @@ taus = st.floats(min_value=0.01, max_value=0.99)
 
 
 def rim_band(omega):
-    """|constraint_slack| within which lens_mask and is_physical may disagree.
+    """|constraint_slack| within which lens_mask and ref_is_physical may disagree.
 
-    is_physical admits nu >= 1 - EPS_PHYS, that is nu^2 down to about
+    ref_is_physical admits nu >= 1 - EPS_PHYS, that is nu^2 down to about
     1 - 2 EPS_PHYS, where lens_mask stops at 1 - EPS_PHYS; and the
     symplectic spectrum of the attack CM carries a round-off of a few
     eps*omega^2 in nu^2 (measured up to 1.6 eps*omega^2 for omega <= 1e8).
@@ -247,7 +245,7 @@ def test_violated_constraint_is_none_iff_lens_mask(point, tau):
 def test_lens_mask_is_cm_physicality_off_the_rim(point):
     omega, g, gp = point
     assume(not abs(float(constraint_slack(omega, g, gp))) <= rim_band(omega))
-    assert bool(lens_mask(omega, g, gp)) == is_physical(CovMat(cm_attack(omega, g, gp)))
+    assert bool(lens_mask(omega, g, gp)) == ref_is_physical(cm_attack(omega, g, gp))
 
 
 @settings(max_examples=60, deadline=None)

@@ -38,7 +38,6 @@ from cm_reference import (
     ref_homodyne_condition,
     ref_keep_modes,
     ref_split_measured,
-    ref_symplectic_form,
     ref_symplectic_spectrum,
     ref_tmsv_cm,
     ref_total_cm,
@@ -46,16 +45,14 @@ from cm_reference import (
 from conftest import random_attack
 from gausskey import (
     AttackParams,
-    CovMat,
     DomainError,
     NumericalDegeneracyError,
     ProtocolSpec,
     entropy_h,
     key_rate_numeric,
-    symplectic_form,
-    symplectic_spectrum,
 )
 from gausskey import attack, gaussian, rates
+from gausskey.gaussian import CovMat
 from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, VARIANTS
 
 EPS = 2.0**-52
@@ -192,14 +189,6 @@ def _spd(rng, n, scale):
 
 
 @st.composite
-def covariance_matrices(draw, min_modes=1, max_modes=4):
-    """Symmetric positive-definite CMs, q-p correlated, some with large variances."""
-    n = draw(st.integers(min_value=min_modes, max_value=max_modes))
-    scale = draw(st.floats(min_value=1.0, max_value=1e6))
-    return _spd(np.random.default_rng(draw(seeds)), 2 * n, scale)
-
-
-@st.composite
 def qp_states(draw, min_modes=1, max_modes=4):
     """q and p sectors of random positive-definite states, some with large variances."""
     n = draw(st.integers(min_value=min_modes, max_value=max_modes))
@@ -227,7 +216,6 @@ def conditional_states(draw):
 
 any_state = st.one_of(qp_states(), pipeline_states(), conditional_states())
 conditionable_state = st.one_of(qp_states(min_modes=2), pipeline_states())
-any_cm = st.one_of(covariance_matrices(), any_state.map(assemble_cm))
 
 # -------------------------------------------------------- kernels against references
 
@@ -307,13 +295,7 @@ def test_beamsplitter_matches_five_eye_construction(state, tau, data):
     assert (error <= BEAMSPLITTER_BUDGET * EPS * (S @ np.abs(m) @ S.T)).all()
 
 
-@settings(max_examples=60, deadline=None)
-@given(V=any_cm)
-def test_symplectic_spectrum_matches_uncached_form(V):
-    assert_same_bits(symplectic_spectrum(CovMat(V)), ref_symplectic_spectrum(V))
-
-
-# Worst |report.total_spectrum - eigh/svd route| seen in 2,000 draws of the
+# Worst |report.total_spectrum - eigh/svd oracle| seen in 2,000 draws of the
 # test below, in eps * w_max * sqrt(w_max / w_min) with w the eigenvalues of
 # the joint CM: 1.9.  The eigh/svd route's own error sets this scale.
 ROUTE_BUDGET = 8.0
@@ -325,7 +307,7 @@ def test_report_total_spectrum_is_the_spectrum_of_the_total_cm(seed, mu, variant
     params = random_attack(np.random.default_rng(seed), omega_hi=100.0, strict=True)
     report = key_rate_numeric(params, ProtocolSpec(variant, mu=mu, asymptotic=False))
     V = assemble_cm(rates._joint_qp(params, mu))
-    dense = symplectic_spectrum(CovMat(V))
+    dense = ref_symplectic_spectrum(V)
     w = np.linalg.eigvalsh(V)
     bound = ROUTE_BUDGET * EPS * w[-1] * math.sqrt(w[-1] / w[0])
     assert np.abs(report.total_spectrum - dense).max() <= bound
@@ -464,7 +446,6 @@ KERNELS = {
     "beamsplitter_apply": gaussian._qp_beamsplitter,
     "heterodyne_condition": gaussian._qp_heterodyne,
     "homodyne_condition": gaussian._qp_homodyne,
-    "symplectic_spectrum": gaussian._svd_spectrum,
 }
 
 
@@ -524,44 +505,15 @@ def test_public_entry_points_keep_covmat_validation(mat, text):
             (qp_state(np.diag([1.0, 1.0, -1.0, -1.0])), 1),
             "singular heterodyne update; measured block + I is not invertible",
         ),
-        (
-            "symplectic_spectrum",
-            (np.diag([1.0, -1.0]),),
-            "covariance matrix has negative eigenvalue -1",
-        ),
     ],
 )
 def test_wrapper_and_kernel_raise_the_same_degeneracy_error(operation, args, text):
-    calls = [lambda: KERNELS[operation](*args)]
-    if operation == "symplectic_spectrum":  # the public function takes a CovMat
-        calls.append(lambda: symplectic_spectrum(CovMat(args[0])))
-    for call in calls:
-        with pytest.raises(NumericalDegeneracyError) as exc:
-            call()
-        assert str(exc.value) == text
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        KERNELS[operation](*args)
+    assert str(exc.value) == text
 
 
-# -------------------------------------------------------------- cache safety
-
-
-def test_mutating_symplectic_form_leaves_spectrum_alone():
-    # four modes: the route that uses the form
-    V = CovMat(ref_direct_sum(ref_tmsv_cm(3.0), ref_tmsv_cm(2.0)))
-    before = symplectic_spectrum(V)
-    form = symplectic_form(4)
-    assert form.flags.writeable
-    form[:] = 7.0
-    assert_same_bits(symplectic_spectrum(V), before)
-    assert_same_bits(symplectic_form(4), ref_symplectic_form(4))
-
-
-def test_cached_symplectic_form_is_read_only():
-    symplectic_spectrum(CovMat(ref_direct_sum(ref_tmsv_cm(2.0), ref_tmsv_cm(2.0))))
-    cached = gaussian._frozen_symplectic_form(4)
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError):
-        cached[0, 1] = 0.0
-    assert_same_bits(cached, ref_symplectic_form(4))
+# ------------------------------------------------------ repeated bad calls
 
 
 @pytest.mark.parametrize("bad", [-1, 3])

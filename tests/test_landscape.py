@@ -15,7 +15,7 @@ from gausskey import (
     find_zero_rate_transmissivity,
     finite_diff_gradient,
     hessian_at_origin,
-    key_rate_noswitching,
+    key_rate_asymptotic,
     rate_function,
     second_derivative_inequality_noswitching,
     verify_minimality,
@@ -232,7 +232,7 @@ def test_zero_rate_transmissivity_example():
     tau_star = find_zero_rate_transmissivity(NO_SWITCHING, 1.2)
     assert tau_star == pytest.approx(0.44, abs=0.005)
     p = AttackParams(tau=tau_star, omega=1.2, g=0.0, g_prime=0.0)
-    assert abs(key_rate_noswitching(p)) < 1e-10
+    assert abs(key_rate_asymptotic(p, NO_SWITCHING)) < 1e-10
 
 
 def test_zero_rate_transmissivity_pure_loss_has_no_root():

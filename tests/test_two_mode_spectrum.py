@@ -1,12 +1,14 @@
 """The q/p-sector route of the symplectic spectrum against 40-digit mpmath.
 
-A 4x4 CM whose q-p cross entries are all exactly 0 and whose q and p
-sectors are strictly positive definite takes the two-mode route
-(``gaussian._qp_spectrum``) of ``symplectic_spectrum``; every other CM
-takes the eigh/svd route (``gaussian._svd_spectrum``).  The
-finite-modulation pipeline takes every spectrum from the two-mode route,
-the joint state's through its mirror halves.  The oracle here is written
-inline at 40 digits and knows nothing of sectors.
+The library's only spectrum is the two-mode route
+(``gaussian._qp_spectrum``), for a 4x4 CM whose q-p cross entries are all
+exactly 0 and whose q and p sectors are strictly positive definite; the
+finite-modulation pipeline takes every spectrum from it, the joint
+state's through its mirror halves.  The test oracle
+``cm_reference.ref_symplectic_spectrum`` takes the same route there and
+the eigh/svd route (``cm_reference.ref_dense_spectrum``) for every other
+CM.  The mpmath oracle here is written inline at 40 digits and knows
+nothing of sectors.
 
 Error bounds, each the worst seen in at least 24,000 draws of each
 strategy, with headroom:
@@ -27,14 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cm_reference import assemble_cm
-from gausskey import (
-    AttackParams,
-    CovMat,
-    NumericalDegeneracyError,
-    is_physical,
-    symplectic_spectrum,
-)
+from cm_reference import assemble_cm, ref_dense_spectrum, ref_is_physical, ref_symplectic_spectrum
+from gausskey import AttackParams, NumericalDegeneracyError
 from gausskey import gaussian, rates
 
 EPS = 2.0**-52
@@ -84,10 +80,6 @@ def qp_route(m):
         return np.array(gaussian._qp_spectrum(q00, q01, q11, p00, p01, p11))
     except NumericalDegeneracyError:
         return None
-
-
-def public(m):
-    return symplectic_spectrum(CovMat(m))
 
 
 @st.composite
@@ -140,7 +132,7 @@ def pipeline_conditional_cms(draw):
 
 
 def assert_route_accurate(m):
-    spectrum = public(m)
+    spectrum = qp_route(m)
     assert spectrum is not None and spectrum.shape == (2,) and spectrum[0] >= spectrum[1]
     reference = mp_spectrum(m)
     kappa = max(sector_condition(m[0::2, 0::2]), sector_condition(m[1::2, 1::2]))
@@ -148,7 +140,7 @@ def assert_route_accurate(m):
     for nu, exact in zip(spectrum.tolist(), reference):
         assert abs(nu - exact) <= bound
     w = np.linalg.eigvalsh(m)
-    general = gaussian._svd_spectrum(m)
+    general = ref_dense_spectrum(m)
     assert np.abs(spectrum - general).max() <= ROUTE_BUDGET * EPS * w[-1] * math.sqrt(w[-1] / w[0])
 
 
@@ -168,13 +160,14 @@ def test_two_mode_route_on_pipeline_states(m):
 
 
 def test_public_entry_points_share_the_route():
+    """The kernel's entry points and the test oracle give the same bits on a two-mode state."""
     m = two_mode_cm(np.array([[2.0, 0.5], [0.5, 3.0]]), np.array([[1.5, -0.2], [-0.2, 1.0]]))
     route = qp_route(m)
-    assert public(m).tobytes() == route.tobytes()
+    assert ref_symplectic_spectrum(m).tobytes() == route.tobytes()
     assert gaussian._qp_two_mode_spectrum(
         (m[0::2, 0::2].tolist(), m[1::2, 1::2].tolist())
     ).tobytes() == route.tobytes()
-    assert is_physical(CovMat(m)) == bool(route[-1] >= 1.0 - gaussian.EPS_PHYS)
+    assert ref_is_physical(m) == bool(route[-1] >= 1.0 - gaussian.EPS_PHYS)
 
 
 def test_mirror_split_refuses_an_asymmetric_state():
@@ -200,7 +193,7 @@ def test_mirror_split_refuses_an_asymmetric_state():
 )
 def test_other_inputs_keep_the_general_route_error(m):
     assert qp_route(m) is None
-    for spectrum in (public, gaussian._svd_spectrum):
+    for spectrum in (ref_symplectic_spectrum, ref_dense_spectrum):
         with pytest.raises(NumericalDegeneracyError) as exc:
             spectrum(m)
         assert str(exc.value) == "covariance matrix has negative eigenvalue -1"
@@ -223,4 +216,4 @@ def test_other_inputs_keep_the_general_route_bits(pair, data):
     singular = two_mode_cm(np.diag([1.0, 0.0]), pair[1])  # semidefinite q sector
     for m in (correlated, singular):
         assert qp_route(m) is None
-        assert outcome(public, m) == outcome(gaussian._svd_spectrum, m)
+        assert outcome(ref_symplectic_spectrum, m) == outcome(ref_dense_spectrum, m)
