@@ -14,8 +14,9 @@ The finite-modulation pipeline (``rates.key_rate_numeric``) never forms
 an interleaved CM.  Its states have exactly zero q-p cross entries, so
 it holds each as its n x n sectors (Q, P), lists of rows of Python
 floats, through one private kernel per operation (``_qp_tmsv``,
-``_qp_direct_sum``, ``_qp_keep``, ``_qp_beamsplitter``,
-``_qp_heterodyne``, ``_qp_homodyne``).  Each kernel's output is
+``_qp_direct_sum``, ``_qp_keep``, the lossy channel ``_qp_channel``,
+``_qp_heterodyne``, ``_qp_homodyne``); no state has more than four
+modes, as Eve's reflected arms are never formed.  Each kernel's output is
 symmetric by construction, and each kernel that forms new entries
 rejects non-finite ones with the ``CovMat`` text.  ``_qp_mirror_spectrum``
 splits the joint state into two two-mode halves; every pipeline
@@ -45,7 +46,7 @@ LN2 = math.log(2.0)
 
 _NON_FINITE = "covariance matrix contains non-finite entries"
 
-# q and p sectors: at six modes, Python lists cost less than numpy's dispatch.
+# q and p sectors: at four modes, Python lists cost less than numpy's dispatch.
 Sectors = tuple[list[list[float]], list[list[float]]]
 
 
@@ -137,36 +138,29 @@ def _qp_keep(state: Sectors, modes: tuple[int, ...] | list[int]) -> Sectors:
     return tuple([[row[j] for j in modes] for row in [x[i] for i in modes]] for x in state)
 
 
-def _rotate(x: list[list[float]], a: int, b: int, t: float, r: float) -> list[list[float]]:
-    """S x S^T for S sending row a to t*a + r*b and row b to t*b - r*a, symmetric as built."""
-    xa, xb = x[a], x[b]
-    ya = [t * u + r * w for u, w in zip(xa, xb)]
-    yb = [t * w - r * u for u, w in zip(xa, xb)]
-    ya[a], ya[b] = t * ya[a] + r * ya[b], t * ya[b] - r * ya[a]
-    yb[a], yb[b] = ya[b], t * yb[b] - r * yb[a]
-    out = [row.copy() for row in x]
-    for row, u, w in zip(out, ya, yb):
-        row[a], row[b] = u, w
-    out[a], out[b] = ya, yb
-    return out
+def _qp_channel(state: Sectors, modes: tuple[int, ...], env: Sectors, tau: float) -> Sectors:
+    """Send the listed modes through a lossy channel of transmissivity tau.
 
-
-def _qp_beamsplitter(state: Sectors, mode_a: int, mode_b: int, tau: float) -> Sectors:
-    """Mix two modes on a beam splitter of transmissivity tau.
-
-    sqrt(tau)*A + sqrt(1-tau)*B replaces mode_a and mode_b carries
-    -sqrt(1-tau)*A + sqrt(tau)*B.  Both sectors take the same rotation,
-    entry by entry, so mirror-image beam splitters give bit-equal entries.
+    Each listed mode meets the matching mode of env on a beam splitter and
+    is replaced by its transmitted arm t*A + r*E, t = sqrt(tau) and
+    r = sqrt(1-tau).  With s = t on listed modes and 1 elsewhere, entry ij
+    becomes s_i*(s_j*x_ij), plus r*(r*n_kl) between listed modes.  State
+    and env are uncorrelated, so these round as the full rotation's do.
     """
-    if mode_a == mode_b:
-        raise DomainError("beam splitter needs two distinct modes")
-    for mode in (mode_a, mode_b):
-        _check_mode(mode, len(state[0]))
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError(f"transmissivity must lie in [0, 1], got {tau}")
     t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
-    q, p = _rotate(state[0], mode_a, mode_b, t, r), _rotate(state[1], mode_a, mode_b, t, r)
-    _require_finite_rows([q[mode_a], q[mode_b], p[mode_a], p[mode_b]])  # the new entries
+    scale = [1.0] * len(state[0])
+    for mode in modes:
+        scale[mode] = t
+    out = []
+    for x, n in zip(state, env):
+        y = [[si * (sj * xij) for sj, xij in zip(scale, row)] for si, row in zip(scale, x)]
+        for i, n_row in zip(modes, n):
+            row = y[i]
+            for j, n_ij in zip(modes, n_row):
+                row[j] += r * (r * n_ij)
+        out.append(y)
+    q, p = out
+    _require_finite_rows([q[i] for i in modes] + [p[i] for i in modes])  # the new entries
     return q, p
 
 

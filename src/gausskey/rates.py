@@ -11,15 +11,15 @@ modulation variance cancels (``key_rate_asymptotic``, ``key_rates``), and
 a finite-modulation numeric pipeline (``key_rate_numeric``);
 ``rate_report`` reports either, the asymptotic one in a single pass.
 The pipeline's Holevo bound is built entirely from the private q/p-sector
-kernels of ``gaussian`` (beam splitters, Schur-complement conditioning,
-symplectic diagonalisation, entropies) and uses none of the rate
-formulas; it is the oracle that every closed form is validated against.
-The joint state comes only from that construction (``_joint_qp``), and
-no function here returns a CM: the library keeps no closed form of the
-joint or conditional CMs.  The pipeline's mutual information is
-``mutual_information``, the exact finite-mu closed form: the receiver
-variances it needs are read off Lambda and tau + (1-tau)*omega, not off a
-measured-down CM.
+kernels of ``gaussian`` (a lossy channel, Schur-complement conditioning,
+symplectic diagonalisation) and scalar entropies, and uses none of the
+rate formulas; it is the oracle that every closed form is validated
+against.  The joint state comes only from that construction
+(``_joint_qp``), and no function here returns a CM: the library keeps no
+closed form of the joint or conditional CMs.  The pipeline's mutual
+information is ``mutual_information``, the exact finite-mu closed form:
+the receiver variances it needs are read off Lambda and
+tau + (1-tau)*omega, not off a measured-down CM.
 
 Conventions.  The source is a two-mode squeezed vacuum of local
 variance mu + 1, so the classical modulation variance is mu - 1 and the
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -44,7 +43,7 @@ from .attack import AttackParams, _attack_qp, lens_mask, violated_constraint
 from .gaussian import (
     DomainError,
     Sectors,
-    _qp_beamsplitter,
+    _qp_channel,
     _qp_direct_sum,
     _qp_heterodyne,
     _qp_homodyne,
@@ -189,18 +188,17 @@ def _nbar_noswitching(tau, om, g, gp, ew: _Elementwise = _SCALAR):
 def _joint_qp(params: AttackParams, mu: float) -> Sectors:
     """q and p sectors of the joint state of sender modes (a, a') and receiver modes (B, B').
 
-    Starts from TMSV(mu+1) (x) TMSV(mu+1) (x) attack state in mode order
-    (a, A, a', A', e, E), applies a beam splitter of transmissivity tau
-    on (A, e) and on (A', E), keeps (a, a', B, B') where B, B' are the
-    transmitted outputs, and discards the reflected arms.
+    Two TMSV(mu+1) sources in mode order (a, a', A, A') send (A, A')
+    through a lossy channel of transmissivity tau whose environment is the
+    attack state (e, E): B and B' are the transmitted arms.  The Holevo
+    bound needs only this state, so Eve's reflected arms are never formed.
     """
     _require_physical(params)
     _require_finite_mu(mu)
     source = _qp_tmsv(mu + 1.0)  # read, never written, so one state serves both uses
-    src = _qp_direct_sum(source, source, _attack_qp(params.omega, params.g, params.g_prime))
-    mixed = _qp_beamsplitter(src, 1, 4, params.tau)
-    mixed = _qp_beamsplitter(mixed, 3, 5, params.tau)
-    return _qp_keep(mixed, (0, 2, 1, 3))
+    sources = _qp_keep(_qp_direct_sum(source, source), (0, 2, 1, 3))
+    ancillas = _attack_qp(params.omega, params.g, params.g_prime)
+    return _qp_channel(sources, (2, 3), ancillas, params.tau)
 
 
 def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
@@ -343,21 +341,21 @@ def key_rates(
 def _spectrum_entropies(*spectra: np.ndarray) -> list[float]:
     """Entropy in bits of each state from its spectrum, its h terms summed in order.
 
-    One entropy_h_array call: the first unphysical eigenvalue, in the order given, raises.
+    The first unphysical eigenvalue, in the order given, raises.
     """
-    h = iter(entropy_h_array(np.concatenate(spectra)).tolist())
-    return [float(sum(islice(h, len(s)))) for s in spectra]
+    return [sum(map(entropy_h, s.tolist())) for s in spectra]
 
 
 def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     """Finite-modulation rate with a Holevo bound computed through CM operations.
 
-    Builds the joint state constructively (two TMSVs mixed with the
-    ancillas on beam splitters), takes its symplectic spectrum, and
-    obtains the conditional entropy from measured-down Schur complements
-    and their spectra; no rate formula enters the Holevo bound.  The
-    mutual information is ``mutual_information(params, spec)``, exact in
-    closed form.  Converges to the closed-form rate as O(1/mu).
+    Builds the joint state constructively (two TMSV arms sent through a
+    lossy channel whose environment is the ancilla pair), takes its
+    symplectic spectrum, and obtains the conditional entropy from
+    measured-down Schur complements and their spectra; no rate formula
+    enters the Holevo bound.  The mutual information is
+    ``mutual_information(params, spec)``, exact in closed form.  Converges
+    to the closed-form rate as O(1/mu).
 
     Round-off: the CM entries are of order mu*omega and the small
     eigenvalues cancel down from them, so the Holevo bound carries an

@@ -6,8 +6,12 @@ the symplectic form on every call.  ``gausskey.gaussian`` instead holds
 each state as its q and p sectors; the ``cm_*`` helpers below assemble
 a sector kernel's output into one interleaved CM (and split a q-p-free
 CM into sectors), so that ``tests/test_cm_bit_identity.py`` can hold
-every kernel to its reference.  ``ref_total_cm`` chains the references
-into the joint CM, every stage a validated ``CovMat``.
+every kernel to its reference.  ``ref_sector_beamsplitter`` is the full
+beam-splitter rotation on q/p sectors, both output arms formed: the
+library sends a mode through a lossy channel (``_qp_channel``) without
+forming the reflected arm, and must match the transmitted arm of this
+rotation bit for bit.  ``ref_total_cm`` chains the dense references into
+the joint CM, every stage a validated ``CovMat``.
 ``ref_dense_spectrum`` is the project's only double-precision eigh/svd
 symplectic spectrum; the library diagonalises q/p sectors only.
 
@@ -62,8 +66,8 @@ def cm_keep_modes(m, modes):
     return assemble_cm(gaussian._qp_keep(qp_state(m), modes))
 
 
-def cm_beamsplitter(m, mode_a, mode_b, tau):
-    return assemble_cm(gaussian._qp_beamsplitter(qp_state(m), mode_a, mode_b, tau))
+def cm_channel(m, modes, env, tau):
+    return assemble_cm(gaussian._qp_channel(qp_state(m), modes, qp_state(env), tau))
 
 
 def cm_heterodyne(m, mode):
@@ -154,6 +158,30 @@ def ref_beamsplitter_apply(m, mode_a, mode_b, tau):
     S[b : b + 2, b : b + 2] = t * np.eye(2)
     out = S @ m @ S.T
     return (out + out.T) / 2.0
+
+
+def _rotate(x, a, b, t, r):
+    """S x S^T for S sending row a to t*a + r*b and row b to t*b - r*a, symmetric as built."""
+    xa, xb = x[a], x[b]
+    ya = [t * u + r * w for u, w in zip(xa, xb)]
+    yb = [t * w - r * u for u, w in zip(xa, xb)]
+    ya[a], ya[b] = t * ya[a] + r * ya[b], t * ya[b] - r * ya[a]
+    yb[a], yb[b] = ya[b], t * yb[b] - r * yb[a]
+    out = [row.copy() for row in x]
+    for row, u, w in zip(out, ya, yb):
+        row[a], row[b] = u, w
+    out[a], out[b] = ya, yb
+    return out
+
+
+def ref_sector_beamsplitter(state, mode_a, mode_b, tau):
+    """Beam splitter of transmissivity tau on q/p sectors, both arms formed.
+
+    sqrt(tau)*A + sqrt(1-tau)*B replaces mode_a and mode_b carries
+    -sqrt(1-tau)*A + sqrt(tau)*B; both sectors take the same rotation.
+    """
+    t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
+    return tuple(_rotate(x, mode_a, mode_b, t, r) for x in state)
 
 
 def ref_two_mode_spectrum(m):

@@ -29,13 +29,17 @@ from gausskey import (
 )
 from gausskey.rates import NO_SWITCHING, SWITCHING
 from cm_reference import (
+    assemble_cm,
     cm_attack,
-    cm_beamsplitter,
+    cm_channel,
     cm_direct_sum,
     cm_heterodyne,
     cm_homodyne,
+    cm_keep_modes,
     cm_tmsv,
+    qp_state,
     ref_is_physical,
+    ref_sector_beamsplitter,
     ref_symplectic_spectrum,
 )
 from conftest import random_attack
@@ -190,22 +194,22 @@ def test_criterion_8_gaussian_property_suite():
         mu = 1.0 + 99.0 * rng.random()
         assert ref_symplectic_spectrum(cm_tmsv(mu)) == pytest.approx([1.0, 1.0], abs=1e-9)
         cases += 1
-    for _ in range(250):  # beam-splitter spectrum preservation
+    for _ in range(250):  # the channel keeps one arm of a spectrum-preserving beam splitter
         p = random_attack(rng)
-        cm = cm_direct_sum(cm_tmsv(1.0 + 9.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime))
+        source = cm_tmsv(1.0 + 9.0 * rng.random())
+        env = cm_attack(p.omega, p.g, p.g_prime)
+        cm = cm_direct_sum(source, env)
         tau = rng.random()
-        before = ref_symplectic_spectrum(cm)
-        after = ref_symplectic_spectrum(cm_beamsplitter(cm, 1, 3, tau))
-        assert after == pytest.approx(before, abs=1e-9)
+        full = assemble_cm(ref_sector_beamsplitter(qp_state(cm), 1, 3, tau))
+        assert ref_symplectic_spectrum(full) == pytest.approx(ref_symplectic_spectrum(cm), abs=1e-9)
+        assert np.array_equal(cm_channel(source, (1,), cm_keep_modes(env, (1,)), tau), full[:4, :4])
         cases += 1
-    for _ in range(250):  # conditioning keeps physicality
+    for _ in range(250):  # the channel and conditioning keep physicality
         p = random_attack(rng)
-        cm = cm_beamsplitter(
-            cm_direct_sum(cm_tmsv(1.0 + 9.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime)),
-            1,
-            2,
-            rng.random(),
-        )
+        mu = 1.0 + 9.0 * rng.random()
+        sources = cm_direct_sum(cm_tmsv(mu), cm_tmsv(mu))
+        cm = cm_channel(sources, (1, 3), cm_attack(p.omega, p.g, p.g_prime), rng.random())
+        assert ref_is_physical(cm)
         assert ref_is_physical(cm_heterodyne(cm, 1))
         assert ref_is_physical(cm_homodyne(cm, 0, "q" if rng.random() < 0.5 else "p"))
         cases += 1

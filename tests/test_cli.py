@@ -336,18 +336,43 @@ def test_config_file_rejects_step_keys(tmp_path):
     assert "unknown key 'hessian_step'" in result.stderr
 
 
-# Start-up cost: none of these may load when the CLI module is imported.
+# Start-up cost: none of these may load in the set-up of a benchmark workload.
 HEAVY_MODULES = ("scipy", "sympy", "mpmath", "hypothesis", "concurrent.futures", "multiprocessing")
 
 
-def test_cli_import_loads_no_heavy_module():
-    probe = (
-        "import sys, gausskey.cli; "
-        f"print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
-    )
+def _heavy_modules_loaded(setup):
+    """The HEAVY_MODULES entries that a fresh interpreter has loaded after running setup."""
+    loaded = f"','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules)"
+    probe = f"{setup}\nimport sys\nprint({loaded})"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == ""
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_heavy_module():
+    assert _heavy_modules_loaded("import gausskey.cli") == ""
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        pytest.param(
+            "import gausskey.attack as attack, gausskey.rates as rates\n"
+            "rates.key_rate_numeric(attack.AttackParams(0.44, 1.2, 0.3, -0.1),"
+            " rates.ProtocolSpec('noswitching', mu=1e4, asymptotic=False))",
+            id="pipeline",
+        ),
+        pytest.param(
+            "import gausskey.landscape as landscape\n"
+            "landscape.verify_minimality('noswitching', 0.44, 1.2, 101)\n"
+            "landscape.critical_point_report('noswitching', 0.44, 1.2)",
+            id="certify",
+        ),
+    ],
+)
+def test_workload_setup_loads_no_heavy_module(setup):
+    """The set-up probes of the pipeline and certify benchmark workloads, as they run."""
+    assert _heavy_modules_loaded(setup) == ""
 
 
 def test_rate_json_matches_csv():

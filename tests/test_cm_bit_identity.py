@@ -6,15 +6,18 @@ matrices and rebuild the symplectic form on every call.  The kernels of
 ``gausskey.gaussian`` hold each state as its q and p sectors; each
 kernel's output, assembled into one CM, must match its reference.  The
 kernels that only move entries (TMSV, attack state, keep modes) and the
-homodyne update match bit for bit, signed zeros included; the beam
-splitter and the heterodyne update round differently from a dense
+homodyne update match bit for bit, signed zeros included; the sector
+beam splitter and the heterodyne update round differently from a dense
 product and a ``solve``, and stay within a few ulps of the terms they
-add.  The kernels also raise the error texts pinned here.
+add.  The lossy channel matches the transmitted arms of the sector beam
+splitter bit for bit.  The kernels also raise the error texts pinned here.
 
-``ref_key_rate_numeric`` runs the same kernels with every stage
-assembled into a validated ``CovMat`` and read back, splits the joint
-CM into its mirror halves from the interleaved entries, and sums scalar
-``entropy_h``; the mutual information comes from
+``ref_key_rate_numeric`` builds the six-mode state (a, A, a', A', e, E),
+mixes each channel use with its ancilla on the sector beam splitter and
+keeps (a, a', B, B'), then runs the library's conditioning kernels, with
+every stage assembled into a validated ``CovMat`` and read back.  It
+splits the joint CM into its mirror halves from the interleaved entries,
+and sums scalar ``entropy_h``; the mutual information comes from
 ``rates.mutual_information`` as in the pipeline.  ``key_rate_numeric``
 must match it byte for byte, and its errors in type and text.
 """
@@ -37,6 +40,7 @@ from cm_reference import (
     ref_heterodyne_condition,
     ref_homodyne_condition,
     ref_keep_modes,
+    ref_sector_beamsplitter,
     ref_split_measured,
     ref_symplectic_spectrum,
     ref_tmsv_cm,
@@ -62,6 +66,9 @@ EPS = 2.0**-52
 # splitter, |A| + |B| (C + I)^-1 |B|^T for heterodyne): 1.8 and 1.6.
 BEAMSPLITTER_BUDGET = 4.0
 HETERODYNE_BUDGET = 3.0
+# The same for the lossy channel against one dense beam splitter per
+# channel mode, in eps times |S| |V (+) N| |S|^T: 1.0 in 3,000 draws.
+CHANNEL_BUDGET = 4.0
 
 # ------------------------------------------------------- reference pipeline
 
@@ -112,8 +119,8 @@ def ref_key_rate_numeric(params, spec):
     source = _stage(gaussian._qp_tmsv(spec.mu + 1.0))
     ancillas = _stage(attack._attack_qp(params.omega, params.g, params.g_prime))
     src = _stage(gaussian._qp_direct_sum(source, source, ancillas))
-    mixed = _stage(gaussian._qp_beamsplitter(src, 1, 4, params.tau))
-    mixed = _stage(gaussian._qp_beamsplitter(mixed, 3, 5, params.tau))
+    mixed = _stage(ref_sector_beamsplitter(src, 1, 4, params.tau))
+    mixed = _stage(ref_sector_beamsplitter(mixed, 3, 5, params.tau))
     V = _stage(gaussian._qp_keep(mixed, (0, 2, 1, 3)))
     total_spectrum = _mirror_spectrum(assemble_cm(V))
     # every spectrum first, then the entropies: the first unphysical
@@ -288,11 +295,36 @@ def test_beamsplitter_matches_five_eye_construction(state, tau, data):
     a, b = data.draw(st.permutations(range(n)))[:2]
     m = assemble_cm(state)
     error = np.abs(
-        assemble_cm(gaussian._qp_beamsplitter(state, a, b, tau))
+        assemble_cm(ref_sector_beamsplitter(state, a, b, tau))
         - ref_beamsplitter_apply(m, a, b, tau)
     )
     S = _abs_rotation(n, a, b, tau)
     assert (error <= BEAMSPLITTER_BUDGET * EPS * (S @ np.abs(m) @ S.T)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=qp_states(), tau=st.floats(0.0, 1.0), data=st.data())
+def test_channel_is_the_transmitted_arm_of_beamsplitters(state, tau, data):
+    """The channel is keep(beam splitters(state (+) env)): bit for bit, and near the dense form."""
+    n = len(state[0])
+    modes = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+    env = data.draw(qp_states(min_modes=len(modes), max_modes=len(modes)))
+    out = assemble_cm(gaussian._qp_channel(state, modes, env, tau))
+    chain = gaussian._qp_direct_sum(state, env)
+    for k, mode in enumerate(modes):
+        chain = ref_sector_beamsplitter(chain, mode, n + k, tau)
+    # + 0.0 maps -0.0 to 0.0: where t*x is -0.0 the rotation adds a +0.0
+    # cross term and the channel does not, so only a zero's sign may differ
+    assert_same_bits(out + 0.0, assemble_cm(gaussian._qp_keep(chain, range(n))) + 0.0)
+
+    m = joint = ref_direct_sum(assemble_cm(state), assemble_cm(env))
+    S = np.eye(len(joint))
+    for k, mode in enumerate(modes):
+        m = ref_beamsplitter_apply(m, mode, n + k, tau)
+        S = _abs_rotation(n + len(modes), mode, n + k, tau) @ S
+    scale = ref_keep_modes(S @ np.abs(joint) @ S.T, range(n))
+    error = np.abs(out - ref_keep_modes(m, range(n)))
+    assert (error <= CHANNEL_BUDGET * EPS * scale).all()
 
 
 # Worst |report.total_spectrum - eigh/svd oracle| seen in 2,000 draws of the
@@ -443,7 +475,6 @@ def test_numeric_errors_pinned(point, variant, mu, error, text):
 KERNELS = {
     "tmsv_cm": gaussian._qp_tmsv,
     "keep_modes": gaussian._qp_keep,
-    "beamsplitter_apply": gaussian._qp_beamsplitter,
     "heterodyne_condition": gaussian._qp_heterodyne,
     "homodyne_condition": gaussian._qp_homodyne,
 }
@@ -456,10 +487,7 @@ def _bad_calls():
         ("mode index 4 out of range for 4 modes", "keep_modes", (V, (0, 4))),
         ("mode index -1 out of range for 4 modes", "heterodyne_condition", (V, -1)),
         ("mode index 7 out of range for 4 modes", "homodyne_condition", (V, 7, "q")),
-        ("mode index 4 out of range for 4 modes", "beamsplitter_apply", (V, 0, 4, 0.5)),
-        ("beam splitter needs two distinct modes", "beamsplitter_apply", (V, 1, 1, 0.5)),
         ("quadrature must be 'q' or 'p', got 'x'", "homodyne_condition", (V, 1, "x")),
-        ("transmissivity must lie in [0, 1], got 1.5", "beamsplitter_apply", (V, 0, 1, 1.5)),
         ("TMSV variance must satisfy mu >= 1, got 0.5", "tmsv_cm", (0.5,)),
         ("covariance matrix contains non-finite entries", "tmsv_cm", (1e200,)),
         (
@@ -532,13 +560,9 @@ def test_bad_mode_message_unchanged_after_cached_calls(bad):
         with pytest.raises(DomainError) as exc:
             gaussian._qp_homodyne(V, bad, "q")
         assert str(exc.value) == expected
-        with pytest.raises(DomainError) as exc:
-            gaussian._qp_beamsplitter(V, 0, bad, 0.5)
-        assert str(exc.value) == expected
         gaussian._qp_keep(V, (2, 0))
         gaussian._qp_heterodyne(V, 1)
         gaussian._qp_homodyne(V, 2, "p")
-        gaussian._qp_beamsplitter(V, 0, 2, 0.5)
 
 
 def test_single_mode_conditioning_still_rejected():

@@ -6,14 +6,17 @@ import pytest
 from gausskey import DomainError, NumericalDegeneracyError, entropy_h
 from gausskey.gaussian import CovMat
 from cm_reference import (
+    assemble_cm,
     cm_attack,
-    cm_beamsplitter,
+    cm_channel,
     cm_direct_sum,
     cm_heterodyne,
     cm_homodyne,
     cm_keep_modes,
     cm_tmsv,
+    qp_state,
     ref_is_physical,
+    ref_sector_beamsplitter,
     ref_symplectic_form,
     ref_symplectic_spectrum,
 )
@@ -173,7 +176,7 @@ def test_von_neumann_entropy():
     )
 
 
-# ----------------------------------------------------------- beam splitter
+# ----------------------------------------------------------- lossy channel
 
 def _bs_oracle(mat: np.ndarray, tau: float) -> np.ndarray:
     # hand-built two-mode symplectic, transmitted arm first
@@ -186,43 +189,60 @@ def _bs_oracle(mat: np.ndarray, tau: float) -> np.ndarray:
 
 def test_beamsplitter_transparent():
     cm = cm_tmsv(3.0)
-    out = cm_beamsplitter(cm, 0, 1, 1.0)
-    assert np.allclose(out, cm, atol=1e-12)
+    out = cm_channel(cm, (0, 1), cm_attack(2.0, 0.5, -0.5), 1.0)
+    assert out.tobytes() == cm.tobytes()
 
 
 def test_beamsplitter_full_reflection_swaps():
+    # the channel's output mode is the environment's input mode
     cm = cm_tmsv(2.0)
-    out = cm_beamsplitter(cm, 0, 1, 0.0)
-    assert np.allclose(out, _bs_oracle(cm, 0.0), atol=1e-12)
-    # reflected arm: blocks swap, cross block flips sign
-    assert np.allclose(out[0:2, 0:2], cm[2:4, 2:4], atol=1e-12)
-    assert np.allclose(out[0:2, 2:4], -cm[0:2, 2:4], atol=1e-12)
+    env = cm_attack(2.0, 0.5, -0.5)
+    assert np.array_equal(cm_channel(cm, (0, 1), env, 0.0), env)
+    out = cm_channel(cm, (1,), np.diag([1.7, 1.7]), 0.0)
+    assert np.array_equal(out, np.diag([2.0, 2.0, 1.7, 1.7]))
 
 
 def test_beamsplitter_transmitted_variance():
-    cm = np.diag([3.0, 3.0, 1.2, 1.2])
-    out = cm_beamsplitter(cm, 0, 1, 0.6)
-    assert np.allclose(out, _bs_oracle(cm, 0.6), atol=1e-12)
+    env = np.diag([1.2, 1.2])
+    out = cm_channel(np.diag([3.0, 3.0]), (0,), env, 0.6)
+    oracle = _bs_oracle(np.diag([3.0, 3.0, 1.2, 1.2]), 0.6)
+    assert np.allclose(out, oracle[0:2, 0:2], atol=1e-12)
     # transmitted block: tau*mu + (1-tau)*omega = 0.6*3 + 0.4*1.2
     assert out[0, 0] == pytest.approx(2.28, abs=1e-12)
 
 
 def test_beamsplitter_validation():
-    cm = cm_tmsv(2.0)
-    with pytest.raises(DomainError):
-        cm_beamsplitter(cm, 0, 0, 0.5)
-    with pytest.raises(DomainError):
-        cm_beamsplitter(cm, 0, 1, 1.5)
+    with pytest.raises(DomainError, match="non-finite"):
+        cm_channel(np.diag([np.inf, 1.0]), (0,), np.eye(2), 0.5)
+    with pytest.raises(DomainError, match="non-finite"):
+        cm_channel(np.eye(2), (0,), np.diag([1.0, np.inf]), 0.5)
 
 
 def test_beamsplitter_preserves_spectrum():
+    """The channel keeps the transmitted arm of a beam splitter that preserves the spectrum."""
     rng = np.random.default_rng(5)
     for tau in np.linspace(0.0, 1.0, 11):
         p = random_attack(rng)
-        cm = cm_direct_sum(cm_tmsv(1.0 + 3.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime))
-        before = ref_symplectic_spectrum(cm)
-        after = ref_symplectic_spectrum(cm_beamsplitter(cm, 0, 2, float(tau)))
-        assert after == pytest.approx(before, abs=1e-9)
+        source = cm_tmsv(1.0 + 3.0 * rng.random())
+        env = cm_attack(p.omega, p.g, p.g_prime)
+        cm = cm_direct_sum(source, env)
+        full = assemble_cm(ref_sector_beamsplitter(qp_state(cm), 0, 2, float(tau)))
+        assert ref_symplectic_spectrum(full) == pytest.approx(
+            ref_symplectic_spectrum(cm), abs=1e-9
+        )
+        out = cm_channel(source, (0,), cm_keep_modes(env, (0,)), float(tau))
+        assert np.array_equal(out, full[0:4, 0:4])
+
+
+def test_channel_keeps_physicality():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = random_attack(rng)
+        mu = 1.0 + 5.0 * rng.random()
+        sources = cm_direct_sum(cm_tmsv(mu), cm_tmsv(mu))
+        tau = float(rng.random())
+        assert ref_is_physical(cm_channel(sources, (1, 3), cm_attack(p.omega, p.g, p.g_prime), tau))
+        assert ref_is_physical(cm_channel(sources, (2,), np.eye(2) * p.omega, tau))
 
 
 # ------------------------------------------------------------ conditioning
@@ -261,14 +281,11 @@ def test_homodyne_degenerate_quadrature():
 
 def test_conditioning_keeps_physicality():
     rng = np.random.default_rng(17)
-    for _ in range(50):
+    for _ in range(50):  # (a, B, a', B'): two TMSV arms through an attack channel
         p = random_attack(rng)
-        cm = cm_beamsplitter(
-            cm_direct_sum(cm_tmsv(1.0 + 5.0 * rng.random()), cm_attack(p.omega, p.g, p.g_prime)),
-            1,
-            2,
-            rng.random(),
-        )
+        mu = 1.0 + 5.0 * rng.random()
+        sources = cm_direct_sum(cm_tmsv(mu), cm_tmsv(mu))
+        cm = cm_channel(sources, (1, 3), cm_attack(p.omega, p.g, p.g_prime), float(rng.random()))
         assert ref_is_physical(cm_heterodyne(cm, 0))
         assert ref_is_physical(cm_homodyne(cm, 2, "q"))
         assert ref_is_physical(cm_homodyne(cm, 1, "p"))

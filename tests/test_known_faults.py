@@ -69,3 +69,14 @@ def test_critical_is_minimum_at_huge_omega():
     code, out, err = run_main(["critical", "--tau", "0.5", "--omega", "1e10"])
     assert code == 0, err
     assert "is_minimum,true" in out.splitlines()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at tau = 1 the joint state is pure; det Q of each half cancels from about mu^2, "
+    "so its eigenvalue 1 comes out about eps*mu^2 low",
+)
+def test_finite_mu_rate_at_unit_transmissivity():
+    code, _, err = run_main(["rate", "--tau", "1", "--omega", "2", "--mu", "1e4"])
+    assert code == 0, err
