@@ -29,14 +29,20 @@ rates; a ``boundary`` run with no sample is a domain error.
 
 Cost per in-process ``main`` call.  ``main`` parses with one parser per
 process, built on first use (``build_parser`` still returns a fresh
-one).  Scan and boundary rows are rendered straight from their columns:
-CSV through one ``%.17g`` template per row, JSON from one C-encoder call
-per float column, set into a fixed indented row template; the bytes are
-those of ``fmt`` and of ``json.dumps(..., indent=2)``.  Medians on
-2 vCPUs (tau 0.44, omega 7.3): ``rate``/``critical`` 0.2-0.3 ms (about
-3 ms when each call built its parser), ``converge`` about 1 ms, ``scan`` at
-resolution 31 (about 1,000 rows) 4.1 ms as CSV and 5.7 ms as JSON
-(8-9 and 17 ms before), at resolution 101 35 and 53 ms (49 and 140 ms).
+one).  Scan and boundary rows are rendered straight from their columns.
+Each distinct bit pattern among a table's g, g' and rate cells is
+rendered once (CSV in one ``%.17g`` format call, JSON in one C-encoder
+call) and its text set into a fixed row template: a scan's columns
+repeat, since g and g' run over the grid axis and the rates come in
+bit-equal mirror pairs.  Bits, not values, tell floats apart: -0.0 == 0.0
+but renders as ``-0`` (``-0.0`` in JSON), and NaN equals nothing.  The
+bytes are those of ``fmt`` and of ``json.dumps(..., indent=2)``.  Medians
+on 2 vCPUs shared with other load (tau 0.44, omega 7.3): ``rate`` and
+``critical`` 0.1-0.2 ms, ``converge`` about 0.5 ms, ``boundary`` at
+resolution 101 0.8 ms, ``scan`` at resolution 31 (about 1,000 rows)
+1.7 ms as CSV and 2.1-2.4 ms as JSON, at resolution 101 11 and 20 ms.
+Rendering one text per cell, the last five took 1.1-1.3, 3.3-4.8, 4.7, 29
+and 48-52 ms.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ from .attack import AttackParams, boundary_curve_arrays
 from .gaussian import DomainError, NumericalDegeneracyError
 
 SCAN_HEADER = "g,g_prime,rate,physical,on_boundary"
-# One scan row as fmt and json.dumps(..., indent=2) render it.
-_CSV_ROW = "%.17g,%.17g,%.17g,true,%s"
+# One scan row, from the texts of its g, g', rate and on_boundary, as fmt
+# and json.dumps(..., indent=2) render it.
+_CSV_ROW = "%s,%s,%s,true,%s"
 _JSON_ROW = (
     '\n    {\n      "g": %s,\n      "g_prime": %s,\n      "rate": %s,'
     '\n      "physical": true,\n      "on_boundary": %s\n    }'
@@ -304,6 +311,12 @@ def cmd_rate(cfg: RunConfig) -> str:
     return _kv_csv(pairs)
 
 
+def _csv_texts(column: np.ndarray) -> list[str]:
+    """fmt's text of each float, from one %-format call."""
+    floats = column.tolist()
+    return ("\n".join(["%.17g"] * len(floats)) % tuple(floats)).split("\n")
+
+
 def _json_texts(column: np.ndarray) -> list[str]:
     """json's text of each float (NaN, Infinity and -0.0 included), from one C-encoder call."""
     return json.dumps(column.tolist())[1:-1].split(", ")
@@ -318,13 +331,21 @@ def _render_rows(
     """Scan rows from their (g, g', rate, on_boundary) columns.
 
     origin_rate is unclamped; it and verdict are None for a boundary run.
+    Each distinct float of the three columns is rendered once, and its text
+    set into every cell that holds it.  Floats are told apart by their bits,
+    not their values: -0.0 == 0.0 but the two render differently.
     """
     g, gp, rates, on_boundary = points
     if origin_rate is not None:
         origin_rate = _clamp(cfg, origin_rate)
     if cfg.clamp_nonnegative:  # max(rate, 0.0) per row: -0.0 and NaN pass through
         rates = np.where(rates < 0.0, 0.0, rates)
-    flags = map(_fmt_bool, on_boundary.tolist())
+    texts = _json_texts if cfg.format == "json" else _csv_texts
+    bits, index = np.unique(np.concatenate((g, gp, rates)).view(np.uint64), return_inverse=True)
+    cells = np.empty((g.size, 4), dtype=object)
+    cells[:, :3] = np.array(texts(bits.view(np.float64)), dtype=object)[index].reshape(3, -1).T
+    cells[:, 3] = np.array(("false", "true"), dtype=object)[on_boundary.astype(np.intp)]
+    values = tuple(cells.ravel().tolist())
     if cfg.format == "json":
         payload = {
             "params": {
@@ -340,12 +361,10 @@ def _render_rows(
         }
         text = json.dumps(payload, indent=2)
         if g.size:
-            rows = zip(_json_texts(g), _json_texts(gp), _json_texts(rates), flags)
-            body = ",".join(map(_JSON_ROW.__mod__, rows))
+            body = ",".join([_JSON_ROW] * g.size) % values
             text = text.replace('"rows": []', f'"rows": [{body}\n  ]', 1)
         return text + "\n"
-    rows = map(_CSV_ROW.__mod__, zip(g.tolist(), gp.tolist(), rates.tolist(), flags))
-    return "\n".join([SCAN_HEADER, *rows]) + "\n"
+    return "\n".join([SCAN_HEADER] + [_CSV_ROW] * g.size) % values + "\n"
 
 
 def cmd_scan(cfg: RunConfig) -> str:

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from gausskey import verify_minimality
+from gausskey.attack import boundary_curve_arrays
 from gausskey.cli import main
 
 
@@ -80,3 +81,15 @@ def test_critical_is_minimum_at_huge_omega():
 def test_finite_mu_rate_at_unit_transmissivity():
     code, _, err = run_main(["rate", "--tau", "1", "--omega", "2", "--mu", "1e4"])
     assert code == 0, err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the rim formula loses about omega^2*eps near g -> s*omega, so some samples "
+    "walk past RIM_STEP_CAP ulps and are dropped",
+)
+def test_boundary_keeps_every_rim_sample_at_large_omega():
+    """All 2 x 2001 rim points lie in the lens (50-digit mpmath, g' = s*(omega - 1/(omega - s*g)))."""
+    g, _ = boundary_curve_arrays(1e8, 2001)
+    assert g.size == 2 * 2001
