@@ -6,22 +6,24 @@ variance is 1.  A state is physical iff every symplectic eigenvalue is
 >= 1 (up to the slack ``EPS_PHYS``).
 
 The bosonic entropy h(x) is evaluated in a form that cancels nothing at
-large x, in numpy ufuncs only; ``entropy_h`` (floats) and
-``entropy_h_array`` (arrays) share that one expression and so agree bit
-for bit.
+large x.  ``entropy_h_array`` runs it in numpy ufuncs; ``entropy_h``
+calls the same two logarithm ufuncs on a Python float and does the rest
+in Python float arithmetic, the same IEEE operations in the same order,
+so the two agree bit for bit over the whole range (the tests check up to
+1e300 and inf).
 
 The finite-modulation pipeline (``rates.key_rate_numeric``) never forms
 an interleaved CM.  Its states have exactly zero q-p cross entries, so
 it holds each as its n x n sectors (Q, P), lists of rows of Python
-floats, through one private kernel per operation (``_qp_tmsv``,
-``_qp_direct_sum``, ``_qp_keep``, the lossy channel ``_qp_channel``,
-``_qp_heterodyne``, ``_qp_homodyne``); no state has more than four
-modes, as Eve's reflected arms are never formed.  Each kernel's output is
-symmetric by construction, and each kernel that forms new entries
-rejects non-finite ones with the ``CovMat`` text.  ``_qp_mirror_spectrum``
-splits the joint state into two two-mode halves; every pipeline
-spectrum comes from ``_qp_spectrum``, with no ``eigh``, ``svd`` or
-``solve`` and no rate formula.  The package has no dense (eigh/svd)
+floats, through one private kernel per operation (``_qp_tmsv``, the
+lossy channel ``_qp_channel``, ``_qp_heterodyne``, ``_qp_homodyne``);
+no state has more than four modes, as Eve's reflected arms are never
+formed.  Each kernel computes only the entries it changes and copies the
+rest.  Each kernel's output is symmetric by construction, and each kernel
+that forms new entries rejects non-finite ones with the ``CovMat`` text.
+``_qp_mirror_spectrum`` splits the joint state into two two-mode halves;
+every pipeline spectrum comes from ``_qp_spectrum``, with no ``eigh``,
+``svd`` or ``solve`` and no rate formula.  The package has no dense (eigh/svd)
 spectrum; ``tests/cm_reference.py`` keeps one as the tests' oracle.
 
 Everything here is a pure function of its inputs; ``CovMat`` instances
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -117,27 +120,6 @@ def _qp_tmsv(mu: float) -> Sectors:
     return [[mu, c], [c, mu]], [[mu, -c], [-c, mu]]
 
 
-def _qp_direct_sum(*states: Sectors) -> Sectors:
-    """Sectors of a product state: each sector's blocks along the diagonal."""
-    zeros = [0.0] * sum([len(state[0]) for state in states])
-    q, p, at = [], [], 0
-    for sq, sp in states:
-        end = at + len(sq)
-        for u, w in zip(sq, sp):
-            q.append(zeros.copy())
-            p.append(zeros.copy())
-            q[-1][at:end], p[-1][at:end] = u, w
-        at = end
-    return q, p
-
-
-def _qp_keep(state: Sectors, modes: tuple[int, ...] | list[int]) -> Sectors:
-    """Reduced state of the listed modes, in the order given (a permutation reorders)."""
-    for mode in modes:
-        _check_mode(mode, len(state[0]))
-    return tuple([[row[j] for j in modes] for row in [x[i] for i in modes]] for x in state)
-
-
 def _qp_channel(state: Sectors, modes: tuple[int, ...], env: Sectors, tau: float) -> Sectors:
     """Send the listed modes through a lossy channel of transmissivity tau.
 
@@ -146,32 +128,39 @@ def _qp_channel(state: Sectors, modes: tuple[int, ...], env: Sectors, tau: float
     r = sqrt(1-tau).  With s = t on listed modes and 1 elsewhere, entry ij
     becomes s_i*(s_j*x_ij), plus r*(r*n_kl) between listed modes.  State
     and env are uncorrelated, so these round as the full rotation's do.
+    A factor 1.0 changes no bit, -0.0 included, so entries between
+    unlisted modes are copied, and each other entry takes t once per
+    listed index, the env term last.
     """
     t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
-    scale = [1.0] * len(state[0])
-    for mode in modes:
-        scale[mode] = t
+    unlisted = [i for i in range(len(state[0])) if i not in modes]
     out = []
     for x, n in zip(state, env):
-        y = [[si * (sj * xij) for sj, xij in zip(scale, row)] for si, row in zip(scale, x)]
+        y = x.copy()  # every row is replaced below
+        for i in unlisted:
+            row = y[i] = x[i].copy()
+            for j in modes:
+                row[j] = t * row[j]
         for i, n_row in zip(modes, n):
-            row = y[i]
+            row = y[i] = [t * v for v in x[i]]
             for j, n_ij in zip(modes, n_row):
-                row[j] += r * (r * n_ij)
+                row[j] = t * row[j] + r * (r * n_ij)
         out.append(y)
     q, p = out
     _require_finite_rows([q[i] for i in modes] + [p[i] for i in modes])  # the new entries
     return q, p
 
 
-def _retained(n_modes: int, mode: int) -> list[int]:
+@lru_cache(maxsize=256)  # errors are not cached: a bad mode raises on every call
+def _retained(n_modes: int, mode: int) -> tuple[int, ...]:
+    """The modes that conditioning on one mode keeps, in order; formed once per (n_modes, mode)."""
     _check_mode(mode, n_modes)
     if n_modes < 2:
         raise DomainError("conditioning needs at least one retained mode")
-    return [k for k in range(n_modes) if k != mode]
+    return tuple(k for k in range(n_modes) if k != mode)
 
 
-def _schur(x: list[list[float]], mode: int, keep: list[int], d: float) -> list[list[float]]:
+def _schur(x: list[list[float]], mode: int, keep: tuple[int, ...], d: float) -> list[list[float]]:
     """x on the kept modes minus the outer product of its measured column, over d."""
     col = x[mode]
     return [[x[i][j] - col[i] * col[j] / d for j in keep] for i in keep]
@@ -213,7 +202,7 @@ def _qp_homodyne(state: Sectors, mode: int, quadrature: str) -> Sectors:
         )
     updated = _schur(measured, mode, keep, c)
     _require_finite_rows(updated)
-    dropped = [[row[k] for k in keep] for row in [other[i] for i in keep]]
+    dropped = [[other[i][k] for k in keep] for i in keep]
     return (updated, dropped) if j == 0 else (dropped, updated)
 
 
@@ -269,16 +258,19 @@ def _qp_mirror_spectrum(state: Sectors) -> np.ndarray:
     sector X exactly to the halves [[X_aa +- X_aa', X_aB +- X_aB'],
     [., X_BB +- X_BB']]: their cross terms are differences of equal entries.
     """
-    plus, minus = [], []
-    for x in state:
-        (x00, x01, x02, x03), (_, x11, x12, x13), (_, _, x22, x23), (_, _, _, x33) = x
-        if not (x00 == x11 and x02 == x13 and x03 == x12 and x22 == x33):
-            raise NumericalDegeneracyError(
-                "joint state is not symmetric under swapping (a, B) with (a', B')"
-            )
-        plus += (x00 + x01, x02 + x03, x22 + x23)
-        minus += (x00 - x01, x02 - x03, x22 - x23)
-    return np.array(sorted(_qp_spectrum(*plus) + _qp_spectrum(*minus), reverse=True))
+    (q00, q01, q02, q03), (_, q11, q12, q13), (_, _, q22, q23), (_, _, _, q33) = state[0]
+    (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = state[1]
+    if not (
+        q00 == q11 and q02 == q13 and q03 == q12 and q22 == q33
+        and p00 == p11 and p02 == p13 and p03 == p12 and p22 == p33
+    ):
+        raise NumericalDegeneracyError(
+            "joint state is not symmetric under swapping (a, B) with (a', B')"
+        )
+    nu = _qp_spectrum(q00 + q01, q02 + q03, q22 + q23, p00 + p01, p02 + p03, p22 + p23)
+    nu += _qp_spectrum(q00 - q01, q02 - q03, q22 - q23, p00 - p01, p02 - p03, p22 - p23)
+    nu.sort(reverse=True)
+    return np.array(nu)
 
 
 def _h_above_one(x):
@@ -286,8 +278,7 @@ def _h_above_one(x):
 
     With a = (x+1)/2 and b = (x-1)/2, a log2 a - b log2 b equals
     log2(a) + b log1p(1/b)/ln 2 because a - b = 1; the second form never
-    subtracts two terms of size x log2 x.  Only numpy ufuncs touch the
-    value, so a Python float and an array element get the same bits.
+    subtracts two terms of size x log2 x.
     """
     a = (x + 1.0) / 2.0
     b = (x - 1.0) / 2.0
@@ -300,13 +291,18 @@ def entropy_h(x: float) -> float:
     h(x) = (x+1)/2 log2 (x+1)/2 - (x-1)/2 log2 (x-1)/2, with h(1) = 0
     (the 0*log 0 convention), evaluated in the cancellation-free form of
     _h_above_one.  Values in [1 - EPS_PHYS, 1] are clamped to 1;
-    anything smaller is unphysical.
+    anything smaller is unphysical.  The logarithms are the same numpy
+    ufuncs and the rest is Python float arithmetic, the same IEEE
+    operations in the same order, so entropy_h_array agrees bit for bit.
     """
     if x < 1.0 - EPS_PHYS:
         raise DomainError(f"unphysical symplectic eigenvalue {x} < 1")
     if x <= 1.0:
         return 0.0
-    return float(_h_above_one(x))
+    a = (x + 1.0) / 2.0
+    b = (x - 1.0) / 2.0
+    # the outer float returns a Python float for a numpy scalar x too
+    return float(float(np.log2(a)) + b * float(np.log1p(1.0 / b)) / LN2)
 
 
 def entropy_h_array(x) -> np.ndarray:

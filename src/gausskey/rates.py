@@ -44,10 +44,8 @@ from .gaussian import (
     DomainError,
     Sectors,
     _qp_channel,
-    _qp_direct_sum,
     _qp_heterodyne,
     _qp_homodyne,
-    _qp_keep,
     _qp_mirror_spectrum,
     _qp_tmsv,
     _qp_two_mode_spectrum,
@@ -195,8 +193,11 @@ def _joint_qp(params: AttackParams, mu: float) -> Sectors:
     """
     _require_physical(params)
     _require_finite_mu(mu)
-    source = _qp_tmsv(mu + 1.0)  # read, never written, so one state serves both uses
-    sources = _qp_keep(_qp_direct_sum(source, source), (0, 2, 1, 3))
+    # each sector of the source pair: the TMSV sector's entries on (a, A) and on (a', A')
+    sources = tuple(
+        [[x00, 0.0, x01, 0.0], [0.0, x00, 0.0, x01], [x10, 0.0, x11, 0.0], [0.0, x10, 0.0, x11]]
+        for (x00, x01), (x10, x11) in _qp_tmsv(mu + 1.0)
+    )
     ancillas = _attack_qp(params.omega, params.g, params.g_prime)
     return _qp_channel(sources, (2, 3), ancillas, params.tau)
 
@@ -382,7 +383,9 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         spec_p = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "p"), 2, "p"))
         s_total, s_q, s_p = _spectrum_entropies(total_spectrum, spec_q, spec_p)
         s_cond = 0.5 * (s_q + s_p)
-        cond_spectrum = np.sort(np.concatenate([spec_q, spec_p]))[::-1]
+        cond = spec_q.tolist() + spec_p.tolist()
+        cond.sort(reverse=True)
+        cond_spectrum = np.array(cond)
     elif spec.variant == SWITCHING_MIXED:
         cond_spectrum = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "p"), 2, "q"))
         s_total, s_cond = _spectrum_entropies(total_spectrum, cond_spectrum)

@@ -6,11 +6,17 @@ the symplectic form on every call.  ``gausskey.gaussian`` instead holds
 each state as its q and p sectors; the ``cm_*`` helpers below assemble
 a sector kernel's output into one interleaved CM (and split a q-p-free
 CM into sectors), so that ``tests/test_cm_bit_identity.py`` can hold
-every kernel to its reference.  ``ref_sector_beamsplitter`` is the full
-beam-splitter rotation on q/p sectors, both output arms formed: the
-library sends a mode through a lossy channel (``_qp_channel``) without
-forming the reflected arm, and must match the transmitted arm of this
-rotation bit for bit.  ``ref_total_cm`` chains the dense references into
+every kernel to its reference.  ``qp_direct_sum`` and ``qp_keep`` build
+product states and select modes on q/p sectors for the reference chain;
+the library builds its one product state in place.
+``ref_sector_beamsplitter`` is the full beam-splitter rotation on q/p
+sectors, both output arms formed: the library sends a mode through a
+lossy channel (``_qp_channel``) without forming the reflected arm, and
+must match the transmitted arm of this rotation bit for bit up to the
+sign of a zero.  ``ref_channel_entrywise`` and ``ref_condition_entrywise``
+spell the channel and the rank-one conditioning update entry by entry,
+every factor applied; the kernels must match them bit for bit, signed
+zeros included.  ``ref_total_cm`` chains the dense references into
 the joint CM, every stage a validated ``CovMat``.
 ``ref_dense_spectrum`` is the project's only double-precision eigh/svd
 symplectic spectrum; the library diagonalises q/p sectors only.
@@ -50,6 +56,27 @@ def qp_state(m):
     return m[0::2, 0::2].tolist(), m[1::2, 1::2].tolist()
 
 
+def qp_direct_sum(*states):
+    """Sectors of a product state: each sector's blocks along the diagonal."""
+    zeros = [0.0] * sum([len(state[0]) for state in states])
+    q, p, at = [], [], 0
+    for sq, sp in states:
+        end = at + len(sq)
+        for u, w in zip(sq, sp):
+            q.append(zeros.copy())
+            p.append(zeros.copy())
+            q[-1][at:end], p[-1][at:end] = u, w
+        at = end
+    return q, p
+
+
+def qp_keep(state, modes):
+    """Reduced state of the listed modes, in the order given (a permutation reorders)."""
+    for mode in modes:
+        gaussian._check_mode(mode, len(state[0]))
+    return tuple([[row[j] for j in modes] for row in [x[i] for i in modes]] for x in state)
+
+
 def cm_tmsv(mu):
     return assemble_cm(gaussian._qp_tmsv(mu))
 
@@ -59,11 +86,11 @@ def cm_attack(omega, g, g_prime):
 
 
 def cm_direct_sum(*mats):
-    return assemble_cm(gaussian._qp_direct_sum(*(qp_state(m) for m in mats)))
+    return assemble_cm(qp_direct_sum(*(qp_state(m) for m in mats)))
 
 
 def cm_keep_modes(m, modes):
-    return assemble_cm(gaussian._qp_keep(qp_state(m), modes))
+    return assemble_cm(qp_keep(qp_state(m), modes))
 
 
 def cm_channel(m, modes, env, tau):
@@ -182,6 +209,33 @@ def ref_sector_beamsplitter(state, mode_a, mode_b, tau):
     """
     t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
     return tuple(_rotate(x, mode_a, mode_b, t, r) for x in state)
+
+
+def ref_channel_entrywise(state, modes, env, tau):
+    """The lossy channel entry by entry: s_i*(s_j*x_ij), plus r*(r*n_kl) between listed modes.
+
+    s = sqrt(tau) on listed modes and 1.0 elsewhere, r = sqrt(1 - tau), and
+    n_kl is the env entry of the k-th and l-th listed modes; every entry
+    takes both factors, 1.0 included.
+    """
+    t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
+    n_modes = len(state[0])
+    scale = [t if i in modes else 1.0 for i in range(n_modes)]
+    out = []
+    for x, n in zip(state, env):
+        y = [[scale[i] * (scale[j] * x[i][j]) for j in range(n_modes)] for i in range(n_modes)]
+        for k, i in enumerate(modes):
+            for l, j in enumerate(modes):
+                y[i][j] = y[i][j] + r * (r * n[k][l])
+        out.append(y)
+    return tuple(out)
+
+
+def ref_condition_entrywise(x, mode, d):
+    """One sector conditioned on one mode: x_ij - c_i*c_j/d on every other mode, c = x[mode]."""
+    keep = [k for k in range(len(x)) if k != mode]
+    c = [x[i][mode] for i in range(len(x))]
+    return [[x[i][j] - c[i] * c[j] / d for j in keep] for i in keep]
 
 
 def ref_two_mode_spectrum(m):

@@ -5,12 +5,17 @@ index with np.ix_, build blocks with np.block/np.eye, multiply dense
 matrices and rebuild the symplectic form on every call.  The kernels of
 ``gausskey.gaussian`` hold each state as its q and p sectors; each
 kernel's output, assembled into one CM, must match its reference.  The
-kernels that only move entries (TMSV, attack state, keep modes) and the
-homodyne update match bit for bit, signed zeros included; the sector
-beam splitter and the heterodyne update round differently from a dense
-product and a ``solve``, and stay within a few ulps of the terms they
-add.  The lossy channel matches the transmitted arms of the sector beam
-splitter bit for bit.  The kernels also raise the error texts pinned here.
+kernels that only move entries (TMSV, attack state, and the tests'
+``qp_keep``) and the homodyne update match bit for bit, signed zeros
+included; the sector beam splitter and the heterodyne update round
+differently from a dense product and a ``solve``, and stay within a few
+ulps of the terms they add.  The lossy channel matches the transmitted
+arms of the sector beam splitter bit for bit up to the sign of a zero.
+The channel and both conditioning kernels skip factors of 1.0 and copy
+the entries they do not change, so each is also held, signed zeros
+included, to its entry-by-entry formula (``ref_channel_entrywise``,
+``ref_condition_entrywise``), which applies every factor.  The kernels
+also raise the error texts pinned here.
 
 ``ref_key_rate_numeric`` builds the six-mode state (a, A, a', A', e, E),
 mixes each channel use with its ancilla on the sector beam splitter and
@@ -33,9 +38,13 @@ from hypothesis import strategies as st
 
 from cm_reference import (
     assemble_cm,
+    qp_direct_sum,
+    qp_keep,
     qp_state,
     ref_attack_cm,
     ref_beamsplitter_apply,
+    ref_channel_entrywise,
+    ref_condition_entrywise,
     ref_direct_sum,
     ref_heterodyne_condition,
     ref_homodyne_condition,
@@ -118,10 +127,10 @@ def ref_key_rate_numeric(params, spec):
 
     source = _stage(gaussian._qp_tmsv(spec.mu + 1.0))
     ancillas = _stage(attack._attack_qp(params.omega, params.g, params.g_prime))
-    src = _stage(gaussian._qp_direct_sum(source, source, ancillas))
+    src = _stage(qp_direct_sum(source, source, ancillas))
     mixed = _stage(ref_sector_beamsplitter(src, 1, 4, params.tau))
     mixed = _stage(ref_sector_beamsplitter(mixed, 3, 5, params.tau))
-    V = _stage(gaussian._qp_keep(mixed, (0, 2, 1, 3)))
+    V = _stage(qp_keep(mixed, (0, 2, 1, 3)))
     total_spectrum = _mirror_spectrum(assemble_cm(V))
     # every spectrum first, then the entropies: the first unphysical
     # eigenvalue, total spectrum first, raises
@@ -221,6 +230,24 @@ def conditional_states(draw):
     return gaussian._qp_homodyne(gaussian._qp_homodyne(V, 3, measured[0]), 2, measured[1])
 
 
+@st.composite
+def zero_laden_states(draw, min_modes=1, max_modes=4):
+    """qp_states with some mirror pairs of off-diagonal entries set to 0.0 or -0.0."""
+    state = draw(qp_states(min_modes, max_modes))
+    for x in state:
+        for i in range(len(x)):
+            for j in range(i):
+                zero = draw(st.sampled_from([None, None, 0.0, -0.0]))
+                if zero is not None:
+                    x[i][j] = x[j][i] = zero
+    return state
+
+
+def assert_exactly_symmetric(state):
+    m = assemble_cm(state)
+    assert m.tobytes() == m.T.tobytes()
+
+
 any_state = st.one_of(qp_states(), pipeline_states(), conditional_states())
 conditionable_state = st.one_of(qp_states(min_modes=2), pipeline_states())
 
@@ -235,7 +262,7 @@ def test_keep_modes_matches_ix_indexing(state, data):
     subset = perm[: data.draw(st.integers(min_value=1, max_value=n))]
     for modes in (perm, subset, tuple(subset)):
         assert_same_bits(
-            assemble_cm(gaussian._qp_keep(state, modes)), ref_keep_modes(assemble_cm(state), modes)
+            assemble_cm(qp_keep(state, modes)), ref_keep_modes(assemble_cm(state), modes)
         )
 
 
@@ -273,7 +300,7 @@ def test_tmsv_and_attack_cm_match_block_construction(mu, omega, u, v):
     )
     source = ref_tmsv_cm(mu)
     assert_same_bits(
-        assemble_cm(gaussian._qp_direct_sum(qp_state(source), attack._attack_qp(omega, g, gp))),
+        assemble_cm(qp_direct_sum(qp_state(source), attack._attack_qp(omega, g, gp))),
         ref_direct_sum(source, ref_attack_cm(omega, g, gp)),
     )
 
@@ -310,12 +337,13 @@ def test_channel_is_the_transmitted_arm_of_beamsplitters(state, tau, data):
     modes = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
     env = data.draw(qp_states(min_modes=len(modes), max_modes=len(modes)))
     out = assemble_cm(gaussian._qp_channel(state, modes, env, tau))
-    chain = gaussian._qp_direct_sum(state, env)
+    chain = qp_direct_sum(state, env)
     for k, mode in enumerate(modes):
         chain = ref_sector_beamsplitter(chain, mode, n + k, tau)
     # + 0.0 maps -0.0 to 0.0: where t*x is -0.0 the rotation adds a +0.0
     # cross term and the channel does not, so only a zero's sign may differ
-    assert_same_bits(out + 0.0, assemble_cm(gaussian._qp_keep(chain, range(n))) + 0.0)
+    # (the entrywise test below holds the signs)
+    assert_same_bits(out + 0.0, assemble_cm(qp_keep(chain, range(n))) + 0.0)
 
     m = joint = ref_direct_sum(assemble_cm(state), assemble_cm(env))
     S = np.eye(len(joint))
@@ -325,6 +353,47 @@ def test_channel_is_the_transmitted_arm_of_beamsplitters(state, tau, data):
     scale = ref_keep_modes(S @ np.abs(joint) @ S.T, range(n))
     error = np.abs(out - ref_keep_modes(m, range(n)))
     assert (error <= CHANNEL_BUDGET * EPS * scale).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state=zero_laden_states(),
+    tau=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
+    data=st.data(),
+)
+def test_channel_matches_entrywise_formula_bit_for_bit(state, tau, data):
+    """Copied and once-scaled entries equal s_i*(s_j*x_ij), -0.0 included (no + 0.0 here)."""
+    n = len(state[0])
+    modes = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+    env = data.draw(zero_laden_states(min_modes=len(modes), max_modes=len(modes)))
+    before = assemble_cm(state).tobytes(), assemble_cm(env).tobytes()
+    out = gaussian._qp_channel(state, modes, env, tau)
+    assert_same_bits(assemble_cm(out), assemble_cm(ref_channel_entrywise(state, modes, env, tau)))
+    assert_exactly_symmetric(out)
+    assert (assemble_cm(state).tobytes(), assemble_cm(env).tobytes()) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=st.one_of(zero_laden_states(min_modes=2), pipeline_states()))
+def test_conditioning_matches_entrywise_update_bit_for_bit(state):
+    """Both conditioning kernels on every mode: x_ij - c_i*c_j/d, exactly symmetric."""
+    n = len(state[0])
+    before = assemble_cm(state).tobytes()
+    for mode in range(n):
+        keep = [k for k in range(n) if k != mode]
+        het = gaussian._qp_heterodyne(state, mode)
+        assert_same_bits(
+            assemble_cm(het),
+            assemble_cm([ref_condition_entrywise(x, mode, x[mode][mode] + 1.0) for x in state]),
+        )
+        assert_exactly_symmetric(het)
+        for j, quadrature in enumerate("qp"):
+            hom = gaussian._qp_homodyne(state, mode, quadrature)
+            expected = list(qp_keep(state, keep))
+            expected[j] = ref_condition_entrywise(state[j], mode, state[j][mode][mode])
+            assert_same_bits(assemble_cm(hom), assemble_cm(expected))
+            assert_exactly_symmetric(hom)
+    assert assemble_cm(state).tobytes() == before
 
 
 # Worst |report.total_spectrum - eigh/svd oracle| seen in 2,000 draws of the
@@ -474,7 +543,7 @@ def test_numeric_errors_pinned(point, variant, mu, error, text):
 # Each operation's kernel, under the operation name that the test ids carry.
 KERNELS = {
     "tmsv_cm": gaussian._qp_tmsv,
-    "keep_modes": gaussian._qp_keep,
+    "keep_modes": qp_keep,
     "heterodyne_condition": gaussian._qp_heterodyne,
     "homodyne_condition": gaussian._qp_homodyne,
 }
@@ -548,11 +617,11 @@ def test_wrapper_and_kernel_raise_the_same_degeneracy_error(operation, args, tex
 def test_bad_mode_message_unchanged_after_cached_calls(bad):
     """A bad mode raises the same text before and after good calls on the same state."""
     params = random_attack(np.random.default_rng(3))
-    V = gaussian._qp_keep(rates._joint_qp(params, 1e3), (0, 1, 2))
+    V = qp_keep(rates._joint_qp(params, 1e3), (0, 1, 2))
     expected = f"mode index {bad} out of range for 3 modes"
     for _ in range(2):  # the second round runs after the good calls
         with pytest.raises(DomainError) as exc:
-            gaussian._qp_keep(V, (0, bad))
+            qp_keep(V, (0, bad))
         assert str(exc.value) == expected
         with pytest.raises(DomainError) as exc:
             gaussian._qp_heterodyne(V, bad)
@@ -560,11 +629,11 @@ def test_bad_mode_message_unchanged_after_cached_calls(bad):
         with pytest.raises(DomainError) as exc:
             gaussian._qp_homodyne(V, bad, "q")
         assert str(exc.value) == expected
-        gaussian._qp_keep(V, (2, 0))
+        qp_keep(V, (2, 0))
         gaussian._qp_heterodyne(V, 1)
         gaussian._qp_homodyne(V, 2, "p")
 
 
 def test_single_mode_conditioning_still_rejected():
     with pytest.raises(DomainError, match="at least one retained mode"):
-        gaussian._qp_heterodyne(gaussian._qp_keep(gaussian._qp_tmsv(2.0), (0,)), 0)
+        gaussian._qp_heterodyne(qp_keep(gaussian._qp_tmsv(2.0), (0,)), 0)
