@@ -8,9 +8,17 @@ BENCHMARK.json's ``run_seconds``; pairs alternate which side runs first.
 The parent is exported with ``git archive REV | tar -x`` into a temporary
 directory; the change is this checkout as it stands.  The output file
 keeps the last JSON line of every run, and for each workload and
-end-to-end metric each side's median and quartiles and the pairs the
+end-to-end metric each side's median and quartiles, the pairs the
 change won (ties count for neither side), "better" as BENCHMARK.json
-says.
+says, and a verdict, which is also printed:
+
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, a fraction of the parent's median;
+* ``unresolved``: the parent's quartile spread is wider than the bound,
+  unless every change run beats every parent run;
+* ``better``: the change won at least nine pairs in ten, and its median
+  beats the parent's by more than the parent's quartile spread;
+* ``level`` otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +43,19 @@ def quartiles(values: list[float]) -> dict[str, float]:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def verdict(parent: list[float], change: list[float], higher: bool, bound: float, wins: int) -> str:
+    """worse, unresolved, better or level, as the module docstring defines them."""
+    base, ours = quartiles(parent), quartiles(change)
+    gain = ours["median"] - base["median"] if higher else base["median"] - ours["median"]
+    spread = base["q3"] - base["q1"]
+    if gain < -bound * abs(base["median"]):
+        return "worse"
+    beats_all = min(change) > max(parent) if higher else max(change) < min(parent)
+    if spread > bound * abs(base["median"]) and not beats_all:
+        return "unresolved"
+    return "better" if wins >= 0.9 * len(parent) and gain > spread else "level"
 
 
 def summarize(runs: list[dict], spec: dict) -> dict:
@@ -72,6 +93,10 @@ def summarize(runs: list[dict], spec: dict) -> dict:
                 "change_wins": wins,
                 "parent_wins": losses,
                 "pairs": len(values),
+                "verdict": verdict(
+                    [parent for parent, _ in values], [change for _, change in values],
+                    higher, metric["bound"], wins,
+                ),
             }
         failed_share = {
             side: sum(sides[side]["failed"] for sides in pairs)
@@ -136,6 +161,13 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
+    for workload, result in record["summary"].items():
+        for name, metric in result["metrics"].items():
+            print(
+                f"{workload} {name}: parent {metric['parent']['median']:.6g}, change "
+                f"{metric['change']['median']:.6g}, change won {metric['change_wins']} of "
+                f"{metric['pairs']}: {metric['verdict']}"
+            )
     return 0
 
 

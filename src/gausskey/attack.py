@@ -35,7 +35,8 @@ class AttackParams:
     """Attack point: channel transmissivity plus the ancilla state.
 
     tau in (0, 1]; omega >= 1.  The correlation pair (g, g_prime) is not
-    validated here -- use lens_mask / violated_constraint.
+    validated here -- use lens_mask / violated_constraint.  Fields are kept
+    as Python floats, which overflow to inf where numpy scalars would warn.
     """
 
     tau: float
@@ -45,8 +46,11 @@ class AttackParams:
 
     def __post_init__(self) -> None:
         for name in ("tau", "omega", "g", "g_prime"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):  # TypeError for a str, which float() would parse
                 raise DomainError(f"{name} must be finite")
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         if not 0.0 < self.tau <= 1.0:
             raise DomainError(f"transmissivity must lie in (0, 1], got {self.tau}")
         if self.omega < 1.0:

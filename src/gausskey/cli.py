@@ -2,12 +2,12 @@
 
 Subcommands: ``rate`` (one attack point), ``scan`` (physical-region grid
 plus boundary), ``boundary`` (boundary only), ``critical`` (origin
-gradient/Hessian diagnostics) and ``converge`` (finite-modulation sweep
-over ``CONVERGE_SWEEP`` against the closed form; it takes no ``mu``, so
-``--mu`` or a ``mu`` config key is a configuration error).  ``critical``
-takes its finite-difference steps from omega
-(``landscape.critical_point_report``); no flag sets them, so no flag can
-change its ``is_minimum`` verdict.
+gradient/Hessian diagnostics of the closed form) and ``converge``
+(finite-modulation sweep over ``CONVERGE_SWEEP`` against the closed
+form).  Neither of the last two takes ``mu``: ``--mu`` or a ``mu`` config
+key is a configuration error.  ``critical`` takes its finite-difference
+steps from omega (``landscape.critical_point_report``); no flag sets
+them, so no flag can change its ``is_minimum`` verdict.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config
 file), 2 domain/physicality error (the offending constraint is named) or
@@ -41,8 +41,6 @@ on 2 vCPUs shared with other load (tau 0.44, omega 7.3): ``rate`` and
 ``critical`` 0.1-0.2 ms, ``converge`` about 0.5 ms, ``boundary`` at
 resolution 101 0.8 ms, ``scan`` at resolution 31 (about 1,000 rows)
 1.7 ms as CSV and 2.1-2.4 ms as JSON, at resolution 101 11 and 20 ms.
-Rendering one text per cell, the last five took 1.1-1.3, 3.3-4.8, 4.7, 29
-and 48-52 ms.
 """
 
 from __future__ import annotations
@@ -70,6 +68,7 @@ _JSON_ROW = (
     '\n      "physical": true,\n      "on_boundary": %s\n    }'
 )
 CONVERGE_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
+_NO_MU = {"critical": "analyses the mu-free closed form", "converge": "sweeps its own mu values"}
 
 _CONFIG_KEYS = (
     "protocol",
@@ -229,8 +228,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for required in ("tau", "omega"):
         if required not in merged:
             raise ConfigError(f"missing required parameter --{required}")
-    if args.command == "converge" and "mu" in merged:
-        raise ConfigError("converge sweeps its own mu values and takes no --mu or mu key")
+    if args.command in _NO_MU and "mu" in merged:
+        raise ConfigError(f"{args.command} {_NO_MU[args.command]} and takes no --mu or mu key")
     mu = _parse_mu(str(merged.get("mu", "asymptotic")))
     return RunConfig(
         command=args.command,

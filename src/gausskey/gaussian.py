@@ -274,7 +274,7 @@ def _qp_mirror_spectrum(state: Sectors) -> np.ndarray:
 
 
 def _h_above_one(x):
-    """h(x) for x > 1 (NaN passes through), free of cancellation.
+    """h(x) for x > 1 (NaN passes through, inf gives NaN), free of cancellation.
 
     With a = (x+1)/2 and b = (x-1)/2, a log2 a - b log2 b equals
     log2(a) + b log1p(1/b)/ln 2 because a - b = 1; the second form never
@@ -282,7 +282,8 @@ def _h_above_one(x):
     """
     a = (x + 1.0) / 2.0
     b = (x - 1.0) / 2.0
-    return np.log2(a) + b * np.log1p(1.0 / b) / LN2
+    with np.errstate(invalid="ignore"):  # h(inf) = inf * 0 is NaN, as in entropy_h
+        return np.log2(a) + b * np.log1p(1.0 / b) / LN2
 
 
 def entropy_h(x: float) -> float:
@@ -299,10 +300,10 @@ def entropy_h(x: float) -> float:
         raise DomainError(f"unphysical symplectic eigenvalue {x} < 1")
     if x <= 1.0:
         return 0.0
+    x = float(x)  # Python floats: h(inf) = inf * 0 is NaN, where numpy scalars would warn
     a = (x + 1.0) / 2.0
     b = (x - 1.0) / 2.0
-    # the outer float returns a Python float for a numpy scalar x too
-    return float(float(np.log2(a)) + b * float(np.log1p(1.0 / b)) / LN2)
+    return float(np.log2(a)) + b * float(np.log1p(1.0 / b)) / LN2
 
 
 def entropy_h_array(x) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 from .attack import AttackParams, boundary_curve_arrays, constraint_slack, physical_grid_mirror
 from .gaussian import EPS_PHYS, LN2, DomainError, NumericalDegeneracyError
 from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic, key_rates
+from .rates import _receiver
 
 # Central-difference steps, scaled by max(1, omega) at use sites.  The
 # Hessian step additionally shrinks near omega = 1, where the fourth
@@ -262,8 +263,7 @@ def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPo
     represented (it cancels to 0 or overflows at very large omega).
     """
     _check_tau_omega(tau, omega)
-    if protocol not in _ANALYTIC_DET:
-        raise DomainError(f"unknown protocol variant {protocol!r}")
+    _receiver(protocol)
     rate_fn = rate_function(protocol, tau, omega)
     grad = finite_diff_gradient(rate_fn, 0.0, 0.0, GRADIENT_STEP * max(1.0, omega))
     hess = hessian_at_origin(rate_fn, omega)

@@ -1,10 +1,10 @@
 """Secret-key rates of the one-way protocols under two-mode attacks.
 
-Two protocol families are covered, both in reverse reconciliation:
-
-* no-switching -- Bob heterodynes every mode;
-* switching    -- Bob homodynes, either the same quadrature on both
-  modes of a block ("switching") or one q and one p ("switching-mixed").
+The protocols run in two-mode blocks, in reverse reconciliation, and
+differ only in what Bob measures on the block (B, B').  Each is one entry
+of ``_RECEIVER``, Bob's measurements: no-switching heterodynes both
+modes, switching homodynes the same quadrature (q or p) on both, and
+switching-mixed homodynes q on B and p on B'.
 
 Each rate exists in two routes: a closed asymptotic form in which the
 modulation variance cancels (``key_rate_asymptotic``, ``key_rates``), and
@@ -47,8 +47,8 @@ from .gaussian import (
     _qp_heterodyne,
     _qp_homodyne,
     _qp_mirror_spectrum,
+    _qp_spectrum,
     _qp_tmsv,
-    _qp_two_mode_spectrum,
     entropy_h,
     entropy_h_array,
 )
@@ -56,7 +56,14 @@ from .gaussian import (
 NO_SWITCHING = "noswitching"
 SWITCHING = "switching"
 SWITCHING_MIXED = "switching-mixed"
-VARIANTS = (NO_SWITCHING, SWITCHING, SWITCHING_MIXED)
+# What Bob measures on (B, B') in each variant: its equally likely branches,
+# each the quadrature measured on B and on B' ("qp" is a heterodyne).
+_RECEIVER = {
+    NO_SWITCHING: (("qp", "qp"),),
+    SWITCHING: (("q", "q"), ("p", "p")),
+    SWITCHING_MIXED: (("q", "p"),),
+}
+VARIANTS = tuple(_RECEIVER)
 
 # Reference modulation used when a report needs finite-mu quantities
 # (mutual information, Holevo bound) in asymptotic mode.  Large enough
@@ -88,14 +95,10 @@ def _entropies_array(*xs: np.ndarray) -> list[np.ndarray]:
     return [h[:, k] for k in range(len(xs))]
 
 
-def _entropies_scalar(*xs: float) -> list[float]:
-    # An eigenvalue that overflowed to inf makes the rate NaN, as h(inf) does
-    # in the array form; skipping h here keeps numpy from warning about it.
-    return [entropy_h(x) if x < math.inf else math.nan for x in xs]
-
-
 # log2 is the numpy ufunc in both sets, so scalar and array rates share its bits.
-_SCALAR = _Elementwise(math.sqrt, lambda x: float(np.log2(x)), max, min, _entropies_scalar)
+_SCALAR = _Elementwise(
+    math.sqrt, lambda x: float(np.log2(x)), max, min, lambda *xs: list(map(entropy_h, xs))
+)
 _ARRAY = _Elementwise(np.sqrt, np.log2, np.maximum, np.minimum, _entropies_array)
 
 # Points per kernel pass: bounds the temporaries (about a dozen arrays of
@@ -104,6 +107,14 @@ _ARRAY = _Elementwise(np.sqrt, np.log2, np.maximum, np.minimum, _entropies_array
 # (128 KiB) it no longer stays in a typical per-core cache, and the entropy
 # ufuncs cost about twice as much per element.
 _KERNEL_CHUNK = 2048
+
+
+def _receiver(variant: str) -> tuple[tuple[str, str], ...]:
+    """Bob's branches in a variant; any other name, unhashable ones included, raises."""
+    try:
+        return _RECEIVER[variant]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown protocol variant {variant!r}") from None
 
 
 def _require_finite_mu(mu: float) -> None:
@@ -125,8 +136,7 @@ class ProtocolSpec:
     asymptotic: bool = True
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise DomainError(f"unknown protocol variant {self.variant!r}")
+        _receiver(self.variant)
         if self.mu is not None:
             _require_finite_mu(self.mu)
         if not self.asymptotic and self.mu is None:
@@ -206,24 +216,20 @@ def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
     """Sender/receiver mutual information, bits per two-use block.
 
     Independent of (g, g') in every variant.  Heterodyne reception:
-    2 log2((V_B + 1)/(V_B|A + 1)); homodyne reception (both switching
-    variants): log2(V_B / V_B|A).  Finite mode uses the entanglement-
-    based V_B = Lambda; asymptotic mode replaces Lambda by tau*mu.
+    2 log2((V_B + 1)/(V_B|A + 1)); homodyne reception: log2(V_B / V_B|A).
+    Finite mode uses the entanglement-based V_B = Lambda; asymptotic mode
+    replaces Lambda by tau*mu.
     """
     tau, om = params.tau, params.omega
-    het_den = 1.0 + tau + (1.0 - tau) * om
-    hom_den = tau + (1.0 - tau) * om
+    heterodyne = _RECEIVER[spec.variant][0][0] == "qp"
+    den = 1.0 + tau + (1.0 - tau) * om if heterodyne else tau + (1.0 - tau) * om
     if spec.asymptotic:
-        mu = spec.mu_value
-        if spec.variant == NO_SWITCHING:
-            return 2.0 * math.log2(tau * mu / het_den)
-        return math.log2(tau * mu / hom_den)
-    mu = spec.mu
-    _require_finite_mu(mu)
-    lam = tau * (mu + 1.0) + (1.0 - tau) * om
-    if spec.variant == NO_SWITCHING:
-        return 2.0 * math.log2((lam + 1.0) / het_den)
-    return math.log2(lam / hom_den)
+        ratio = tau * spec.mu_value / den
+    else:
+        _require_finite_mu(spec.mu)
+        lam = tau * (spec.mu + 1.0) + (1.0 - tau) * om
+        ratio = (lam + 1.0 if heterodyne else lam) / den
+    return 2.0 * math.log2(ratio) if heterodyne else math.log2(ratio)
 
 
 def _require_open_tau(params: AttackParams) -> None:
@@ -251,8 +257,7 @@ def key_rate_asymptotic(params: AttackParams, variant: str) -> float:
 
 
 def _key_rate_at(variant: str, params: AttackParams) -> float:
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown protocol variant {variant!r}")
+    _receiver(variant)
     _require_physical(params)
     _require_open_tau(params)
     tau, omega, g, gp = params.tau, params.omega, params.g, params.g_prime
@@ -313,8 +318,7 @@ def key_rates(
     unphysical (g, g') or tau, or a rate that overflows to a non-finite
     value) raises the error that its scalar call raises.
     """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown protocol variant {variant!r}")
+    _receiver(variant)
     g, gp = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(g_prime, dtype=float))
     shape = g.shape
     g, gp = g.ravel(), gp.ravel()
@@ -337,14 +341,6 @@ def key_rates(
     if first is not None:  # raises the scalar error of the first failing point
         _key_rate_at(variant, AttackParams(tau, omega, float(g[first]), float(gp[first])))
     return rates.reshape(shape)
-
-
-def _spectrum_entropies(*spectra: np.ndarray) -> list[float]:
-    """Entropy in bits of each state from its spectrum, its h terms summed in order.
-
-    The first unphysical eigenvalue, in the order given, raises.
-    """
-    return [sum(map(entropy_h, s.tolist())) for s in spectra]
 
 
 def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
@@ -374,26 +370,26 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
     V = _joint_qp(params, spec.mu)
     total_spectrum = _qp_mirror_spectrum(V)
-
-    if spec.variant == NO_SWITCHING:
-        cond_spectrum = _qp_two_mode_spectrum(_qp_heterodyne(_qp_heterodyne(V, 3), 2))
-        s_total, s_cond = _spectrum_entropies(total_spectrum, cond_spectrum)
-    elif spec.variant == SWITCHING:
-        spec_q = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "q"), 2, "q"))
-        spec_p = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "p"), 2, "p"))
-        s_total, s_q, s_p = _spectrum_entropies(total_spectrum, spec_q, spec_p)
-        s_cond = 0.5 * (s_q + s_p)
-        cond = spec_q.tolist() + spec_p.tolist()
-        cond.sort(reverse=True)
-        cond_spectrum = np.array(cond)
-    elif spec.variant == SWITCHING_MIXED:
-        cond_spectrum = _qp_two_mode_spectrum(_qp_homodyne(_qp_homodyne(V, 3, "p"), 2, "q"))
-        s_total, s_cond = _spectrum_entropies(total_spectrum, cond_spectrum)
-    else:
-        raise DomainError(f"unknown protocol variant {spec.variant!r}")
-
+    spectra = []  # the spectrum of (a, a') given each of Bob's branches
+    for on_b, on_bp in _RECEIVER[spec.variant]:
+        state = V
+        for mode, quadrature in ((3, on_bp), (2, on_b)):
+            if quadrature == "qp":
+                state = _qp_heterodyne(state, mode)
+            else:
+                state = _qp_homodyne(state, mode, quadrature)
+        (q00, q01), (_, q11) = state[0]
+        (p00, p01), (_, p11) = state[1]
+        spectra.append(_qp_spectrum(q00, q01, q11, p00, p01, p11))
+    # every spectrum, then the h sums, the total first: its unphysical eigenvalue raises first
+    s_total = sum(map(entropy_h, total_spectrum.tolist()))
+    s_cond, cond = 0.0, []
+    for spectrum in spectra:
+        s_cond += sum(map(entropy_h, spectrum))
+        cond += spectrum
+    cond.sort(reverse=True)
     i_ab = mutual_information(params, spec)
-    holevo = s_total - s_cond
+    holevo = s_total - s_cond / len(spectra)  # minus the branches' mean
     return RateReport(
         params=params,
         spec=spec,
@@ -401,7 +397,7 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         holevo=holevo,
         rate=(i_ab - holevo) / 2.0,
         total_spectrum=total_spectrum,
-        conditional_spectrum=cond_spectrum,
+        conditional_spectrum=np.array(cond),
     )
 
 

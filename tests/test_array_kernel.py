@@ -1,6 +1,7 @@
 """Array forms against their scalar and loop-based references, bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from gausskey import (
     EPS_PHYS,
     DomainError,
     boundary_curve_arrays,
+    critical_point_report,
     entropy_h,
     entropy_h_array,
+    find_zero_rate_transmissivity,
     key_rate_asymptotic,
     key_rates,
     ProtocolSpec,
@@ -141,6 +144,29 @@ def test_kernel_checks_points_in_order():
         key_rates("homodyne", 0.5, 1.2, g, gp)
 
 
+# Every public entry that takes a variant name, called at a valid point.
+VARIANT_ENTRIES = {
+    "ProtocolSpec": lambda v: ProtocolSpec(v),
+    "ProtocolSpec-finite": lambda v: ProtocolSpec(v, mu=1e4, asymptotic=False),
+    "key_rate_asymptotic": lambda v: key_rate_asymptotic(AttackParams(0.5, 2.0, 0.1, 0.1), v),
+    "key_rates": lambda v: key_rates(v, 0.5, 2.0, [0.0, 0.1], [0.0, 0.1]),
+    "key_rates-finite": lambda v: key_rates(v, 0.5, 2.0, [0.0], [0.0], mu=1e4),
+    "verify_minimality": lambda v: verify_minimality(v, 0.5, 2.0, 5),
+    "verify_minimality-finite": lambda v: verify_minimality(v, 0.5, 2.0, 5, mu=1e4),
+    "critical_point_report": lambda v: critical_point_report(v, 0.5, 2.0),
+    "find_zero_rate_transmissivity": lambda v: find_zero_rate_transmissivity(v, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", ["bogus", ["noswitching"]], ids=["unknown", "unhashable"])
+@pytest.mark.parametrize("entry", VARIANT_ENTRIES)
+def test_every_entry_rejects_an_unknown_variant_alike(entry, name):
+    """One check: any name that is not a variant, unhashable ones included, gives one text."""
+    with pytest.raises(DomainError) as excinfo:
+        VARIANT_ENTRIES[entry](name)
+    assert str(excinfo.value) == f"unknown protocol variant {name!r}"
+
+
 def test_kernel_broadcasts_and_keeps_shape():
     g, gp = np.meshgrid(np.linspace(-0.1, 0.1, 3), np.linspace(-0.1, 0.1, 4), indexing="ij")
     rates = key_rates("noswitching", 0.44, 1.2, g, gp)
@@ -221,19 +247,46 @@ def test_entropy_array_equals_scalar(xs):
     x = np.array(xs)
     values = [entropy_h(v) for v in xs]
     scalar = bits(values)
-    # h(inf) is inf*0 = NaN in both forms; only numpy's arithmetic warns
-    with np.errstate(invalid="ignore"):
-        from_numpy_scalars = [entropy_h(v) for v in x]
-        assert bits(from_numpy_scalars) == scalar
-        assert all(type(h) is float for h in values + from_numpy_scalars)
-        assert bits(entropy_h_array(x)) == scalar
-        # strided and offset views: a ufunc whose SIMD lanes round by position
-        # would give an element different bits in each
-        assert bits(entropy_h_array(x[::3])) == scalar[::3]
-        assert bits(entropy_h_array(x[1:])) == scalar[1:]
+    from_numpy_scalars = [entropy_h(v) for v in x]
+    assert bits(from_numpy_scalars) == scalar
+    assert all(type(h) is float for h in values + from_numpy_scalars)
+    assert bits(entropy_h_array(x)) == scalar
+    # strided and offset views: a ufunc whose SIMD lanes round by position
+    # would give an element different bits in each
+    assert bits(entropy_h_array(x[::3])) == scalar[::3]
+    assert bits(entropy_h_array(x[1:])) == scalar[1:]
     # NaN passes through, [1 - EPS_PHYS, 1] clamps to 0.0, above 1 is positive
     for v, h in zip(xs, values):
         assert math.isnan(h) if math.isnan(v) else (h == 0.0) == (v <= 1.0)
+
+
+def test_entropy_of_inf_is_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(entropy_h(math.inf))
+        assert math.isnan(entropy_h(np.float64("inf")))
+        assert np.isnan(entropy_h_array([math.inf])).all()
+        assert np.isnan(entropy_h_array([2.0, math.inf]))[1]
+
+
+def test_numpy_scalar_point_overflows_to_the_finiteness_error():
+    """A numpy scalar tau is stored as a float, so its overflow raises DomainError, not a warning."""
+    params = AttackParams(np.float64(0.5), 1e155, 0.0, 0.0)
+    assert all(type(getattr(params, name)) is float for name in ("tau", "omega", "g", "g_prime"))
+    message = (
+        "noswitching rate at tau = 0.5, omega = 1e+155, (g, g') = (0.0, 0.0) is not finite: "
+        "an intermediate value leaves the floating-point range"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as excinfo:
+            key_rate_asymptotic(params, "noswitching")
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError) as excinfo:
+            key_rates("noswitching", np.float64(0.5), 1e155, [0.0], [0.0])
+        assert str(excinfo.value) == message
+    with pytest.raises(TypeError):  # a string is not converted
+        AttackParams("0.5", 2.0, 0.0, 0.0)
 
 
 def test_entropy_array_names_first_unphysical_value():

@@ -67,3 +67,42 @@ def test_a_metric_missing_from_a_run_drops_that_pair(bench_pairs):
 
 def test_last_json_line(bench_pairs):
     assert bench_pairs.last_json_line('noise\n{"correct": true}\n\n') == {"correct": True}
+
+
+def pairs_of(parent_points, change_points, parent_setup=None, change_setup=None):
+    """Pipeline runs from one points_per_s list per side (setup_s 0.1 unless given)."""
+    runs = []
+    for pair, (parent, change) in enumerate(zip(parent_points, change_points)):
+        runs.append(run("pipeline", pair, "parent", (parent_setup or {}).get(pair, 0.1), parent))
+        runs.append(run("pipeline", pair, "change", (change_setup or {}).get(pair, 0.1), change))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        ([100.0, 100.0, 100.0, 100.0], [70.0, 74.0, 72.0, 130.0], "worse"),  # median 73 < 75
+        ([100.0, 101.0, 99.0, 100.0], [80.0, 78.0, 140.0, 82.0], "level"),  # median 81 >= 75
+        ([40.0, 100.0, 160.0, 100.0], [100.0, 100.0, 100.0, 100.0], "unresolved"),  # spread 30%
+        ([40.0, 100.0, 160.0, 100.0], [170.0, 161.0, 165.0, 200.0], "better"),  # beats every run
+        ([100.0, 101.0, 99.0, 100.0], [130.0, 131.0, 129.0, 130.0], "better"),
+        # won 3 pairs of 4: fewer than nine in ten
+        ([100.0, 101.0, 99.0, 100.0], [130.0, 131.0, 98.0, 130.0], "level"),
+        # median ahead by less than the parent's spread
+        ([90.0, 110.0, 100.0, 100.0], [105.0, 111.0, 103.0, 102.0], "level"),
+    ],
+)
+def test_verdict_of_a_higher_is_better_metric(bench_pairs, parent, change, expected):
+    summary = bench_pairs.summarize(pairs_of(parent, change), SPEC)["pipeline"]
+    assert summary["metrics"]["points_per_s"]["verdict"] == expected
+
+
+def test_verdict_of_a_lower_is_better_metric(bench_pairs):
+    points = [10.0] * 4
+    slower = pairs_of(points, points, change_setup={0: 0.2, 1: 0.2, 2: 0.2})
+    assert bench_pairs.summarize(slower, SPEC)["pipeline"]["metrics"]["setup_s"]["verdict"] == "worse"
+    faster = pairs_of(points, points, change_setup={k: 0.05 for k in range(4)})
+    assert bench_pairs.summarize(faster, SPEC)["pipeline"]["metrics"]["setup_s"]["verdict"] == "better"
+    same = pairs_of(points, points)
+    assert bench_pairs.summarize(same, SPEC)["pipeline"]["metrics"]["setup_s"]["verdict"] == "level"
+    assert bench_pairs.summarize(same, SPEC)["pipeline"]["metrics"]["points_per_s"]["verdict"] == "level"

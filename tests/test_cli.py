@@ -306,6 +306,22 @@ def test_converge_rejects_mu(tmp_path, mu):
         assert line == "config error: converge sweeps its own mu values and takes no --mu or mu key"
 
 
+def test_critical_rejects_mu(tmp_path):
+    """critical analyses the mu-free closed form, so a finite mu would be silently dropped."""
+    base = ["critical", "--tau", "0.44", "--omega", "7.3"]
+    config = tmp_path / "mu.cfg"
+    config.write_text("mu=1e4\n")
+    for args in ([*base, "--mu", "1e4"], [*base, "--config", str(config)]):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line == (
+            "config error: critical analyses the mu-free closed form and takes no --mu or mu key"
+        )
+    assert run_cli(*base).returncode == 0
+
+
 def test_config_file_and_precedence(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
