@@ -4,10 +4,14 @@ Subcommands: ``rate`` (one attack point), ``scan`` (physical-region grid
 plus boundary), ``boundary`` (boundary only), ``critical`` (origin
 gradient/Hessian diagnostics of the closed form) and ``converge``
 (finite-modulation sweep over ``CONVERGE_SWEEP`` against the closed
-form).  Neither of the last two takes ``mu``: ``--mu`` or a ``mu`` config
-key is a configuration error.  ``critical`` takes its finite-difference
-steps from omega (``landscape.critical_point_report``); no flag sets
-them, so no flag can change its ``is_minimum`` verdict.
+form).  Each command takes exactly the settings its ``cmd_*`` function
+reads (``_SUBCOMMANDS``, each setting declared once in ``_SETTINGS``): a
+flag or config key that the command would ignore is a configuration
+error.  A ``--config`` file's ``key=value`` lines are parsed as that
+command's flags, ahead of the command line, so flags win.
+``critical`` takes its finite-difference steps from omega
+(``landscape.critical_point_report``); no flag sets them, so no flag can
+change its ``is_minimum`` verdict.
 
 Exit codes: 0 success, 1 configuration error (bad flags or config
 file), 2 domain/physicality error (the offending constraint is named) or
@@ -68,20 +72,6 @@ _JSON_ROW = (
     '\n      "physical": true,\n      "on_boundary": %s\n    }'
 )
 CONVERGE_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
-_NO_MU = {"critical": "analyses the mu-free closed form", "converge": "sweeps its own mu values"}
-
-_CONFIG_KEYS = (
-    "protocol",
-    "tau",
-    "omega",
-    "g",
-    "gprime",
-    "mu",
-    "grid_resolution",
-    "output",
-    "format",
-    "clamp_nonnegative",
-)
 
 
 class ConfigError(Exception):
@@ -91,6 +81,65 @@ class ConfigError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse would exit(2); we want 1
         raise ConfigError(message)
+
+
+def _mu(text: str) -> float | None:
+    """A modulation variance; None for 'asymptotic'."""
+    if text.lower() == "asymptotic":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        message = f"must be a number or 'asymptotic', got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
+_REQUIRED = object()
+# Each setting once, in --help order: config key -> (argparse keywords,
+# default).  Its flag is the key with - for _, after "--".
+_SETTINGS = {
+    "protocol": (
+        {"choices": _rates.VARIANTS, "help": "protocol variant (default noswitching)"},
+        _rates.NO_SWITCHING,
+    ),
+    "tau": ({"type": float, "help": "channel transmissivity"}, _REQUIRED),
+    "omega": ({"type": float, "help": "ancilla thermal variance"}, _REQUIRED),
+    "g": ({"type": float, "help": "q-quadrature correlation"}, 0.0),
+    "gprime": ({"type": float, "help": "p-quadrature correlation"}, 0.0),
+    "mu": ({"type": _mu, "help": "modulation variance or 'asymptotic'"}, None),
+    "grid_resolution": ({"type": int}, 101),
+    "output": ({"help": "output path (default stdout)"}, None),
+    "format": ({"choices": ("csv", "json")}, "csv"),
+    "clamp_nonnegative": (
+        {"action": "store_true", "help": "emit max(rate, 0) instead of raw rates"},
+        False,
+    ),
+}
+_SCAN_SETTINGS = (
+    "protocol", "tau", "omega", "mu", "grid_resolution", "output", "format", "clamp_nonnegative",
+)
+# Each command's help line and the settings its cmd_* function reads; it
+# takes no other flag or config key.
+_SUBCOMMANDS = {
+    "rate": (
+        "rate report for one attack point",
+        ("protocol", "tau", "omega", "g", "gprime", "mu", "output", "format", "clamp_nonnegative"),
+    ),
+    "scan": ("rate over the physical (g, g') grid plus boundary", _SCAN_SETTINGS),
+    "boundary": ("rate along the constraint boundary", _SCAN_SETTINGS),
+    "critical": (
+        "gradient/Hessian diagnostics at the origin",
+        ("protocol", "tau", "omega", "output", "format"),
+    ),
+    "converge": (
+        "finite-modulation sweep against the closed form",
+        ("protocol", "tau", "omega", "g", "gprime", "output", "format"),
+    ),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @dataclass(frozen=True)
@@ -118,42 +167,27 @@ def _fmt_bool(flag: bool) -> str:
 
 
 def build_parser() -> _Parser:
-    """A fresh parser of the gausskey command line."""
+    """A fresh parser of the gausskey command line.
+
+    A flag left out is absent from the parsed namespace (make_config
+    applies its default), and abbreviations are refused: ``scan --g``
+    would otherwise abbreviate ``--grid-resolution``.
+    """
     parser = _Parser(
         prog="gausskey",
         description="Key rates of one-way CV-QKD under two-mode Gaussian attacks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("rate", "rate report for one attack point"),
-        ("scan", "rate over the physical (g, g') grid plus boundary"),
-        ("boundary", "rate along the constraint boundary"),
-        ("critical", "gradient/Hessian diagnostics at the origin"),
-        ("converge", "finite-modulation sweep against the closed form"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--protocol",
-            choices=_rates.VARIANTS,
-            default=None,
-            help="protocol variant (default noswitching)",
+    for name, (help_text, reads) in _SUBCOMMANDS.items():
+        p = sub.add_parser(
+            name, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False
         )
-        p.add_argument("--tau", type=float, default=None, help="channel transmissivity")
-        p.add_argument("--omega", type=float, default=None, help="ancilla thermal variance")
-        p.add_argument("--g", type=float, default=None, help="q-quadrature correlation")
-        p.add_argument("--gprime", type=float, default=None, help="p-quadrature correlation")
-        p.add_argument("--mu", default=None, help="modulation variance or 'asymptotic'")
-        p.add_argument("--grid-resolution", type=int, default=None, dest="grid_resolution")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument(
-            "--clamp-nonnegative",
-            action="store_true",
-            default=None,
-            dest="clamp_nonnegative",
-            help="emit max(rate, 0) instead of raw rates",
-        )
+        p.set_defaults(command_parser=p)  # make_config parses config files with it
+        for key, (kwargs, _) in _SETTINGS.items():
+            if key in reads:
+                p.add_argument(_flag(key), **kwargs)
+            if key == "format":  # --config keeps its place in --help
+                p.add_argument("--config", help="flat key=value config file")
     return parser
 
 
@@ -163,87 +197,58 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_tokens(key: str, value: str) -> list[str]:
+    """The command-line tokens of a config file's key=value line."""
+    if _SETTINGS[key][0].get("action") != "store_true":
+        return [f"{_flag(key)}={value}"]
+    if value.lower() in ("true", "1", "yes"):
+        return [_flag(key)]
+    if value.lower() in ("false", "0", "no"):
+        return []
+    raise ConfigError(f"invalid value for {key}: {value!r}")
+
+
+def _read_config_file(path: str, command: str, parser: _Parser) -> dict[str, object]:
+    """A config file's settings, each line parsed as flags by the command's parser."""
+    values = argparse.Namespace()
+    reads = _SUBCOMMANDS[command][1]
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = f"{path}:{lineno}"
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                    raise ConfigError(f"{where}: expected key=value, got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = value.strip()
+                if key not in _SETTINGS:
+                    raise ConfigError(f"{where}: unknown key {key!r}")
+                if key not in reads:
+                    raise ConfigError(f"{where}: {command} does not read {key!r}")
+                vars(values).pop(key, None)  # a later line replaces an earlier one
+                try:
+                    parser.parse_args(_config_tokens(key, value.strip()), values)
+                except ConfigError as exc:
+                    raise ConfigError(f"{where}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _coerce(key: str, value: str):
-    try:
-        if key in ("tau", "omega", "g", "gprime"):
-            return float(value)
-        if key == "grid_resolution":
-            return int(value)
-        if key == "clamp_nonnegative":
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if key == "protocol" and value not in _rates.VARIANTS:
-            raise ValueError(value)
-        if key == "format" and value not in ("csv", "json"):
-            raise ValueError(value)
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for {key}: {value!r}") from exc
-    return value
-
-
-def _parse_mu(raw: str) -> float | None:
-    if raw.lower() == "asymptotic":
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"--mu must be a number or 'asymptotic', got {raw!r}") from exc
+    return vars(values)
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values and apply defaults."""
-    merged: dict[str, object] = {}
-    if args.config is not None:
-        for key, value in _read_config_file(args.config).items():
-            merged[key] = _coerce(key, value)
-    for key in _CONFIG_KEYS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-
-    for required in ("tau", "omega"):
-        if required not in merged:
-            raise ConfigError(f"missing required parameter --{required}")
-    if args.command in _NO_MU and "mu" in merged:
-        raise ConfigError(f"{args.command} {_NO_MU[args.command]} and takes no --mu or mu key")
-    mu = _parse_mu(str(merged.get("mu", "asymptotic")))
-    return RunConfig(
-        command=args.command,
-        protocol=str(merged.get("protocol", _rates.NO_SWITCHING)),
-        tau=float(merged["tau"]),
-        omega=float(merged["omega"]),
-        g=float(merged.get("g", 0.0)),
-        g_prime=float(merged.get("gprime", 0.0)),
-        mu=mu,
-        grid_resolution=int(merged.get("grid_resolution", 101)),
-        output=merged.get("output"),  # type: ignore[arg-type]
-        format=str(merged.get("format", "csv")),
-        clamp_nonnegative=bool(merged.get("clamp_nonnegative", False)),
-    )
+    """Command-line flags over config-file lines over the table's defaults."""
+    given = dict(vars(args))
+    command, parser = given.pop("command"), given.pop("command_parser")
+    path = given.pop("config", None)
+    values = {} if path is None else _read_config_file(path, command, parser)
+    values.update(given)
+    settings = {key: values.get(key, default) for key, (_, default) in _SETTINGS.items()}
+    for key, value in settings.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required parameter {_flag(key)}")
+    return RunConfig(command=command, g_prime=settings.pop("gprime"), **settings)
 
 
 def _params(cfg: RunConfig) -> AttackParams:
@@ -367,9 +372,7 @@ def _render_rows(
 
 
 def cmd_scan(cfg: RunConfig) -> str:
-    if cfg.omega < 1.0:
-        raise DomainError(f"scan needs omega >= 1, got {cfg.omega}")
-    _params(cfg)  # the configured point obeys the same domain checks
+    _params(cfg)  # tau and omega obey the same domain checks
     report = _landscape.verify_minimality(
         cfg.protocol, cfg.tau, cfg.omega, cfg.grid_resolution, mu=cfg.mu
     )
@@ -384,10 +387,6 @@ def cmd_scan(cfg: RunConfig) -> str:
 
 
 def cmd_boundary(cfg: RunConfig) -> str:
-    if cfg.omega <= 1.0:
-        raise DomainError(
-            f"the physical region at omega = {cfg.omega} is a point; boundary is empty"
-        )
     _params(cfg)
     g, gp = boundary_curve_arrays(cfg.omega, cfg.grid_resolution)
     rates = _rates.key_rates(cfg.protocol, cfg.tau, cfg.omega, g, gp, mu=cfg.mu)
@@ -400,11 +399,7 @@ def cmd_boundary(cfg: RunConfig) -> str:
 
 
 def cmd_critical(cfg: RunConfig) -> str:
-    if cfg.omega <= 1.0:
-        raise DomainError(
-            f"the correlation region at omega = {cfg.omega} degenerates to a point; "
-            "no critical-point analysis exists"
-        )
+    _params(cfg)
     report = _landscape.critical_point_report(cfg.protocol, cfg.tau, cfg.omega)
     residual = abs(report.det_h - report.analytic_det_h) / abs(report.analytic_det_h)
     if cfg.format == "json":

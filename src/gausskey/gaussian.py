@@ -242,13 +242,6 @@ def _qp_spectrum(q00, q01, q11, p00, p01, p11) -> list[float]:
     return [math.sqrt(big), math.sqrt(small)]
 
 
-def _qp_two_mode_spectrum(state: Sectors) -> np.ndarray:
-    """Symplectic spectrum of a two-mode state, descending."""
-    (q00, q01), (_, q11) = state[0]
-    (p00, p01), (_, p11) = state[1]
-    return np.array(_qp_spectrum(q00, q01, q11, p00, p01, p11))
-
-
 def _qp_mirror_spectrum(state: Sectors) -> np.ndarray:
     """Symplectic spectrum of a state of modes (a, a', B, B'), descending.
 

@@ -159,7 +159,9 @@ def hessian_at_origin(rate_fn: RateFn, omega: float) -> np.ndarray:
 def _check_tau_omega(tau: float, omega: float) -> None:
     if not 0.0 < tau < 1.0:
         raise DomainError(f"need 0 < tau < 1, got {tau}")
-    if omega <= 1.0:
+    if omega == 1.0:
+        raise DomainError(f"the correlation region at omega = {omega} is a point; need omega > 1")
+    if omega < 1.0:
         raise DomainError(f"need omega > 1, got {omega}")
 
 

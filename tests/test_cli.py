@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from gausskey import cli
 
 CLI = [sys.executable, "-m", "gausskey"]
 
@@ -293,33 +297,102 @@ def test_converge_table():
     assert deltas[-1] < 2e-3
 
 
-@pytest.mark.parametrize("mu", ["1e4", "asymptotic"])
-def test_converge_rejects_mu(tmp_path, mu):
-    base = ["converge", "--tau", "0.5", "--omega", "2"]
-    config = tmp_path / "mu.cfg"
-    config.write_text(f"mu={mu}\n")
-    for args in ([*base, "--mu", mu], [*base, "--config", str(config)]):
-        result = run_cli(*args)
-        assert result.returncode == 1
-        assert result.stdout == ""
-        (line,) = result.stderr.splitlines()
-        assert line == "config error: converge sweeps its own mu values and takes no --mu or mu key"
+# The settings each command's cmd_* function reads, written out apart from
+# the CLI's own table.
+GRID_READS = {
+    "protocol", "tau", "omega", "mu", "grid_resolution", "output", "format", "clamp_nonnegative"
+}
+READS = {
+    "rate": {"protocol", "tau", "omega", "g", "gprime", "mu", "output", "format", "clamp_nonnegative"},
+    "scan": GRID_READS,
+    "boundary": GRID_READS,
+    "critical": {"protocol", "tau", "omega", "output", "format"},
+    "converge": {"protocol", "tau", "omega", "g", "gprime", "output", "format"},
+}
+SETTING_VALUES = {
+    "protocol": ["switching"],
+    "tau": ["0.3"],
+    "omega": ["1.5"],
+    "g": ["0.1"],
+    "gprime": ["-0.1"],
+    "mu": ["1e4", "asymptotic"],
+    "grid_resolution": ["7"],
+    "output": ["out.txt"],
+    "format": ["json"],
+    "clamp_nonnegative": ["true"],
+}
 
 
-def test_critical_rejects_mu(tmp_path):
-    """critical analyses the mu-free closed form, so a finite mu would be silently dropped."""
-    base = ["critical", "--tau", "0.44", "--omega", "7.3"]
-    config = tmp_path / "mu.cfg"
-    config.write_text("mu=1e4\n")
-    for args in ([*base, "--mu", "1e4"], [*base, "--config", str(config)]):
-        result = run_cli(*args)
-        assert result.returncode == 1
-        assert result.stdout == ""
-        (line,) = result.stderr.splitlines()
-        assert line == (
-            "config error: critical analyses the mu-free closed form and takes no --mu or mu key"
-        )
-    assert run_cli(*base).returncode == 0
+def run_main(argv, output=None):
+    """Exit code, stdout, stderr and the output file's text of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv, stderr=err)
+    written = None
+    if output is not None and output.exists():
+        written = output.read_text()
+        output.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (command, key, value)
+        for command in READS
+        for key, values in SETTING_VALUES.items()
+        for value in values
+    ],
+)
+def test_each_command_takes_exactly_the_settings_it_reads(tmp_path, command, key, value):
+    """A read setting gives the same bytes as flag or config key; any other is exit 1."""
+    base = {"tau": "0.44", "omega": "2"}
+    if command in ("scan", "boundary"):
+        base["grid_resolution"] = "5"
+    base.pop(key, None)
+    base_args = [arg for k, v in base.items() for arg in ("--" + k.replace("_", "-"), v)]
+    output = tmp_path / value if key == "output" else None
+    if output is not None:
+        value = str(output)
+    flag = "--" + key.replace("_", "-")
+    flag_args = [flag] if key == "clamp_nonnegative" else [flag, value]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# one setting\n{key} = {value}\n")
+    by_flag = run_main([command, *base_args, *flag_args], output)
+    by_config = run_main([command, *base_args, "--config", str(config)], output)
+    if key in READS[command]:
+        assert by_flag[0] == 0, by_flag[2]
+        assert by_config == by_flag
+        return
+    for result, text in (
+        (by_flag, f"unrecognized arguments: {' '.join(flag_args)}"),
+        (by_config, f"{config}:2: {command} does not read {key!r}"),
+    ):
+        assert result == (1, "", f"config error: {text}\n", None)
+
+
+@pytest.mark.parametrize("spelling", ["true", "1", "YES", "false", "0", "No"])
+def test_config_clamp_spellings(tmp_path, spelling):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"clamp_nonnegative = true\nclamp_nonnegative = {spelling}\n")
+    base = ["rate", "--tau", "0.3", "--omega", "1.2"]
+    clamp = ["--clamp-nonnegative"] if spelling.lower() in ("true", "1", "yes") else []
+    assert run_main([*base, "--config", str(config)]) == run_main([*base, *clamp])
+
+
+@pytest.mark.parametrize(
+    "line, text",
+    [
+        ("tau = abc", "argument --tau: invalid float value: 'abc'"),
+        ("mu = huge", "argument --mu: must be a number or 'asymptotic', got 'huge'"),
+        ("clamp_nonnegative = maybe", "invalid value for clamp_nonnegative: 'maybe'"),
+    ],
+)
+def test_config_bad_value_names_file_and_line(tmp_path, line, text):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"omega = 2\n{line}\n")
+    result = run_main(["rate", "--tau", "0.5", "--config", str(config)])
+    assert result == (1, "", f"config error: {config}:2: {text}\n", None)
 
 
 def test_config_file_and_precedence(tmp_path):

@@ -164,9 +164,10 @@ def test_public_entry_points_share_the_route():
     m = two_mode_cm(np.array([[2.0, 0.5], [0.5, 3.0]]), np.array([[1.5, -0.2], [-0.2, 1.0]]))
     route = qp_route(m)
     assert ref_symplectic_spectrum(m).tobytes() == route.tobytes()
-    assert gaussian._qp_two_mode_spectrum(
-        (m[0::2, 0::2].tolist(), m[1::2, 1::2].tolist())
-    ).tobytes() == route.tobytes()
+    (q00, q01), (_, q11) = m[0::2, 0::2].tolist()
+    (p00, p01), (_, p11) = m[1::2, 1::2].tolist()
+    spectrum = gaussian._qp_spectrum(q00, q01, q11, p00, p01, p11)
+    assert np.array(spectrum).tobytes() == route.tobytes()
     assert ref_is_physical(m) == bool(route[-1] >= 1.0 - gaussian.EPS_PHYS)
 
 
