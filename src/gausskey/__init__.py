@@ -3,8 +3,8 @@
 Library layout:
 
 * :mod:`gausskey.gaussian`  -- covariance-matrix calculus: bosonic
-  entropies, and the private q/p-sector kernels (CM operations and
-  symplectic spectra) of the numeric pipeline;
+  entropies, and the private steps of the numeric pipeline on packed
+  q/p sectors (conditioning and symplectic spectra);
 * :mod:`gausskey.attack`    -- the correlated two-mode attack model and
   its physicality region;
 * :mod:`gausskey.rates`     -- protocol rates, closed-form and numeric;

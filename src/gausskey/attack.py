@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import EPS_PHYS, DomainError, Sectors
+from .gaussian import EPS_PHYS, DomainError
 
 # Whole ulps a boundary sample may move into the lens before it is dropped.
 # Samples need up to about n_samples/2 (at most 246 in a probe with n <= 401).
@@ -55,11 +55,6 @@ class AttackParams:
             raise DomainError(f"transmissivity must lie in (0, 1], got {self.tau}")
         if self.omega < 1.0:
             raise DomainError(f"thermal variance must satisfy omega >= 1, got {self.omega}")
-
-
-def _attack_qp(omega: float, g: float, g_prime: float) -> Sectors:
-    """Two-mode ancilla state as q and p sectors: [[omega, g], [g, omega]], g' in p."""
-    return [[omega, g], [g, omega]], [[omega, g_prime], [g_prime, omega]]
 
 
 def _slack(omega, g, g_prime, minimum):

@@ -41,8 +41,8 @@ repeat, since g and g' run over the grid axis and the rates come in
 bit-equal mirror pairs.  Bits, not values, tell floats apart: -0.0 == 0.0
 but renders as ``-0`` (``-0.0`` in JSON), and NaN equals nothing.  The
 bytes are those of ``fmt`` and of ``json.dumps(..., indent=2)``.  Medians
-on 2 vCPUs shared with other load (tau 0.44, omega 7.3): ``rate`` and
-``critical`` 0.1-0.2 ms, ``converge`` about 0.5 ms, ``boundary`` at
+on a shared 2-vCPU Intel Xeon host (tau 0.44, omega 7.3): ``rate`` and
+``critical`` 0.1-0.2 ms, ``converge`` about 0.25 ms, ``boundary`` at
 resolution 101 0.8 ms, ``scan`` at resolution 31 (about 1,000 rows)
 1.7 ms as CSV and 2.1-2.4 ms as JSON, at resolution 101 11 and 20 ms.
 """
@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -79,6 +80,11 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # add_subparsers builds each command's parser as one
+        # argparse's own pattern takes -1e-3 for an option; this one reads it as a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str) -> None:  # argparse would exit(2); we want 1
         raise ConfigError(message)
 

@@ -14,17 +14,18 @@ so the two agree bit for bit over the whole range (the tests check up to
 
 The finite-modulation pipeline (``rates.key_rate_numeric``) never forms
 an interleaved CM.  Its states have exactly zero q-p cross entries, so
-it holds each as its n x n sectors (Q, P), lists of rows of Python
-floats, through one private kernel per operation (``_qp_tmsv``, the
-lossy channel ``_qp_channel``, ``_qp_heterodyne``, ``_qp_homodyne``);
-no state has more than four modes, as Eve's reflected arms are never
-formed.  Each kernel computes only the entries it changes and copies the
-rest.  Each kernel's output is symmetric by construction, and each kernel
-that forms new entries rejects non-finite ones with the ``CovMat`` text.
+it holds each as its q and p sectors, and each symmetric sector as its
+packed upper triangle (``Packed``), a tuple of Python floats taken column
+by column: the sector on every mode but the last is a prefix.  Its
+layout is fixed, modes (a, a', B, B'), and Bob measures B' and then B,
+so each step is straight-line scalar arithmetic.  ``_measure_last``
+conditions on the last mode with one rank-one update per measured
+sector, and rejects non-finite entries with the ``CovMat`` text.
 ``_qp_mirror_spectrum`` splits the joint state into two two-mode halves;
 every pipeline spectrum comes from ``_qp_spectrum``, with no ``eigh``,
-``svd`` or ``solve`` and no rate formula.  The package has no dense (eigh/svd)
-spectrum; ``tests/cm_reference.py`` keeps one as the tests' oracle.
+``svd`` or ``solve`` and no rate formula.  ``tests/cm_reference.py``
+keeps the mode-indexed kernels on lists of rows, and a dense (eigh/svd)
+spectrum, as the tests' reference chain and oracle.
 
 Everything here is a pure function of its inputs; ``CovMat`` instances
 are immutable after construction and safe to share across threads.
@@ -34,8 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -49,8 +48,10 @@ LN2 = math.log(2.0)
 
 _NON_FINITE = "covariance matrix contains non-finite entries"
 
-# q and p sectors: at four modes, Python lists cost less than numpy's dispatch.
-Sectors = tuple[list[list[float]], list[list[float]]]
+# A symmetric sector as its upper triangle, column by column: (x00, x01,
+# x11, x02, x12, x22, ...).  At four modes, tuples of Python floats cost
+# less than numpy's dispatch.
+Packed = tuple[float, ...]
 
 
 class DomainError(ValueError):
@@ -98,112 +99,60 @@ class CovMat:
         return self.mat.shape[0] // 2
 
 
-def _require_finite_rows(rows: list[list[float]]) -> None:
-    """Reject a non-finite entry in any of the rows with the CovMat text."""
+def _require_finite(*xs: float) -> None:
+    """Reject a non-finite value among the entries just formed with the CovMat text."""
     # A non-finite entry makes the sum non-finite; a sum can also overflow.
-    if not math.isfinite(sum(map(sum, rows))) and not all(map(math.isfinite, chain(*rows))):
+    if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
         raise DomainError(_NON_FINITE)
 
 
-def _check_mode(mode: int, n_modes: int) -> None:
-    if not 0 <= mode < n_modes:
-        raise DomainError(f"mode index {mode} out of range for {n_modes} modes")
+def _rank_one_4(x: Packed, d: float) -> Packed:
+    """x on modes 0-2 minus the outer product of its mode-3 column, over d."""
+    x00, x01, x11, x02, x12, x22, c0, c1, c2, _ = x
+    return (
+        x00 - c0 * c0 / d, x01 - c0 * c1 / d, x11 - c1 * c1 / d,
+        x02 - c0 * c2 / d, x12 - c1 * c2 / d, x22 - c2 * c2 / d,
+    )
 
 
-def _qp_tmsv(mu: float) -> Sectors:
-    """TMSV of local variance mu >= 1: Q = [[mu, c], [c, mu]], P with -c, c = sqrt(mu^2 - 1)."""
-    if not (mu >= 1.0):
-        raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
-    c = math.sqrt(mu * mu - 1.0)  # inf once mu*mu overflows, and whenever mu is inf
-    if not math.isfinite(c):
-        raise DomainError(_NON_FINITE)
-    return [[mu, c], [c, mu]], [[mu, -c], [-c, mu]]
+def _rank_one_3(x: Packed, d: float) -> Packed:
+    """x on modes 0-1 minus the outer product of its mode-2 column, over d."""
+    x00, x01, x11, c0, c1, _ = x
+    return x00 - c0 * c0 / d, x01 - c0 * c1 / d, x11 - c1 * c1 / d
 
 
-def _qp_channel(state: Sectors, modes: tuple[int, ...], env: Sectors, tau: float) -> Sectors:
-    """Send the listed modes through a lossy channel of transmissivity tau.
+# By packed length (four modes, three modes): the update and the entries it keeps.
+_RANK_ONE = {10: (_rank_one_4, 6), 6: (_rank_one_3, 3)}
 
-    Each listed mode meets the matching mode of env on a beam splitter and
-    is replaced by its transmitted arm t*A + r*E, t = sqrt(tau) and
-    r = sqrt(1-tau).  With s = t on listed modes and 1 elsewhere, entry ij
-    becomes s_i*(s_j*x_ij), plus r*(r*n_kl) between listed modes.  State
-    and env are uncorrelated, so these round as the full rotation's do.
-    A factor 1.0 changes no bit, -0.0 included, so entries between
-    unlisted modes are copied, and each other entry takes t once per
-    listed index, the env term last.
+
+def _measure_last(q: Packed, p: Packed, quadrature: str) -> tuple[Packed, Packed]:
+    """Condition a state of four or three modes on a measurement of its last mode.
+
+    The outcome does not matter.  A heterodyne ("qp") takes the Schur
+    complement A - B (C + I)^-1 B^T: C is diagonal, so each sector takes
+    the rank-one update of its last column over X_kk + 1.  A homodyne of
+    "q" or "p" updates the measured sector over its X_kk, and the other
+    sector drops the mode.
     """
-    t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
-    unlisted = [i for i in range(len(state[0])) if i not in modes]
-    out = []
-    for x, n in zip(state, env):
-        y = x.copy()  # every row is replaced below
-        for i in unlisted:
-            row = y[i] = x[i].copy()
-            for j in modes:
-                row[j] = t * row[j]
-        for i, n_row in zip(modes, n):
-            row = y[i] = [t * v for v in x[i]]
-            for j, n_ij in zip(modes, n_row):
-                row[j] = t * row[j] + r * (r * n_ij)
-        out.append(y)
-    q, p = out
-    _require_finite_rows([q[i] for i in modes] + [p[i] for i in modes])  # the new entries
-    return q, p
-
-
-@lru_cache(maxsize=256)  # errors are not cached: a bad mode raises on every call
-def _retained(n_modes: int, mode: int) -> tuple[int, ...]:
-    """The modes that conditioning on one mode keeps, in order; formed once per (n_modes, mode)."""
-    _check_mode(mode, n_modes)
-    if n_modes < 2:
-        raise DomainError("conditioning needs at least one retained mode")
-    return tuple(k for k in range(n_modes) if k != mode)
-
-
-def _schur(x: list[list[float]], mode: int, keep: tuple[int, ...], d: float) -> list[list[float]]:
-    """x on the kept modes minus the outer product of its measured column, over d."""
-    col = x[mode]
-    return [[x[i][j] - col[i] * col[j] / d for j in keep] for i in keep]
-
-
-def _qp_heterodyne(state: Sectors, mode: int) -> Sectors:
-    """Condition on a heterodyne measurement of one mode (the outcome does not matter).
-
-    The Schur complement A - B (C + I)^-1 B^T on the retained modes: C is
-    diagonal, so each sector X takes the rank-one update of its measured
-    column over X_kk + 1.
-    """
-    keep = _retained(len(state[0]), mode)
-    dq, dp = state[0][mode][mode] + 1.0, state[1][mode][mode] + 1.0
-    if dq == 0.0 or dp == 0.0:  # impossible for a physical state
-        raise NumericalDegeneracyError(
-            "singular heterodyne update; measured block + I is not invertible"
-        )
-    q, p = _schur(state[0], mode, keep, dq), _schur(state[1], mode, keep, dp)
-    _require_finite_rows(q + p)
-    return q, p
-
-
-def _qp_homodyne(state: Sectors, mode: int, quadrature: str) -> Sectors:
-    """Condition on a homodyne measurement of one quadrature of one mode.
-
-    The measured sector takes the rank-one update of its measured column
-    over that quadrature's variance; the other sector drops the mode.
-    """
-    if quadrature not in ("q", "p"):
-        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
-    keep = _retained(len(state[0]), mode)
-    j = 0 if quadrature == "q" else 1
-    measured, other = state[j], state[1 - j]
-    c = measured[mode][mode]
+    update, kept = _RANK_ONE[len(q)]
+    if quadrature == "qp":
+        dq, dp = q[-1] + 1.0, p[-1] + 1.0
+        if dq == 0.0 or dp == 0.0:  # impossible for a physical state
+            raise NumericalDegeneracyError(
+                "singular heterodyne update; measured block + I is not invertible"
+            )
+        q, p = update(q, dq), update(p, dp)
+        _require_finite(*q, *p)
+        return q, p
+    measured = q if quadrature == "q" else p
+    c = measured[-1]
     if c < 1e-12:
         raise DomainError(
             f"degenerate homodyne measurement: {quadrature} variance {c:g} below 1e-12"
         )
-    updated = _schur(measured, mode, keep, c)
-    _require_finite_rows(updated)
-    dropped = [[other[i][k] for k in keep] for i in keep]
-    return (updated, dropped) if j == 0 else (dropped, updated)
+    updated = update(measured, c)
+    _require_finite(*updated)
+    return (updated, p[:kept]) if quadrature == "q" else (q[:kept], updated)
 
 
 def _qp_spectrum(q00, q01, q11, p00, p01, p11) -> list[float]:
@@ -242,7 +191,7 @@ def _qp_spectrum(q00, q01, q11, p00, p01, p11) -> list[float]:
     return [math.sqrt(big), math.sqrt(small)]
 
 
-def _qp_mirror_spectrum(state: Sectors) -> np.ndarray:
+def _qp_mirror_spectrum(q: Packed, p: Packed) -> np.ndarray:
     """Symplectic spectrum of a state of modes (a, a', B, B'), descending.
 
     The state must be symmetric under swapping (a, B) with (a', B'), its
@@ -251,8 +200,8 @@ def _qp_mirror_spectrum(state: Sectors) -> np.ndarray:
     sector X exactly to the halves [[X_aa +- X_aa', X_aB +- X_aB'],
     [., X_BB +- X_BB']]: their cross terms are differences of equal entries.
     """
-    (q00, q01, q02, q03), (_, q11, q12, q13), (_, _, q22, q23), (_, _, _, q33) = state[0]
-    (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = state[1]
+    q00, q01, q11, q02, q12, q22, q03, q13, q23, q33 = q
+    p00, p01, p11, p02, p12, p22, p03, p13, p23, p33 = p
     if not (
         q00 == q11 and q02 == q13 and q03 == q12 and q22 == q33
         and p00 == p11 and p02 == p13 and p03 == p12 and p22 == p33

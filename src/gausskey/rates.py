@@ -10,13 +10,15 @@ Each rate exists in two routes: a closed asymptotic form in which the
 modulation variance cancels (``key_rate_asymptotic``, ``key_rates``), and
 a finite-modulation numeric pipeline (``key_rate_numeric``);
 ``rate_report`` reports either, the asymptotic one in a single pass.
-The pipeline's Holevo bound is built entirely from the private q/p-sector
-kernels of ``gaussian`` (a lossy channel, Schur-complement conditioning,
-symplectic diagonalisation) and scalar entropies, and uses none of the
-rate formulas; it is the oracle that every closed form is validated
-against.  The joint state comes only from that construction
-(``_joint_qp``), and no function here returns a CM: the library keeps no
-closed form of the joint or conditional CMs.  The pipeline's mutual
+The pipeline's Holevo bound is built entirely by construction, in
+straight-line scalar arithmetic on packed q/p sectors of the fixed mode
+layout (a, a', B, B'): the lossy channel (``_joint_qp``), then
+Schur-complement conditioning and symplectic diagonalisation (the
+private steps of ``gaussian``), then scalar entropies.  It uses none of
+the rate formulas; it is the oracle that every closed form is validated
+against.  The joint state comes only from that construction, and no
+function here returns a CM: the library keeps no closed form of the
+joint or conditional CMs.  The pipeline's mutual
 information is ``mutual_information``, the exact finite-mu closed form:
 the receiver variances it needs are read off Lambda and
 tau + (1-tau)*omega, not off a measured-down CM.
@@ -39,16 +41,14 @@ from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, _attack_qp, lens_mask, violated_constraint
+from .attack import AttackParams, lens_mask, violated_constraint
 from .gaussian import (
     DomainError,
-    Sectors,
-    _qp_channel,
-    _qp_heterodyne,
-    _qp_homodyne,
+    Packed,
+    _measure_last,
     _qp_mirror_spectrum,
     _qp_spectrum,
-    _qp_tmsv,
+    _require_finite,
     entropy_h,
     entropy_h_array,
 )
@@ -193,23 +193,31 @@ def _nbar_noswitching(tau, om, g, gp, ew: _Elementwise = _SCALAR):
     return ew.maximum(plus, minus), ew.minimum(plus, minus)
 
 
-def _joint_qp(params: AttackParams, mu: float) -> Sectors:
-    """q and p sectors of the joint state of sender modes (a, a') and receiver modes (B, B').
+def _joint_qp(params: AttackParams, mu: float) -> tuple[Packed, Packed]:
+    """Packed q and p sectors of the joint state of sender modes (a, a') and receiver modes (B, B').
 
     Two TMSV(mu+1) sources in mode order (a, a', A, A') send (A, A')
     through a lossy channel of transmissivity tau whose environment is the
-    attack state (e, E): B and B' are the transmitted arms.  The Holevo
-    bound needs only this state, so Eve's reflected arms are never formed.
+    attack state (e, E): B and B' are the transmitted arms t*A + r*E,
+    t = sqrt(tau) and r = sqrt(1-tau).  The Holevo bound needs only this
+    state, so Eve's reflected arms are never formed.  Each entry takes t
+    once per receiver index and the environment's r*(r*n) last, products
+    that round as the full rotation's do; the TMSV correlation is
+    c = sqrt(m^2 - 1), m = mu + 1, with sign -1 in p.
     """
     _require_physical(params)
     _require_finite_mu(mu)
-    # each sector of the source pair: the TMSV sector's entries on (a, A) and on (a', A')
-    sources = tuple(
-        [[x00, 0.0, x01, 0.0], [0.0, x00, 0.0, x01], [x10, 0.0, x11, 0.0], [0.0, x10, 0.0, x11]]
-        for (x00, x01), (x10, x11) in _qp_tmsv(mu + 1.0)
-    )
-    ancillas = _attack_qp(params.omega, params.g, params.g_prime)
-    return _qp_channel(sources, (2, 3), ancillas, params.tau)
+    m = mu + 1.0
+    c = math.sqrt(m * m - 1.0)  # inf once m*m overflows
+    t, r = math.sqrt(params.tau), math.sqrt(1.0 - params.tau)
+    zero = t * 0.0  # (a, B') and (a', B): each source's own zeros, transmitted
+    receiver = t * (t * m) + r * (r * params.omega)
+    cq, cp = t * c, t * -c
+    q = (m, 0.0, m, cq, zero, receiver, zero, cq, t * zero + r * (r * params.g), receiver)
+    p = (m, 0.0, m, cp, zero, receiver, zero, cp, t * zero + r * (r * params.g_prime), receiver)
+    # the transmitted entries; t*c is finite exactly when c is, as 0 < t <= 1
+    _require_finite(cq, receiver, q[8], p[8])
+    return q, p
 
 
 def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
@@ -363,23 +371,21 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     factors divided out), 641 at tau = 0.99 and 1.6e6 at tau = 1 - 1e-6.
     The rate carries half of it; i_ab stays within about 2 ulps.
 
-    Every stage runs on the q/p-sector kernels of ``gaussian``: no CM is
-    formed, and no ``eigh``, ``svd`` or ``solve`` is called.
+    Every stage is straight-line arithmetic on packed q/p sectors: the
+    joint state of ``_joint_qp``, then Bob's measurement of B' and of B
+    (``gaussian._measure_last``) in each of his branches.  No CM is
+    formed, and no ``eigh``, ``svd`` or ``solve`` is called; each entry
+    rounds as the mode-indexed reference chain of
+    ``tests/cm_reference.py`` rounds it, so the report matches that chain
+    byte for byte, errors included.
     """
     if spec.asymptotic:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
-    V = _joint_qp(params, spec.mu)
-    total_spectrum = _qp_mirror_spectrum(V)
+    q, p = _joint_qp(params, spec.mu)
+    total_spectrum = _qp_mirror_spectrum(q, p)
     spectra = []  # the spectrum of (a, a') given each of Bob's branches
     for on_b, on_bp in _RECEIVER[spec.variant]:
-        state = V
-        for mode, quadrature in ((3, on_bp), (2, on_b)):
-            if quadrature == "qp":
-                state = _qp_heterodyne(state, mode)
-            else:
-                state = _qp_homodyne(state, mode, quadrature)
-        (q00, q01), (_, q11) = state[0]
-        (p00, p01), (_, p11) = state[1]
+        (q00, q01, q11), (p00, p01, p11) = _measure_last(*_measure_last(q, p, on_bp), on_b)
         spectra.append(_qp_spectrum(q00, q01, q11, p00, p01, p11))
     # every spectrum, then the h sums, the total first: its unphysical eigenvalue raises first
     s_total = sum(map(entropy_h, total_spectrum.tolist()))

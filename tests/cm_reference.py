@@ -2,24 +2,31 @@
 
 The ``ref_*`` forms act on interleaved CMs: they index with np.ix_,
 build blocks with np.block/np.eye, multiply dense matrices and rebuild
-the symplectic form on every call.  ``gausskey.gaussian`` instead holds
-each state as its q and p sectors; the ``cm_*`` helpers below assemble
-a sector kernel's output into one interleaved CM (and split a q-p-free
-CM into sectors), so that ``tests/test_cm_bit_identity.py`` can hold
-every kernel to its reference.  ``qp_direct_sum`` and ``qp_keep`` build
-product states and select modes on q/p sectors for the reference chain;
-the library builds its one product state in place.
+the symplectic form on every call.  The ``qp_*`` kernels act on q and p
+sectors held as lists of rows, on any number of modes and any mode
+index: the TMSV and attack states, the lossy channel ``qp_channel``,
+heterodyne and homodyne conditioning (``qp_heterodyne``,
+``qp_homodyne``), the mirror-split spectrum ``qp_mirror_spectrum``, and
+``qp_joint``, the pipeline's joint state chained through them.  The
+library's pipeline (``rates.key_rate_numeric``) does the same steps as
+straight-line arithmetic on packed sectors of one fixed layout, and must
+match this chain bit for bit.  ``qp_unpack`` spreads a packed sector
+into rows (``qp_pack`` packs them), and the ``cm_*`` helpers assemble a sector kernel's output
+into one interleaved CM (and split a q-p-free CM into sectors), so that
+``tests/test_cm_bit_identity.py`` can hold every kernel to its
+reference.  ``qp_direct_sum`` and ``qp_keep`` build product states and
+select modes on q/p sectors for the reference chain.
 ``ref_sector_beamsplitter`` is the full beam-splitter rotation on q/p
-sectors, both output arms formed: the library sends a mode through a
-lossy channel (``_qp_channel``) without forming the reflected arm, and
-must match the transmitted arm of this rotation bit for bit up to the
-sign of a zero.  ``ref_channel_entrywise`` and ``ref_condition_entrywise``
-spell the channel and the rank-one conditioning update entry by entry,
-every factor applied; the kernels must match them bit for bit, signed
-zeros included.  ``ref_total_cm`` chains the dense references into
-the joint CM, every stage a validated ``CovMat``.
-``ref_dense_spectrum`` is the project's only double-precision eigh/svd
-symplectic spectrum; the library diagonalises q/p sectors only.
+sectors, both output arms formed: ``qp_channel`` sends a mode through a
+lossy channel without forming the reflected arm, and must match the
+transmitted arm of this rotation bit for bit up to the sign of a zero.
+``ref_channel_entrywise`` and ``ref_condition_entrywise`` spell the
+channel and the rank-one conditioning update entry by entry, every
+factor applied; the kernels must match them bit for bit, signed zeros
+included.  ``ref_total_cm`` chains the dense references into the joint
+CM, every stage a validated ``CovMat``.  ``ref_dense_spectrum`` is the
+project's only double-precision eigh/svd symplectic spectrum; the
+library diagonalises q/p sectors only.
 
 The ``closed_*`` forms are the joint and conditional CMs of the
 finite-modulation pipeline written out entry by entry.  The library
@@ -30,13 +37,186 @@ checked against.  Mode order is (a, a', B, B') for the joint CM and
 """
 
 import math
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from gausskey import EPS_PHYS, DomainError, NumericalDegeneracyError, violated_constraint
 from gausskey import gaussian, rates
 from gausskey.gaussian import CovMat
-from gausskey.attack import _attack_qp
+
+# ------------------------------------------------------ mode-indexed kernels
+
+
+def _require_finite_rows(rows):
+    """Reject a non-finite entry in any of the rows with the CovMat text."""
+    # A non-finite entry makes the sum non-finite; a sum can also overflow.
+    if not math.isfinite(sum(map(sum, rows))) and not all(map(math.isfinite, chain(*rows))):
+        raise DomainError(gaussian._NON_FINITE)
+
+
+def check_mode(mode, n_modes):
+    if not 0 <= mode < n_modes:
+        raise DomainError(f"mode index {mode} out of range for {n_modes} modes")
+
+
+def qp_tmsv(mu):
+    """TMSV of local variance mu >= 1: Q = [[mu, c], [c, mu]], P with -c, c = sqrt(mu^2 - 1)."""
+    if not (mu >= 1.0):
+        raise DomainError(f"TMSV variance must satisfy mu >= 1, got {mu}")
+    c = math.sqrt(mu * mu - 1.0)  # inf once mu*mu overflows, and whenever mu is inf
+    if not math.isfinite(c):
+        raise DomainError(gaussian._NON_FINITE)
+    return [[mu, c], [c, mu]], [[mu, -c], [-c, mu]]
+
+
+def qp_attack(omega, g, g_prime):
+    """Two-mode ancilla state as q and p sectors: [[omega, g], [g, omega]], g' in p."""
+    return [[omega, g], [g, omega]], [[omega, g_prime], [g_prime, omega]]
+
+
+def qp_channel(state, modes, env, tau):
+    """Send the listed modes through a lossy channel of transmissivity tau.
+
+    Each listed mode meets the matching mode of env on a beam splitter and
+    is replaced by its transmitted arm t*A + r*E, t = sqrt(tau) and
+    r = sqrt(1-tau).  With s = t on listed modes and 1 elsewhere, entry ij
+    becomes s_i*(s_j*x_ij), plus r*(r*n_kl) between listed modes.  State
+    and env are uncorrelated, so these round as the full rotation's do.
+    A factor 1.0 changes no bit, -0.0 included, so entries between
+    unlisted modes are copied, and each other entry takes t once per
+    listed index, the env term last.
+    """
+    t, r = math.sqrt(tau), math.sqrt(1.0 - tau)
+    unlisted = [i for i in range(len(state[0])) if i not in modes]
+    out = []
+    for x, n in zip(state, env):
+        y = x.copy()  # every row is replaced below
+        for i in unlisted:
+            row = y[i] = x[i].copy()
+            for j in modes:
+                row[j] = t * row[j]
+        for i, n_row in zip(modes, n):
+            row = y[i] = [t * v for v in x[i]]
+            for j, n_ij in zip(modes, n_row):
+                row[j] = t * row[j] + r * (r * n_ij)
+        out.append(y)
+    q, p = out
+    _require_finite_rows([q[i] for i in modes] + [p[i] for i in modes])  # the new entries
+    return q, p
+
+
+@lru_cache(maxsize=256)  # errors are not cached: a bad mode raises on every call
+def _retained(n_modes, mode):
+    """The modes that conditioning on one mode keeps, in order; formed once per (n_modes, mode)."""
+    check_mode(mode, n_modes)
+    if n_modes < 2:
+        raise DomainError("conditioning needs at least one retained mode")
+    return tuple(k for k in range(n_modes) if k != mode)
+
+
+def _schur(x, mode, keep, d):
+    """x on the kept modes minus the outer product of its measured column, over d."""
+    col = x[mode]
+    return [[x[i][j] - col[i] * col[j] / d for j in keep] for i in keep]
+
+
+def qp_heterodyne(state, mode):
+    """Condition on a heterodyne measurement of one mode (the outcome does not matter).
+
+    The Schur complement A - B (C + I)^-1 B^T on the retained modes: C is
+    diagonal, so each sector X takes the rank-one update of its measured
+    column over X_kk + 1.
+    """
+    keep = _retained(len(state[0]), mode)
+    dq, dp = state[0][mode][mode] + 1.0, state[1][mode][mode] + 1.0
+    if dq == 0.0 or dp == 0.0:  # impossible for a physical state
+        raise NumericalDegeneracyError(
+            "singular heterodyne update; measured block + I is not invertible"
+        )
+    q, p = _schur(state[0], mode, keep, dq), _schur(state[1], mode, keep, dp)
+    _require_finite_rows(q + p)
+    return q, p
+
+
+def qp_homodyne(state, mode, quadrature):
+    """Condition on a homodyne measurement of one quadrature of one mode.
+
+    The measured sector takes the rank-one update of its measured column
+    over that quadrature's variance; the other sector drops the mode.
+    """
+    if quadrature not in ("q", "p"):
+        raise DomainError(f"quadrature must be 'q' or 'p', got {quadrature!r}")
+    keep = _retained(len(state[0]), mode)
+    j = 0 if quadrature == "q" else 1
+    measured, other = state[j], state[1 - j]
+    c = measured[mode][mode]
+    if c < 1e-12:
+        raise DomainError(
+            f"degenerate homodyne measurement: {quadrature} variance {c:g} below 1e-12"
+        )
+    updated = _schur(measured, mode, keep, c)
+    _require_finite_rows(updated)
+    dropped = [[other[i][k] for k in keep] for i in keep]
+    return (updated, dropped) if j == 0 else (dropped, updated)
+
+
+def qp_mirror_spectrum(state):
+    """Symplectic spectrum of a state of modes (a, a', B, B') held as rows, descending.
+
+    The rows form of ``gaussian._qp_mirror_spectrum``: the mirror entries
+    must be bit-equal, and each sector splits into the halves
+    [[X_aa +- X_aa', X_aB +- X_aB'], [., X_BB +- X_BB']].
+    """
+    (q00, q01, q02, q03), (_, q11, q12, q13), (_, _, q22, q23), (_, _, _, q33) = state[0]
+    (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = state[1]
+    if not (
+        q00 == q11 and q02 == q13 and q03 == q12 and q22 == q33
+        and p00 == p11 and p02 == p13 and p03 == p12 and p22 == p33
+    ):
+        raise NumericalDegeneracyError(
+            "joint state is not symmetric under swapping (a, B) with (a', B')"
+        )
+    nu = gaussian._qp_spectrum(q00 + q01, q02 + q03, q22 + q23, p00 + p01, p02 + p03, p22 + p23)
+    nu += gaussian._qp_spectrum(q00 - q01, q02 - q03, q22 - q23, p00 - p01, p02 - p03, p22 - p23)
+    nu.sort(reverse=True)
+    return np.array(nu)
+
+
+def qp_joint(params, mu):
+    """The joint state of (a, a', B, B') as rows, through the kernels above.
+
+    Two TMSV(mu+1) sources in mode order (a, a', A, A') send (A, A')
+    through a lossy channel whose environment is the attack state.
+    """
+    rates._require_physical(params)
+    rates._require_finite_mu(mu)
+    # each sector of the source pair: the TMSV sector's entries on (a, A) and on (a', A')
+    sources = tuple(
+        [[x00, 0.0, x01, 0.0], [0.0, x00, 0.0, x01], [x10, 0.0, x11, 0.0], [0.0, x10, 0.0, x11]]
+        for (x00, x01), (x10, x11) in qp_tmsv(mu + 1.0)
+    )
+    ancillas = qp_attack(params.omega, params.g, params.g_prime)
+    return qp_channel(sources, (2, 3), ancillas, params.tau)
+
+
+def qp_pack(rows):
+    """A symmetric sector's upper triangle, column by column, as the library packs it."""
+    return tuple(rows[i][j] for j in range(len(rows)) for i in range(j + 1))
+
+
+def qp_unpack(x):
+    """The rows of a symmetric sector packed as its upper triangle, column by column."""
+    n = math.isqrt(2 * len(x))
+    rows = [[0.0] * n for _ in range(n)]
+    at = 0
+    for j in range(n):
+        for i in range(j + 1):
+            rows[i][j] = rows[j][i] = x[at]
+            at += 1
+    return rows
+
 
 # ------------------------------------------------ sectors and interleaved CMs
 
@@ -73,16 +253,16 @@ def qp_direct_sum(*states):
 def qp_keep(state, modes):
     """Reduced state of the listed modes, in the order given (a permutation reorders)."""
     for mode in modes:
-        gaussian._check_mode(mode, len(state[0]))
+        check_mode(mode, len(state[0]))
     return tuple([[row[j] for j in modes] for row in [x[i] for i in modes]] for x in state)
 
 
 def cm_tmsv(mu):
-    return assemble_cm(gaussian._qp_tmsv(mu))
+    return assemble_cm(qp_tmsv(mu))
 
 
 def cm_attack(omega, g, g_prime):
-    return assemble_cm(_attack_qp(omega, g, g_prime))
+    return assemble_cm(qp_attack(omega, g, g_prime))
 
 
 def cm_direct_sum(*mats):
@@ -94,20 +274,20 @@ def cm_keep_modes(m, modes):
 
 
 def cm_channel(m, modes, env, tau):
-    return assemble_cm(gaussian._qp_channel(qp_state(m), modes, qp_state(env), tau))
+    return assemble_cm(qp_channel(qp_state(m), modes, qp_state(env), tau))
 
 
 def cm_heterodyne(m, mode):
-    return assemble_cm(gaussian._qp_heterodyne(qp_state(m), mode))
+    return assemble_cm(qp_heterodyne(qp_state(m), mode))
 
 
 def cm_homodyne(m, mode, quadrature):
-    return assemble_cm(gaussian._qp_homodyne(qp_state(m), mode, quadrature))
+    return assemble_cm(qp_homodyne(qp_state(m), mode, quadrature))
 
 
 def cm_joint(params, mu):
     """The pipeline's joint state of (a, a', B, B') as one interleaved CM."""
-    return assemble_cm(rates._joint_qp(params, mu))
+    return assemble_cm([qp_unpack(x) for x in rates._joint_qp(params, mu)])
 
 
 # ------------------------------------------------------------ reference forms

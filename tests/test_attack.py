@@ -15,8 +15,8 @@ from gausskey import (
     lens_mask,
     violated_constraint,
 )
-from gausskey.attack import _attack_qp, physical_grid_mirror
-from cm_reference import cm_attack, ref_is_physical
+from gausskey.attack import physical_grid_mirror
+from cm_reference import cm_attack, qp_attack, ref_is_physical
 
 
 def _params(omega, g, gp, tau=0.5):
@@ -47,7 +47,7 @@ def test_attack_params_validation():
 
 
 def test_attack_cm_construction():
-    assert _attack_qp(1.2, 0.3, -0.1) == ([[1.2, 0.3], [0.3, 1.2]], [[1.2, -0.1], [-0.1, 1.2]])
+    assert qp_attack(1.2, 0.3, -0.1) == ([[1.2, 0.3], [0.3, 1.2]], [[1.2, -0.1], [-0.1, 1.2]])
     assert np.array_equal(cm_attack(1.0, 0.0, 0.0), np.eye(4))
     assert np.array_equal(cm_attack(1.2, 0.0, 0.0), 1.2 * np.eye(4))
     cm = cm_attack(1.2, 0.3, -0.1)

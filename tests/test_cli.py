@@ -335,6 +335,16 @@ def run_main(argv, output=None):
     return code, out.getvalue(), err.getvalue(), written
 
 
+@pytest.mark.parametrize("command", ["rate", "converge"])
+def test_negative_values_in_exponent_form(command):
+    """A negative value in exponent form after a flag is a value, as after "=" and as -0.001."""
+    base = [command, "--tau", "0.5", "--omega", "2"]
+    spaced = run_main([*base, "--g", "-1e-3", "--gprime", "-2.5E-1"])
+    assert spaced[0] == 0 and spaced[2] == ""
+    assert run_main([*base, "--g=-1e-3", "--gprime=-2.5E-1"]) == spaced
+    assert run_main([*base, "--g", "-0.001", "--gprime", "-.25"]) == spaced
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [

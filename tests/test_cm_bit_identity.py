@@ -3,28 +3,33 @@
 The reference forms (``cm_reference``) act on interleaved CMs: they
 index with np.ix_, build blocks with np.block/np.eye, multiply dense
 matrices and rebuild the symplectic form on every call.  The kernels of
-``gausskey.gaussian`` hold each state as its q and p sectors; each
+``cm_reference`` (``qp_*``) hold each state as its q and p sectors; each
 kernel's output, assembled into one CM, must match its reference.  The
-kernels that only move entries (TMSV, attack state, and the tests'
-``qp_keep``) and the homodyne update match bit for bit, signed zeros
-included; the sector beam splitter and the heterodyne update round
-differently from a dense product and a ``solve``, and stay within a few
-ulps of the terms they add.  The lossy channel matches the transmitted
-arms of the sector beam splitter bit for bit up to the sign of a zero.
-The channel and both conditioning kernels skip factors of 1.0 and copy
-the entries they do not change, so each is also held, signed zeros
-included, to its entry-by-entry formula (``ref_channel_entrywise``,
+kernels that only move entries (TMSV, attack state, ``qp_keep``) and the
+homodyne update match bit for bit, signed zeros included; the sector
+beam splitter and the heterodyne update round differently from a dense
+product and a ``solve``, and stay within a few ulps of the terms they
+add.  The lossy channel matches the transmitted arms of the sector beam
+splitter bit for bit up to the sign of a zero.  The channel and both
+conditioning kernels skip factors of 1.0 and copy the entries they do
+not change, so each is also held, signed zeros included, to its
+entry-by-entry formula (``ref_channel_entrywise``,
 ``ref_condition_entrywise``), which applies every factor.  The kernels
 also raise the error texts pinned here.
 
+The library's pipeline does the same steps on packed sectors of one
+fixed layout (``rates._joint_qp``, ``gaussian._measure_last``); each
+step must match the kernels bit for bit, and raise their errors.
+
 ``ref_key_rate_numeric`` builds the six-mode state (a, A, a', A', e, E),
 mixes each channel use with its ancilla on the sector beam splitter and
-keeps (a, a', B, B'), then runs the library's conditioning kernels, with
-every stage assembled into a validated ``CovMat`` and read back.  It
-splits the joint CM into its mirror halves from the interleaved entries,
-and sums scalar ``entropy_h``; the mutual information comes from
+keeps (a, a', B, B'), then runs the conditioning kernels, with every
+stage assembled into a validated ``CovMat`` and read back.  It splits
+the joint CM into its mirror halves from the interleaved entries, and
+sums scalar ``entropy_h``; the mutual information comes from
 ``rates.mutual_information`` as in the pipeline.  ``key_rate_numeric``
-must match it byte for byte, and its errors in type and text.
+must match it byte for byte, and its errors in type and text, out to
+the edges of the domain: mu up to 1e300, omega up to 1e150, tau = 1.
 """
 
 import math
@@ -38,9 +43,18 @@ from hypothesis import strategies as st
 
 from cm_reference import (
     assemble_cm,
+    cm_joint,
+    qp_attack,
+    qp_channel,
     qp_direct_sum,
+    qp_heterodyne,
+    qp_homodyne,
+    qp_joint,
     qp_keep,
+    qp_pack,
     qp_state,
+    qp_tmsv,
+    qp_unpack,
     ref_attack_cm,
     ref_beamsplitter_apply,
     ref_channel_entrywise,
@@ -64,7 +78,7 @@ from gausskey import (
     entropy_h,
     key_rate_numeric,
 )
-from gausskey import attack, gaussian, rates
+from gausskey import gaussian, rates
 from gausskey.gaussian import CovMat
 from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, VARIANTS
 
@@ -117,16 +131,16 @@ def ref_key_rate_numeric(params, spec):
     rates._require_finite_mu(spec.mu)
 
     def het(state, mode):
-        return _stage(gaussian._qp_heterodyne(state, mode))
+        return _stage(qp_heterodyne(state, mode))
 
     def hom(state, mode, quadrature):
-        return _stage(gaussian._qp_homodyne(state, mode, quadrature))
+        return _stage(qp_homodyne(state, mode, quadrature))
 
     def entropy(spectrum):
         return float(sum(entropy_h(float(nu)) for nu in spectrum))
 
-    source = _stage(gaussian._qp_tmsv(spec.mu + 1.0))
-    ancillas = _stage(attack._attack_qp(params.omega, params.g, params.g_prime))
+    source = _stage(qp_tmsv(spec.mu + 1.0))
+    ancillas = _stage(qp_attack(params.omega, params.g, params.g_prime))
     src = _stage(qp_direct_sum(source, source, ancillas))
     mixed = _stage(ref_sector_beamsplitter(src, 1, 4, params.tau))
     mixed = _stage(ref_sector_beamsplitter(mixed, 3, 5, params.tau))
@@ -215,9 +229,9 @@ def qp_states(draw, min_modes=1, max_modes=4):
 
 @st.composite
 def pipeline_states(draw):
-    """Joint sender/receiver states as key_rate_numeric builds them."""
+    """Joint sender/receiver states as key_rate_numeric builds them, as rows."""
     params = random_attack(np.random.default_rng(draw(seeds)), omega_hi=100.0, strict=True)
-    return rates._joint_qp(params, draw(mus))
+    return qp_joint(params, draw(mus))
 
 
 @st.composite
@@ -226,8 +240,8 @@ def conditional_states(draw):
     V = draw(pipeline_states())
     measured = draw(st.sampled_from([None, ("q", "q"), ("p", "p"), ("p", "q")]))
     if measured is None:
-        return gaussian._qp_heterodyne(gaussian._qp_heterodyne(V, 3), 2)
-    return gaussian._qp_homodyne(gaussian._qp_homodyne(V, 3, measured[0]), 2, measured[1])
+        return qp_heterodyne(qp_heterodyne(V, 3), 2)
+    return qp_homodyne(qp_homodyne(V, 3, measured[0]), 2, measured[1])
 
 
 @st.composite
@@ -274,12 +288,12 @@ def test_conditioning_matches_reference_on_every_mode(state):
         A, B, C = ref_split_measured(m, mode)
         scale = np.abs(A) + np.abs(B) @ np.diag(1.0 / (np.diag(C) + 1.0)) @ np.abs(B).T
         error = np.abs(
-            assemble_cm(gaussian._qp_heterodyne(state, mode)) - ref_heterodyne_condition(m, mode)
+            assemble_cm(qp_heterodyne(state, mode)) - ref_heterodyne_condition(m, mode)
         )
         assert (error <= HETERODYNE_BUDGET * EPS * scale).all()
         for quadrature in ("q", "p"):
             assert_same_bits(
-                assemble_cm(gaussian._qp_homodyne(state, mode, quadrature)),
+                assemble_cm(qp_homodyne(state, mode, quadrature)),
                 ref_homodyne_condition(m, mode, quadrature),
             )
 
@@ -292,15 +306,13 @@ def test_conditioning_matches_reference_on_every_mode(state):
     v=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_tmsv_and_attack_cm_match_block_construction(mu, omega, u, v):
-    assert_same_bits(assemble_cm(gaussian._qp_tmsv(mu)), ref_tmsv_cm(mu))
+    assert_same_bits(assemble_cm(qp_tmsv(mu)), ref_tmsv_cm(mu))
     g, gp = u * omega, v * omega
-    assert_same_bits(assemble_cm(attack._attack_qp(omega, g, gp)), ref_attack_cm(omega, g, gp))
-    assert_same_bits(
-        assemble_cm(attack._attack_qp(omega, -0.0, 0.0)), ref_attack_cm(omega, -0.0, 0.0)
-    )
+    assert_same_bits(assemble_cm(qp_attack(omega, g, gp)), ref_attack_cm(omega, g, gp))
+    assert_same_bits(assemble_cm(qp_attack(omega, -0.0, 0.0)), ref_attack_cm(omega, -0.0, 0.0))
     source = ref_tmsv_cm(mu)
     assert_same_bits(
-        assemble_cm(qp_direct_sum(qp_state(source), attack._attack_qp(omega, g, gp))),
+        assemble_cm(qp_direct_sum(qp_state(source), qp_attack(omega, g, gp))),
         ref_direct_sum(source, ref_attack_cm(omega, g, gp)),
     )
 
@@ -336,7 +348,7 @@ def test_channel_is_the_transmitted_arm_of_beamsplitters(state, tau, data):
     n = len(state[0])
     modes = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
     env = data.draw(qp_states(min_modes=len(modes), max_modes=len(modes)))
-    out = assemble_cm(gaussian._qp_channel(state, modes, env, tau))
+    out = assemble_cm(qp_channel(state, modes, env, tau))
     chain = qp_direct_sum(state, env)
     for k, mode in enumerate(modes):
         chain = ref_sector_beamsplitter(chain, mode, n + k, tau)
@@ -367,7 +379,7 @@ def test_channel_matches_entrywise_formula_bit_for_bit(state, tau, data):
     modes = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
     env = data.draw(zero_laden_states(min_modes=len(modes), max_modes=len(modes)))
     before = assemble_cm(state).tobytes(), assemble_cm(env).tobytes()
-    out = gaussian._qp_channel(state, modes, env, tau)
+    out = qp_channel(state, modes, env, tau)
     assert_same_bits(assemble_cm(out), assemble_cm(ref_channel_entrywise(state, modes, env, tau)))
     assert_exactly_symmetric(out)
     assert (assemble_cm(state).tobytes(), assemble_cm(env).tobytes()) == before
@@ -381,14 +393,14 @@ def test_conditioning_matches_entrywise_update_bit_for_bit(state):
     before = assemble_cm(state).tobytes()
     for mode in range(n):
         keep = [k for k in range(n) if k != mode]
-        het = gaussian._qp_heterodyne(state, mode)
+        het = qp_heterodyne(state, mode)
         assert_same_bits(
             assemble_cm(het),
             assemble_cm([ref_condition_entrywise(x, mode, x[mode][mode] + 1.0) for x in state]),
         )
         assert_exactly_symmetric(het)
         for j, quadrature in enumerate("qp"):
-            hom = gaussian._qp_homodyne(state, mode, quadrature)
+            hom = qp_homodyne(state, mode, quadrature)
             expected = list(qp_keep(state, keep))
             expected[j] = ref_condition_entrywise(state[j], mode, state[j][mode][mode])
             assert_same_bits(assemble_cm(hom), assemble_cm(expected))
@@ -407,7 +419,7 @@ ROUTE_BUDGET = 8.0
 def test_report_total_spectrum_is_the_spectrum_of_the_total_cm(seed, mu, variant):
     params = random_attack(np.random.default_rng(seed), omega_hi=100.0, strict=True)
     report = key_rate_numeric(params, ProtocolSpec(variant, mu=mu, asymptotic=False))
-    V = assemble_cm(rates._joint_qp(params, mu))
+    V = cm_joint(params, mu)
     dense = ref_symplectic_spectrum(V)
     w = np.linalg.eigvalsh(V)
     bound = ROUTE_BUDGET * EPS * w[-1] * math.sqrt(w[-1] / w[0])
@@ -418,15 +430,16 @@ def test_report_total_spectrum_is_the_spectrum_of_the_total_cm(seed, mu, variant
 
 
 @st.composite
-def lens_points(draw, interior_only=False):
+def lens_points(draw, interior_only=False, omega_hi=1e3):
     """(omega, g, g') in the lens, interior or (unless interior_only) on its rim.
 
-    |g| <= sqrt(omega^2 - 1) spans the lens; for each g the two rim
-    constraints bound g' to [-omega + 1/(omega + g), omega - 1/(omega - g)].
-    Rim points take an end of that interval (or g at its extreme) as
-    computed, so round-off leaves some of them just outside the lens.
+    omega is log-uniform up to omega_hi.  |g| <= sqrt(omega^2 - 1) spans
+    the lens; for each g the two rim constraints bound g' to
+    [-omega + 1/(omega + g), omega - 1/(omega - g)].  Rim points take an
+    end of that interval (or g at its extreme) as computed, so round-off
+    leaves some of them just outside the lens.
     """
-    omega = math.exp(draw(st.floats(math.log(1.0001), math.log(1e3))))
+    omega = math.exp(draw(st.floats(math.log(1.0001), math.log(omega_hi))))
     rim = not interior_only and draw(st.booleans())
     reach = math.sqrt(omega * omega - 1.0)
     if rim:
@@ -436,15 +449,23 @@ def lens_points(draw, interior_only=False):
         a = draw(st.floats(-0.95, 0.95))
         b = draw(st.floats(0.05, 0.95))
     g = a * reach
-    lo, hi = -omega + 1.0 / (omega + g), omega - 1.0 / (omega - g)
+    # past omega ~ 1e8, g = +-reach can round to -+omega: 1/(omega -+ g) is then omega +- g
+    lo = -omega + 1.0 / (omega + g) if omega + g else g
+    hi = omega - 1.0 / (omega - g) if omega - g else -g
     return omega, g, lo + b * (hi - lo)
 
 
-@settings(max_examples=300, deadline=None)
+# Half the draws at everyday omega and mu; the rest out to omega 1e150
+# (omega^2 still finite) and mu 1e300 (where (mu + 1)^2 overflows).
+edge_points = lens_points() | lens_points(omega_hi=1e150)
+edge_mus = (st.floats(2.0, 8.0) | st.floats(0.01, 300.0)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=600, deadline=None)
 @given(
-    point=lens_points(),
+    point=edge_points,
     tau=st.floats(0.01, 0.99) | st.just(1.0),
-    mu=st.floats(2.0, 8.0).map(lambda e: 10.0**e),
+    mu=edge_mus,
     variant=st.sampled_from(VARIANTS),
 )
 def test_numeric_report_matches_covmat_chain_bytes(point, tau, mu, variant):
@@ -452,6 +473,96 @@ def test_numeric_report_matches_covmat_chain_bytes(point, tau, mu, variant):
     params = AttackParams(tau=tau, omega=omega, g=g, g_prime=gp)
     spec = ProtocolSpec(variant, mu=mu, asymptotic=False)
     assert outcome(key_rate_numeric, params, spec) == outcome(ref_key_rate_numeric, params, spec)
+
+
+def step_outcome(step, *args):
+    """A step's sectors as one interleaved CM's bytes, or the type and text of its error."""
+    try:
+        return assemble_cm(step(*args)).tobytes()
+    except (DomainError, NumericalDegeneracyError) as exc:
+        return type(exc), str(exc)
+
+
+def packed_joint(params, mu):
+    return [qp_unpack(x) for x in rates._joint_qp(params, mu)]
+
+
+def packed_measurement(state, quadrature):
+    """The library's measurement of the last mode, on the packed sectors of state."""
+    return [qp_unpack(x) for x in gaussian._measure_last(*map(qp_pack, state), quadrature)]
+
+
+def kernel_measurement(state, quadrature):
+    """The same measurement by the kernels: a heterodyne for "qp"."""
+    last = len(state[0]) - 1
+    if quadrature == "qp":
+        return qp_heterodyne(state, last)
+    return qp_homodyne(state, last, quadrature)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=edge_points, tau=st.floats(0.01, 0.99) | st.just(1.0), mu=edge_mus)
+def test_packed_joint_state_matches_the_kernel_chain(point, tau, mu):
+    params = AttackParams(tau, *point)
+    assert step_outcome(packed_joint, params, mu) == step_outcome(qp_joint, params, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state=zero_laden_states(min_modes=3) | pipeline_states(),
+    first=st.sampled_from([None, "qp", "q", "p"]),
+)
+def test_packed_measurement_matches_the_kernels_bit_for_bit(state, first):
+    """Each of Bob's measurements on the last of four or three modes, signed zeros included."""
+    if first is not None and len(state[0]) == 4:  # a three-mode state as the pipeline forms it
+        state = kernel_measurement(state, first)
+    before = assemble_cm(state).tobytes()
+    for quadrature in ("qp", "q", "p"):
+        expected = step_outcome(kernel_measurement, state, quadrature)
+        assert step_outcome(packed_measurement, state, quadrature) == expected
+    assert assemble_cm(state).tobytes() == before
+
+
+def _crafted(n_modes, q_last, p_last, corner):
+    """Identity sectors with the last mode's variances given and corner as X_0,last."""
+    state = []
+    for last in (q_last, p_last):
+        x = np.eye(n_modes)
+        x[-1, -1] = last
+        x[0, -1] = x[-1, 0] = corner
+        state.append(x.tolist())
+    return state
+
+
+_SINGULAR = "singular heterodyne update; measured block + I is not invertible"
+_NON_FINITE = "covariance matrix contains non-finite entries"
+
+
+@pytest.mark.parametrize("n_modes", [4, 3])
+@pytest.mark.parametrize(
+    "quadrature, q_last, p_last, corner, error, text",
+    [
+        ("qp", -1.0, 2.0, 0.0, NumericalDegeneracyError, _SINGULAR),
+        ("qp", 2.0, -1.0, 0.0, NumericalDegeneracyError, _SINGULAR),
+        (
+            "q", 1e-14, 2.0, 0.0,
+            DomainError, "degenerate homodyne measurement: q variance 1e-14 below 1e-12",
+        ),
+        (
+            "p", 2.0, -3.0, 0.0,
+            DomainError, "degenerate homodyne measurement: p variance -3 below 1e-12",
+        ),
+        ("qp", 1.0, 1.0, 1e200, DomainError, _NON_FINITE),
+        ("q", 1.0, 1.0, 1e200, DomainError, _NON_FINITE),
+        ("p", 1.0, 1.0, 1e200, DomainError, _NON_FINITE),
+    ],
+)
+def test_packed_measurement_raises_the_kernel_errors(
+    n_modes, quadrature, q_last, p_last, corner, error, text
+):
+    state = _crafted(n_modes, q_last, p_last, corner)
+    assert step_outcome(packed_measurement, state, quadrature) == (error, text)
+    assert step_outcome(kernel_measurement, state, quadrature) == (error, text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -542,15 +653,15 @@ def test_numeric_errors_pinned(point, variant, mu, error, text):
 
 # Each operation's kernel, under the operation name that the test ids carry.
 KERNELS = {
-    "tmsv_cm": gaussian._qp_tmsv,
+    "tmsv_cm": qp_tmsv,
     "keep_modes": qp_keep,
-    "heterodyne_condition": gaussian._qp_heterodyne,
-    "homodyne_condition": gaussian._qp_homodyne,
+    "heterodyne_condition": qp_heterodyne,
+    "homodyne_condition": qp_homodyne,
 }
 
 
 def _bad_calls():
-    V = rates._joint_qp(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
+    V = qp_joint(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
     flat = qp_state(np.diag([1.0, 1.0, 1e-14, 1e6]))
     return [
         ("mode index 4 out of range for 4 modes", "keep_modes", (V, (0, 4))),
@@ -617,23 +728,23 @@ def test_wrapper_and_kernel_raise_the_same_degeneracy_error(operation, args, tex
 def test_bad_mode_message_unchanged_after_cached_calls(bad):
     """A bad mode raises the same text before and after good calls on the same state."""
     params = random_attack(np.random.default_rng(3))
-    V = qp_keep(rates._joint_qp(params, 1e3), (0, 1, 2))
+    V = qp_keep(qp_joint(params, 1e3), (0, 1, 2))
     expected = f"mode index {bad} out of range for 3 modes"
     for _ in range(2):  # the second round runs after the good calls
         with pytest.raises(DomainError) as exc:
             qp_keep(V, (0, bad))
         assert str(exc.value) == expected
         with pytest.raises(DomainError) as exc:
-            gaussian._qp_heterodyne(V, bad)
+            qp_heterodyne(V, bad)
         assert str(exc.value) == expected
         with pytest.raises(DomainError) as exc:
-            gaussian._qp_homodyne(V, bad, "q")
+            qp_homodyne(V, bad, "q")
         assert str(exc.value) == expected
         qp_keep(V, (2, 0))
-        gaussian._qp_heterodyne(V, 1)
-        gaussian._qp_homodyne(V, 2, "p")
+        qp_heterodyne(V, 1)
+        qp_homodyne(V, 2, "p")
 
 
 def test_single_mode_conditioning_still_rejected():
     with pytest.raises(DomainError, match="at least one retained mode"):
-        gaussian._qp_heterodyne(qp_keep(gaussian._qp_tmsv(2.0), (0,)), 0)
+        qp_heterodyne(qp_keep(qp_tmsv(2.0), (0,)), 0)

@@ -29,7 +29,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cm_reference import assemble_cm, ref_dense_spectrum, ref_is_physical, ref_symplectic_spectrum
+from cm_reference import (
+    assemble_cm,
+    qp_mirror_spectrum,
+    qp_unpack,
+    ref_dense_spectrum,
+    ref_is_physical,
+    ref_symplectic_spectrum,
+)
 from gausskey import AttackParams, NumericalDegeneracyError
 from gausskey import gaussian, rates
 
@@ -122,13 +129,12 @@ def pipeline_conditional_cms(draw):
         lo, hi = -omega + 1.0 / (omega + g), omega - 1.0 / (omega - g)
         gp = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
     mu = 10.0 ** draw(st.floats(2.0, 8.0))
-    V = rates._joint_qp(AttackParams(tau, omega, g, gp), mu)
-    measured = draw(st.sampled_from([None, ("q", "q"), ("p", "p"), ("p", "q")]))
-    if measured is None:  # no-switching
-        return assemble_cm(gaussian._qp_heterodyne(gaussian._qp_heterodyne(V, 3), 2))
-    # switching measures (q, q) or (p, p); switching-mixed (p, q)
-    hom = gaussian._qp_homodyne
-    return assemble_cm(hom(hom(V, 3, measured[0]), 2, measured[1]))
+    q, p = rates._joint_qp(AttackParams(tau, omega, g, gp), mu)
+    # what Bob measures on B', then on B: no-switching heterodynes both,
+    # switching measures (q, q) or (p, p), switching-mixed (p, q)
+    on_bp, on_b = draw(st.sampled_from([("qp", "qp"), ("q", "q"), ("p", "p"), ("p", "q")]))
+    q, p = gaussian._measure_last(*gaussian._measure_last(q, p, on_bp), on_b)
+    return assemble_cm([qp_unpack(q), qp_unpack(p)])
 
 
 def assert_route_accurate(m):
@@ -172,13 +178,22 @@ def test_public_entry_points_share_the_route():
 
 
 def test_mirror_split_refuses_an_asymmetric_state():
-    """The joint state's spectrum has no other route: a broken mirror entry raises."""
+    """The joint state's spectrum has no other route: a broken mirror entry raises.
+
+    The packed form of the library and the rows form of the reference both.
+    """
     q, p = rates._joint_qp(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
-    assert gaussian._qp_mirror_spectrum((q, p)).shape == (4,)
-    q[1][3] = q[3][1] = math.nextafter(q[0][2], math.inf)  # X_a'B' one ulp off X_aB
-    with pytest.raises(NumericalDegeneracyError) as exc:
-        gaussian._qp_mirror_spectrum((q, p))
-    assert str(exc.value) == "joint state is not symmetric under swapping (a, B) with (a', B')"
+    rows = [qp_unpack(q), qp_unpack(p)]
+    spectrum = gaussian._qp_mirror_spectrum(q, p)
+    assert spectrum.shape == (4,)
+    assert spectrum.tobytes() == qp_mirror_spectrum(rows).tobytes()
+    broken = math.nextafter(q[3], math.inf)  # X_a'B' one ulp off X_aB
+    q = q[:7] + (broken,) + q[8:]
+    rows[0][1][3] = rows[0][3][1] = broken
+    for split, state in ((gaussian._qp_mirror_spectrum, (q, p)), (qp_mirror_spectrum, (rows,))):
+        with pytest.raises(NumericalDegeneracyError) as exc:
+            split(*state)
+        assert str(exc.value) == "joint state is not symmetric under swapping (a, B) with (a', B')"
 
 
 @pytest.mark.parametrize(
