@@ -22,10 +22,14 @@ the rounds, with a verdict:
 * ``level`` otherwise.
 
 The layers are ``key_rate_numeric`` for each variant at one point (tau
-0.44, omega 7.3, (g, g') = (0.3, -0.1), mu 1e4), and a pipeline pass:
-every variant at five mu values over 16 fixed lens points, as the
-benchmark's ``pipeline`` workload runs them.  Before timing, each layer's
-results on the change must equal the parent's bit for bit.
+0.44, omega 7.3, (g, g') = (0.3, -0.1), mu 1e4); a pipeline pass: every
+variant at five mu values over 16 fixed lens points, as the benchmark's
+``pipeline`` workload runs them; and the certification side at the same
+(tau, omega): ``verify_minimality`` at resolution 101 for each variant,
+``critical_point_report`` and ``find_zero_rate_transmissivity`` over the
+variants, and ``key_rates`` over a 100 x 100 grid of lens points.  Before
+timing, each layer's results on the change must equal the parent's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ import subprocess
 import sys
 import tempfile
 import time
-from array import array
 from pathlib import Path
 
+import numpy as np
 from bench_pairs import quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,8 +57,12 @@ CONTROL_BAND = 0.03
 POINT = (0.44, 7.3, 0.3, -0.1)
 POINT_MU = 1e4
 PIPELINE_MUS = (1e2, 1e3, 1e4, 1e5, 1e6)
-# Calls of key_rate_numeric per round and layer: about 10 ms a batch.
+# Calls per round and layer, about 10 ms a batch on a 2-vCPU x86 host.
 NUMERIC_CALLS = 400
+MINIMALITY_CALLS = 8  # per variant, at resolution 101
+CRITICAL_CALLS = 40  # per variant
+ZERO_RATE_CALLS = 15  # per variant
+GRID_CALLS = 5  # per variant, over 10,000 points
 
 
 def load(name: str, package_dir: Path):
@@ -100,10 +108,22 @@ def lens_points(gausskey, n: int) -> list[tuple[float, float, float, float]]:
     return points
 
 
+def result_bits(results) -> bytes:
+    """The bits of a batch's results: floats and arrays, nested in lists and tuples."""
+    if isinstance(results, (list, tuple)):
+        return b"".join(map(result_bits, results))
+    return np.asarray(results, dtype=float).tobytes()
+
+
 def layers(gausskey) -> dict[str, object]:
-    """Each layer's batch on one copy of the package: a function of no arguments."""
+    """Each layer's batch on one copy of the package: a function of no arguments.
+
+    A batch returns what result_bits reads: of a report, the arrays and
+    floats that it computed.
+    """
     params, spec = gausskey.AttackParams, gausskey.ProtocolSpec
     numeric = gausskey.key_rate_numeric
+    tau, omega = POINT[:2]
 
     def point(variant):
         p, s = params(*POINT), spec(variant, mu=POINT_MU, asymptotic=False)
@@ -117,6 +137,36 @@ def layers(gausskey) -> dict[str, object]:
     ]
     out = {f"numeric:{variant}": point(variant) for variant in gausskey.VARIANTS}
     out["pipeline"] = lambda: [numeric(p, s).rate for p, s in inputs]
+
+    def minimality(variant):
+        def batch():
+            reports = [gausskey.verify_minimality(variant, tau, omega, 101) for _ in range(MINIMALITY_CALLS)]
+            return [(r.g, r.g_prime, r.rate) for r in reports]
+        return batch
+
+    def critical():
+        reports = [
+            gausskey.critical_point_report(variant, tau, omega)
+            for variant in gausskey.VARIANTS
+            for _ in range(CRITICAL_CALLS)
+        ]
+        return [(r.gradient_at_origin, r.hessian_at_origin, r.analytic_det_h) for r in reports]
+
+    # |g|, |g'| < omega - 1 keeps both attack products above 1: inside the lens
+    axis = np.linspace(-0.99, 0.99, 100) * (omega - 1.0)
+    grid_g, grid_gp = np.meshgrid(axis, axis, indexing="ij")
+    out.update({f"minimality:{variant}": minimality(variant) for variant in gausskey.VARIANTS})
+    out["critical"] = critical
+    out["zero_rate"] = lambda: [
+        gausskey.find_zero_rate_transmissivity(variant, omega)
+        for variant in gausskey.VARIANTS
+        for _ in range(ZERO_RATE_CALLS)
+    ]
+    out["key_rates"] = lambda: [
+        gausskey.key_rates(variant, tau, omega, grid_g, grid_gp)
+        for variant in gausskey.VARIANTS
+        for _ in range(GRID_CALLS)
+    ]
     return out
 
 
@@ -157,8 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for layer in batches["parent"]:
             per_copy = {copy: batches[copy][layer] for copy in COPIES}
-            if array("d", per_copy["change"]()).tobytes() != array("d", per_copy["parent"]()).tobytes():
-                raise SystemExit(f"{layer}: the change's rates differ from the parent's")
+            if result_bits(per_copy["change"]()) != result_bits(per_copy["parent"]()):
+                raise SystemExit(f"{layer}: the change's results differ from the parent's")
             times = time_rounds(per_copy, args.rounds)
             change = ratio_summary(times["parent"], times["change"])
             control = ratio_summary(times["parent"], times["control"])

@@ -51,10 +51,41 @@ class AttackParams:
                 raise DomainError(f"{name} must be finite")
             if type(value) is not float:
                 object.__setattr__(self, name, float(value))
-        if not 0.0 < self.tau <= 1.0:
-            raise DomainError(f"transmissivity must lie in (0, 1], got {self.tau}")
-        if self.omega < 1.0:
-            raise DomainError(f"thermal variance must satisfy omega >= 1, got {self.omega}")
+        _require_tau(self.tau)
+        _require_omega(self.omega)
+
+
+def _require_tau(tau: float) -> None:
+    """The transmissivity of a lossy channel: tau in (0, 1]."""
+    if not 0.0 < tau <= 1.0:
+        raise DomainError(f"transmissivity must lie in (0, 1], got {tau}")
+
+
+def _require_omega(omega: float) -> None:
+    """The ancilla's thermal variance: omega finite and >= 1."""
+    if not math.isfinite(omega):
+        raise DomainError("omega must be finite")
+    if omega < 1.0:
+        raise DomainError(f"need omega >= 1, got {omega}")
+
+
+def _require_lens_interior(omega: float) -> None:
+    """omega > 1: a valid omega whose lens is more than the point (0, 0)."""
+    _require_omega(omega)
+    if omega == 1.0:
+        raise DomainError(f"the correlation region at omega = {omega} is a point; need omega > 1")
+
+
+def _require_resolution(n: int) -> None:
+    if n < 2:
+        raise DomainError(f"grid resolution must be >= 2, got {n}")
+
+
+def _open_axis(omega: float, n: int) -> np.ndarray:
+    """n uniform samples of the open interval (-omega, omega); needs n >= 2 and a valid omega."""
+    _require_resolution(n)
+    _require_omega(omega)
+    return np.linspace(-omega, omega, n + 2)[1:-1]
 
 
 def _slack(omega, g, g_prime, minimum):
@@ -118,15 +149,11 @@ def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.
     lens there and lies far outside, so it is not moved (the walk would
     only cost time).  lens_mask then decides which candidates are kept.
     Where both branches give the same point to 12 decimals, the s = -1
-    candidate stands for it.  Points are sorted by (g, g').
+    candidate stands for it.  Points are sorted by (g, g').  Raises
+    DomainError unless omega is finite and > 1 and n_samples >= 2.
     """
-    if omega <= 1.0:
-        raise DomainError(
-            f"boundary is empty: the physical region at omega = {omega} is a point"
-        )
-    if n_samples < 2:
-        raise DomainError(f"grid resolution must be >= 2, got {n_samples}")
-    grid = np.linspace(-omega, omega, n_samples + 2)[1:-1]
+    _require_lens_interior(omega)
+    grid = _open_axis(omega, n_samples)
     s = np.array([[1.0], [-1.0]])  # one row per branch
     den = s * omega - grid
     solved = np.abs(den) >= 1e-12
@@ -171,11 +198,10 @@ def physical_grid_mirror(
     symmetric under g <-> g', so the mirror of every kept point is kept:
     it is read off the transposed (i, j) grid of point indices.
     mirror[k] >= k exactly when g[k] <= g_prime[k]; the origin is its own
-    mirror.
+    mirror.  Raises DomainError unless resolution >= 2 and omega is finite
+    and >= 1, as AttackParams requires.
     """
-    if resolution < 2:
-        raise DomainError(f"grid resolution must be >= 2, got {resolution}")
-    axis = np.linspace(-omega, omega, resolution + 2)[1:-1]
+    axis = _open_axis(omega, resolution)
     axis[np.abs(axis) < 1e-15 * max(1.0, omega)] = 0.0
     g, gp = np.meshgrid(axis, axis, indexing="ij")  # row-major order is (g, g') order
     keep = lens_mask(omega, g, gp)

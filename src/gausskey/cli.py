@@ -42,7 +42,7 @@ bit-equal mirror pairs.  Bits, not values, tell floats apart: -0.0 == 0.0
 but renders as ``-0`` (``-0.0`` in JSON), and NaN equals nothing.  The
 bytes are those of ``fmt`` and of ``json.dumps(..., indent=2)``.  Medians
 on a shared 2-vCPU Intel Xeon host (tau 0.44, omega 7.3): ``rate`` and
-``critical`` 0.1-0.2 ms, ``converge`` about 0.25 ms, ``boundary`` at
+``critical`` 0.1-0.2 ms, ``converge`` 0.2-0.25 ms, ``boundary`` at
 resolution 101 0.8 ms, ``scan`` at resolution 31 (about 1,000 rows)
 1.7 ms as CSV and 2.1-2.4 ms as JSON, at resolution 101 11 and 20 ms.
 """
@@ -286,7 +286,7 @@ def _kv_csv(pairs: Iterable[tuple[str, str]]) -> str:
 
 def cmd_rate(cfg: RunConfig) -> str:
     params = _params(cfg)
-    spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu, asymptotic=cfg.mu is None)
+    spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu)
     report = _rates.rate_report(params, spec)
     rate = _clamp(cfg, report.rate)
     mu_text = "asymptotic" if cfg.mu is None else fmt(cfg.mu)
@@ -489,7 +489,7 @@ def main(argv: Sequence[str] | None = None, stderr: TextIO = sys.stderr) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         cfg = make_config(args)
-        text = _COMMANDS[cfg.command](cfg)
+        _write(cfg, _COMMANDS[cfg.command](cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return 1
@@ -499,11 +499,6 @@ def main(argv: Sequence[str] | None = None, stderr: TextIO = sys.stderr) -> int:
     except NumericalDegeneracyError as exc:
         print(f"numerical error: {exc}", file=stderr)
         return 2
-    try:
-        _write(cfg, text)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stderr)
-        return 1
     return 0
 
 

@@ -94,10 +94,6 @@ class CovMat:
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
-    @property
-    def n_modes(self) -> int:
-        return self.mat.shape[0] // 2
-
 
 def _require_finite(*xs: float) -> None:
     """Reject a non-finite value among the entries just formed with the CovMat text."""

@@ -23,9 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .attack import AttackParams, boundary_curve_arrays, constraint_slack, physical_grid_mirror
+from .attack import _require_lens_interior, _require_omega, _require_resolution, _require_tau
 from .gaussian import EPS_PHYS, LN2, DomainError, NumericalDegeneracyError
 from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic, key_rates
-from .rates import _receiver
+from .rates import _receiver, _require_open_tau
 
 # Central-difference steps, scaled by max(1, omega) at use sites.  The
 # Hessian step additionally shrinks near omega = 1, where the fourth
@@ -142,10 +143,7 @@ def finite_diff_gradient(
 
 def hessian_at_origin(rate_fn: RateFn, omega: float) -> np.ndarray:
     """Central second differences of the rate at (0, 0), symmetric 2x2."""
-    if omega <= 1.0:
-        raise DomainError(
-            f"the correlation region at omega = {omega} is a point; no Hessian exists"
-        )
+    _require_lens_interior(omega)
     h = min(HESSIAN_STEP * max(1.0, omega), 1e-3 * (omega * omega - 1.0))
     r0 = rate_fn(0.0, 0.0)
     d2_g = (rate_fn(h, 0.0) - 2.0 * r0 + rate_fn(-h, 0.0)) / (h * h)
@@ -156,15 +154,6 @@ def hessian_at_origin(rate_fn: RateFn, omega: float) -> np.ndarray:
     return np.array([[d2_g, cross], [cross, d2_gp]])
 
 
-def _check_tau_omega(tau: float, omega: float) -> None:
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"need 0 < tau < 1, got {tau}")
-    if omega == 1.0:
-        raise DomainError(f"the correlation region at omega = {omega} is a point; need omega > 1")
-    if omega < 1.0:
-        raise DomainError(f"need omega > 1, got {omega}")
-
-
 def analytic_detH_noswitching(tau: float, omega: float) -> float:
     """Closed-form Hessian determinant of the no-switching rate at the origin.
 
@@ -173,7 +162,8 @@ def analytic_detH_noswitching(tau: float, omega: float) -> float:
     lb = 1 + omega(1-tau).  Positive for every 0 < tau < 1, omega > 1:
     the first bracket term dominates because f(x)/x increases.
     """
-    _check_tau_omega(tau, omega)
+    _require_open_tau(tau)
+    _require_lens_interior(omega)
     lb = 1.0 + omega * (1.0 - tau)
     num = tau * lb * f_log(1.0 / omega) - omega * (1.0 - tau) ** 2 * f_log(tau / lb)
     return num / (4.0 * tau * lb * omega * (omega * omega - 1.0) * (lb + tau) * LN2 * LN2)
@@ -185,8 +175,7 @@ def analytic_detH_switching(omega: float) -> float:
     (omega^2+1)(omega f(1/omega) - 1) / (16 omega^4 (omega^2-1) ln^2 2);
     positive for all omega > 1 because f(1/omega) > 1/omega.
     """
-    if omega <= 1.0:
-        raise DomainError(f"need omega > 1, got {omega}")
+    _require_lens_interior(omega)
     f = f_log(1.0 / omega)
     return (
         (omega * omega + 1.0)
@@ -202,8 +191,7 @@ def analytic_detH_switching_mixed(omega: float) -> float:
     entries share the term 1/(4(omega^2-1)), so the determinant factors
     into their sum 1/(2(omega^2-1)) times their difference f/(4 omega).
     """
-    if omega <= 1.0:
-        raise DomainError(f"need omega > 1, got {omega}")
+    _require_lens_interior(omega)
     return f_log(1.0 / omega) / (
         8.0 * omega * (omega * omega - 1.0) * LN2 * LN2
     )
@@ -216,8 +204,7 @@ def analytic_second_derivs_switching(omega: float) -> tuple[float, float]:
     and cross entry [1/(4 (omega^2-1)) - f(1/omega)/(8 omega)]/ln 2;
     both tau-free.
     """
-    if omega <= 1.0:
-        raise DomainError(f"need omega > 1, got {omega}")
+    _require_lens_interior(omega)
     f = f_log(1.0 / omega)
     same = (1.0 / (4.0 * omega * omega * (omega * omega - 1.0)) + f / (8.0 * omega)) / LN2
     cross = (1.0 / (4.0 * (omega * omega - 1.0)) - f / (8.0 * omega)) / LN2
@@ -231,10 +218,8 @@ def second_derivative_inequality_noswitching(tau: float, omega: float) -> bool:
     term plus f(1/omega)/(8 omega) - (1-tau)^2 f(tau/lb)/(8 tau lb), and
     the split remainder is itself positive, giving the chain.
     """
-    if omega <= 1.0:
-        raise DomainError(f"need omega > 1, got {omega}")
-    if not 0.0 < tau <= 1.0:
-        raise DomainError(f"need 0 < tau <= 1, got {tau}")
+    _require_lens_interior(omega)
+    _require_tau(tau)
     lb = 1.0 + omega * (1.0 - tau)
     lead = 1.0 / (2.0 * (tau + lb) * (omega * omega - 1.0))
     if tau == 1.0:
@@ -264,7 +249,8 @@ def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPo
     Raises DomainError where the closed-form determinant cannot be
     represented (it cancels to 0 or overflows at very large omega).
     """
-    _check_tau_omega(tau, omega)
+    _require_open_tau(tau)
+    _require_lens_interior(omega)
     _receiver(protocol)
     rate_fn = rate_function(protocol, tau, omega)
     grad = finite_diff_gradient(rate_fn, 0.0, 0.0, GRADIENT_STEP * max(1.0, omega))
@@ -328,10 +314,8 @@ def verify_minimality(
     (tau, omega)) on one core of a 2-vCPU x86 host, about half of it in
     key_rates; reading all three row views adds about 3 ms.
     """
-    if resolution < 2:
-        raise DomainError(f"grid resolution must be >= 2, got {resolution}")
-    if omega < 1.0:
-        raise DomainError(f"need omega >= 1, got {omega}")
+    _require_resolution(resolution)
+    _require_omega(omega)
     if omega == 1.0:
         grid_g, grid_gp, mirror = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.intp)
         edge_g = edge_gp = np.zeros(0)

@@ -9,7 +9,9 @@ switching-mixed homodynes q on B and p on B'.
 Each rate exists in two routes: a closed asymptotic form in which the
 modulation variance cancels (``key_rate_asymptotic``, ``key_rates``), and
 a finite-modulation numeric pipeline (``key_rate_numeric``);
-``rate_report`` reports either, the asymptotic one in a single pass.
+``rate_report`` reports either, the asymptotic one in a single pass, its
+divergent quantities at ``DEFAULT_MU``.  A ``ProtocolSpec``'s mu alone
+picks the route: None for the closed forms, a finite mu for the pipeline.
 The pipeline's Holevo bound is built entirely by construction, in
 straight-line scalar arithmetic on packed q/p sectors of the fixed mode
 layout (a, a', B, B'): the lossy channel (``_joint_qp``), then
@@ -41,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, lens_mask, violated_constraint
+from .attack import AttackParams, _require_omega, lens_mask, violated_constraint
 from .gaussian import (
     DomainError,
     Packed,
@@ -65,9 +67,9 @@ _RECEIVER = {
 }
 VARIANTS = tuple(_RECEIVER)
 
-# Reference modulation used when a report needs finite-mu quantities
-# (mutual information, Holevo bound) in asymptotic mode.  Large enough
-# for 1e-3 convergence, small enough to keep 64-bit conditioning.
+# The modulation at which an asymptotic report takes its divergent
+# quantities.  Large enough for 1e-3 convergence, small enough to keep
+# 64-bit conditioning.
 DEFAULT_MU = 1.0e6
 
 _LOG2_E_HALF = math.log2(math.e / 2.0)
@@ -124,27 +126,25 @@ def _require_finite_mu(mu: float) -> None:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Protocol variant plus the modulation bookkeeping.
+    """Protocol variant plus the modulation, which alone picks the route.
 
-    asymptotic=True selects the closed forms (mu, if given, only feeds
-    the divergent report quantities); asymptotic=False runs the numeric
-    pipeline and requires a finite mu > 1.
+    mu None selects the closed forms; a finite mu > 1 runs the numeric
+    pipeline.  asymptotic is stored as mu is None; a caller may pass it,
+    but a value that disagrees with mu raises DomainError.
     """
 
     variant: str
     mu: float | None = None
-    asymptotic: bool = True
+    asymptotic: bool | None = None
 
     def __post_init__(self) -> None:
         _receiver(self.variant)
         if self.mu is not None:
             _require_finite_mu(self.mu)
-        if not self.asymptotic and self.mu is None:
-            raise DomainError("finite-modulation mode requires mu")
-
-    @property
-    def mu_value(self) -> float:
-        return self.mu if self.mu is not None else DEFAULT_MU
+        asymptotic = self.mu is None
+        if self.asymptotic not in (None, asymptotic):
+            raise DomainError(f"asymptotic={self.asymptotic} disagrees with mu={self.mu}")
+        object.__setattr__(self, "asymptotic", asymptotic)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class RateReport:
 
     i_ab and holevo are bits per two-use block; rate is bits per channel
     use and equals (i_ab - holevo)/2 exactly as computed.  In asymptotic
-    mode i_ab and holevo are taken at spec.mu_value, and rate differs from
+    mode i_ab and holevo are taken at DEFAULT_MU, and rate differs from
     key_rate_asymptotic's by at most 4 ulp of max(|i_ab|, |holevo|)
     (worst measured 2.5 ulp; omega in [1, 1e4], tau in [0.01, 0.99]).
     """
@@ -226,24 +226,23 @@ def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
     Independent of (g, g') in every variant.  Heterodyne reception:
     2 log2((V_B + 1)/(V_B|A + 1)); homodyne reception: log2(V_B / V_B|A).
     Finite mode uses the entanglement-based V_B = Lambda; asymptotic mode
-    replaces Lambda by tau*mu.
+    replaces Lambda by tau*mu at mu = DEFAULT_MU.
     """
     tau, om = params.tau, params.omega
     heterodyne = _RECEIVER[spec.variant][0][0] == "qp"
     den = 1.0 + tau + (1.0 - tau) * om if heterodyne else tau + (1.0 - tau) * om
     if spec.asymptotic:
-        ratio = tau * spec.mu_value / den
+        ratio = tau * DEFAULT_MU / den
     else:
-        _require_finite_mu(spec.mu)
         lam = tau * (spec.mu + 1.0) + (1.0 - tau) * om
         ratio = (lam + 1.0 if heterodyne else lam) / den
     return 2.0 * math.log2(ratio) if heterodyne else math.log2(ratio)
 
 
-def _require_open_tau(params: AttackParams) -> None:
-    if not 0.0 < params.tau < 1.0:
+def _require_open_tau(tau: float) -> None:
+    if not 0.0 < tau < 1.0:
         raise DomainError(
-            f"rate formulas need 0 < tau < 1 (log singularities at the ends), got {params.tau}"
+            f"rate formulas need 0 < tau < 1 (log singularities at the ends), got {tau}"
         )
 
 
@@ -261,13 +260,9 @@ def key_rate_asymptotic(params: AttackParams, variant: str) -> float:
     Raises DomainError outside the lens, unless 0 < tau < 1, and where
     the rate is not finite.
     """
-    return _key_rate_at(variant, params)
-
-
-def _key_rate_at(variant: str, params: AttackParams) -> float:
     _receiver(variant)
     _require_physical(params)
-    _require_open_tau(params)
+    _require_open_tau(params.tau)
     tau, omega, g, gp = params.tau, params.omega, params.g, params.g_prime
     rate = _closed_form(variant, tau, omega, g, gp, _SCALAR)
     if not math.isfinite(rate):
@@ -305,7 +300,10 @@ def _first_rejected(tau: float, omega: float, g: np.ndarray, gp: np.ndarray) -> 
     """Index of the first point whose inputs a scalar rate call rejects, or None."""
     if g.size == 0:
         return None
-    if not (math.isfinite(tau) and math.isfinite(omega) and 0.0 < tau < 1.0 and omega >= 1.0):
+    try:
+        _require_open_tau(tau)
+        _require_omega(omega)
+    except DomainError:
         return 0
     inside = lens_mask(omega, g, gp)
     return None if inside.all() else int(np.argmin(inside))
@@ -331,7 +329,7 @@ def key_rates(
     shape = g.shape
     g, gp = g.ravel(), gp.ravel()
     if mu is not None:
-        spec = ProtocolSpec(variant=variant, mu=mu, asymptotic=False)
+        spec = ProtocolSpec(variant=variant, mu=mu)
         numeric = [
             key_rate_numeric(AttackParams(tau, omega, a, b), spec).rate
             for a, b in zip(g.tolist(), gp.tolist())
@@ -347,7 +345,7 @@ def key_rates(
     failed = np.flatnonzero(~np.isfinite(rates[:accepted]))
     first = int(failed[0]) if failed.size else rejected
     if first is not None:  # raises the scalar error of the first failing point
-        _key_rate_at(variant, AttackParams(tau, omega, float(g[first]), float(gp[first])))
+        key_rate_asymptotic(AttackParams(tau, omega, float(g[first]), float(gp[first])), variant)
     return rates.reshape(shape)
 
 
@@ -411,7 +409,7 @@ def rate_report(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     """RateReport for either route; a finite mu runs key_rate_numeric.
 
     Asymptotic mode checks the point once (key_rate_asymptotic's checks)
-    and evaluates the divergent pieces at spec.mu_value.  holevo is
+    and evaluates the divergent pieces at mu = DEFAULT_MU.  holevo is
     2 log2((e/2)(1-tau) mu) + h(nu_+) + h(nu_-) - h(nbar_+) - h(nbar_-)
     (no-switching) or h(nu_+) + h(nu_-) + log2((1-tau) tau mu / m), with
     m = sqrt(nu_+ nu_-) (switching) or omega (switching-mixed).  The total
@@ -422,9 +420,9 @@ def rate_report(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     """
     if not spec.asymptotic:
         return key_rate_numeric(params, spec)
-    _key_rate_at(spec.variant, params)  # the lens, 0 < tau < 1, and a finite rate
+    key_rate_asymptotic(params, spec.variant)  # the lens, 0 < tau < 1, and a finite rate
     tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
-    mu = spec.mu_value
+    mu = DEFAULT_MU
     i_ab = mutual_information(params, spec)
     nu_plus, nu_minus = _nu_pm(om, g, gp)
     if spec.variant == NO_SWITCHING:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gausskey import (
+    DEFAULT_MU,
     AttackParams,
     ProtocolSpec,
     analytic_detH_noswitching,
@@ -163,8 +164,8 @@ def test_criterion_7_single_mode_reduction():
         for omega in (1.1, 1.2, 2.0):
             p = AttackParams(tau=tau, omega=omega, g=0.0, g_prime=0.0)
             nu_bar = (1.0 + (1.0 - tau) * omega) / tau
-            mu = 1e6
-            report = rate_report(p, ProtocolSpec(NO_SWITCHING, mu=mu))
+            mu = DEFAULT_MU
+            report = rate_report(p, ProtocolSpec(NO_SWITCHING))
             assert report.conditional_spectrum == pytest.approx([nu_bar, nu_bar], abs=1e-12)
             chi_single = 2.0 * (
                 math.log2(math.e / 2.0 * (1.0 - tau) * mu)

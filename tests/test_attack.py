@@ -176,6 +176,17 @@ def test_grid_validation():
         physical_grid_mirror(1.2, 1)
 
 
+@pytest.mark.parametrize("omega", [0.5, math.nan, math.inf])
+@pytest.mark.parametrize("sampler", [physical_grid_mirror, boundary_curve_arrays])
+def test_samplers_reject_what_attack_params_rejects(sampler, omega):
+    # below 1 the lens is empty, not the origin; NaN and inf are no variance
+    with pytest.raises(DomainError) as rejected:
+        _params(omega, 0.0, 0.0)
+    with pytest.raises(DomainError) as excinfo:
+        sampler(omega, 11)
+    assert str(excinfo.value) == str(rejected.value)
+
+
 # ------------------------------------------ one predicate, omega in (1, 1e8]
 
 EPS = 2.0**-52

@@ -2,8 +2,10 @@
 
 import importlib.util
 import sys
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gausskey
@@ -75,3 +77,30 @@ def test_load_gives_an_independent_copy(bench_inprocess):
     finally:
         for name in [n for n in sys.modules if n.startswith("gausskey_copy_under_test")]:
             del sys.modules[name]
+
+
+def test_result_bits_reads_nested_floats_and_arrays(bench_inprocess):
+    nested = [1.0, (np.array([[2.0, 3.0]]), (4.0, 5.0))]
+    assert bench_inprocess.result_bits(nested) == array("d", [1.0, 2.0, 3.0, 4.0, 5.0]).tobytes()
+    assert bench_inprocess.result_bits([0.0]) != bench_inprocess.result_bits([-0.0])
+
+
+def test_every_layer_compares_its_results(bench_inprocess, monkeypatch):
+    # a copy whose closed form is off: every closed-form layer's bits differ,
+    # and the numeric layers', which never call it, stay equal
+    copy = bench_inprocess.load("gausskey_layers_under_test", Path(gausskey.__file__).parent)
+    try:
+        closed_form = copy.rates._closed_form
+        monkeypatch.setattr(copy.rates, "_closed_form", lambda *a: closed_form(*a) * 1.001 + 1e-3)
+        ours, theirs = bench_inprocess.layers(gausskey), bench_inprocess.layers(copy)
+        assert list(ours) == list(theirs)
+        differ = {
+            layer
+            for layer in ours
+            if bench_inprocess.result_bits(ours[layer]()) != bench_inprocess.result_bits(theirs[layer]())
+        }
+    finally:
+        for name in [n for n in sys.modules if n.startswith("gausskey_layers_under_test")]:
+            del sys.modules[name]
+    minimality = {f"minimality:{variant}" for variant in gausskey.VARIANTS}
+    assert differ == minimality | {"critical", "zero_rate", "key_rates"}

@@ -17,6 +17,7 @@ from cm_reference import (
     ref_symplectic_spectrum,
 )
 from gausskey import (
+    DEFAULT_MU,
     AttackParams,
     DomainError,
     ProtocolSpec,
@@ -36,7 +37,7 @@ EXAMPLE = AttackParams(tau=0.6, omega=1.2, g=0.3, g_prime=-0.1)
 # Frozen with 40-digit arithmetic (mpmath).
 MI_EB_EXAMPLE = 1.6147098441152082    # 2 log2(3.5/2), tau=0.5 omega=1 mu=3
 MI_PM_EXAMPLE = 1.1699250014423123    # 2 log2(3/2), same point, signal variance mu
-MI_ASYM_EXAMPLE = 35.337068326980761  # 2 log2(0.44e6 / 2.112)
+MI_ASYM_EXAMPLE = 35.337068326980761  # 2 log2(0.44e6 / 2.112), at DEFAULT_MU = 1e6
 NUBAR_PLUS_EXAMPLE = 2.5298221281347035  # sqrt(1.6 * 1.44) / 0.6
 
 
@@ -51,9 +52,9 @@ def _single_mode_rate(tau: float, omega: float) -> float:
     )
 
 
-def _report(params: AttackParams, variant: str = NO_SWITCHING, mu: float = 1e6):
-    """The asymptotic report, its divergent pieces at mu."""
-    return rate_report(params, ProtocolSpec(variant, mu=mu))
+def _report(params: AttackParams, variant: str = NO_SWITCHING):
+    """The asymptotic report, its divergent pieces at DEFAULT_MU."""
+    return rate_report(params, ProtocolSpec(variant))
 
 
 def _single_mode_holevo(tau: float, omega: float, mu: float) -> float:
@@ -74,8 +75,14 @@ def test_protocol_spec_validation():
         ProtocolSpec(NO_SWITCHING, mu=0.5)
     with pytest.raises(DomainError):
         ProtocolSpec(NO_SWITCHING, asymptotic=False)  # finite mode needs mu
-    spec = ProtocolSpec(SWITCHING, mu=100.0, asymptotic=False)
-    assert spec.mu_value == 100.0
+    with pytest.raises(DomainError):
+        ProtocolSpec(NO_SWITCHING, mu=100.0, asymptotic=True)  # a finite mu is finite mode
+    # mu alone picks the route; asymptotic is stored as mu is None
+    assert ProtocolSpec(SWITCHING).asymptotic is True
+    assert ProtocolSpec(SWITCHING, asymptotic=True) == ProtocolSpec(SWITCHING)
+    spec = ProtocolSpec(SWITCHING, mu=100.0)
+    assert spec.asymptotic is False and spec.mu == 100.0
+    assert ProtocolSpec(SWITCHING, mu=100.0, asymptotic=False) == spec
 
 
 # ---------------------------------------------------------------- total CM
@@ -131,14 +138,18 @@ def test_mutual_information_finite_conventions():
     v_b_pm = 0.5 * 3.0 + 0.5 * 1.0
     pm = 2.0 * math.log2((v_b_pm + 1.0) / 2.0)
     assert pm == pytest.approx(MI_PM_EXAMPLE, abs=1e-12)
-    eb_large = mutual_information(p, ProtocolSpec(NO_SWITCHING, mu=1e8, asymptotic=False))
-    asym = mutual_information(p, ProtocolSpec(NO_SWITCHING, mu=1e8))
-    assert eb_large == pytest.approx(asym, abs=1e-6)
+    # asymptotic mode takes tau*mu for V_B + 1 at mu = DEFAULT_MU; the finite
+    # value at that mu is the asymptotic one plus the exact correction
+    mu = DEFAULT_MU
+    eb_large = mutual_information(p, ProtocolSpec(NO_SWITCHING, mu=mu, asymptotic=False))
+    asym = mutual_information(p, ProtocolSpec(NO_SWITCHING))
+    correction = 2.0 * math.log2((0.5 * (mu + 1.0) + 0.5 * 1.0 + 1.0) / (0.5 * mu))
+    assert eb_large == pytest.approx(asym + correction, abs=1e-6)
 
 
 def test_mutual_information_asymptotic_example():
     p = AttackParams(tau=0.44, omega=1.2, g=0.0, g_prime=0.0)
-    value = mutual_information(p, ProtocolSpec(NO_SWITCHING, mu=1e6))
+    value = mutual_information(p, ProtocolSpec(NO_SWITCHING))
     assert value == pytest.approx(MI_ASYM_EXAMPLE, abs=1e-12)
 
 
@@ -159,18 +170,19 @@ def test_mutual_information_rejects_small_mu():
 
 def test_total_spectrum_asymptotic_values():
     p = AttackParams(tau=0.6, omega=1.2, g=0.0, g_prime=0.0)
-    spec = _report(p, mu=100.0).total_spectrum
-    assert spec == pytest.approx([40.0, 40.0, 1.2, 1.2], abs=1e-12)
-    spec2 = _report(EXAMPLE, mu=100.0).total_spectrum
+    spec = _report(p).total_spectrum
+    big = (1.0 - 0.6) * DEFAULT_MU  # (1 - tau) mu
+    assert spec == pytest.approx([big, big, 1.2, 1.2], abs=1e-12)
+    spec2 = _report(EXAMPLE).total_spectrum
     assert sorted(spec2[2:]) == pytest.approx(
         sorted([math.sqrt(1.65), math.sqrt(1.17)]), abs=1e-12
     )
 
 
 def test_total_spectrum_matches_finite_mu():
-    mu = 1e6
+    mu = DEFAULT_MU
     finite = ref_symplectic_spectrum(closed_total_cm(EXAMPLE, mu))
-    asym = _report(EXAMPLE, mu=mu).total_spectrum
+    asym = _report(EXAMPLE).total_spectrum
     assert np.max(np.abs(finite - asym) / asym) < 1e-4
 
 
@@ -207,10 +219,17 @@ def test_conditional_spectrum_noswitching_values():
 
 
 def test_conditional_spectrum_mu_independent():
-    # the pipeline spectrum approaches a modulation-free limit as O(1/mu);
-    # at this point the 1/mu coefficient is ~2, hence the scaled tolerances
+    # the report's spectrum is the modulation-free nbar_pm, bit for bit; the
+    # pipeline spectrum approaches it as O(1/mu), and at this point the 1/mu
+    # coefficient is ~2, hence the scaled tolerances
     asym = _report(EXAMPLE).conditional_spectrum
-    assert _report(EXAMPLE, mu=1e3).conditional_spectrum.tobytes() == asym.tobytes()
+    tau, omega, g, gp = EXAMPLE.tau, EXAMPLE.omega, EXAMPLE.g, EXAMPLE.g_prime
+    nbar = [
+        math.sqrt((1.0 + (1.0 - tau) * (omega + s * g)) * (1.0 + (1.0 - tau) * (omega + s * gp)))
+        / tau
+        for s in (1.0, -1.0)
+    ]
+    assert asym.tolist() == sorted(nbar, reverse=True)
     gaps = {}
     for mu in (1e3, 1e6):
         piped = ref_symplectic_spectrum(
@@ -226,25 +245,25 @@ def test_conditional_spectrum_mu_independent():
 def test_holevo_reduces_to_single_mode():
     p = AttackParams(tau=0.44, omega=1.2, g=0.0, g_prime=0.0)
     assert _report(p).holevo == pytest.approx(
-        _single_mode_holevo(0.44, 1.2, 1e6), abs=1e-12
+        _single_mode_holevo(0.44, 1.2, DEFAULT_MU), abs=1e-12
     )
 
 
 def test_holevo_matches_numeric_entropies():
-    mu = 1e6
+    mu = DEFAULT_MU
     V = cm_joint(EXAMPLE, mu)
     cond = cm_heterodyne(cm_heterodyne(V, 3), 2)
     numeric = sum(entropy_h(float(nu)) for nu in ref_symplectic_spectrum(V)) - sum(
         entropy_h(float(nu)) for nu in ref_symplectic_spectrum(cond)
     )
-    assert _report(EXAMPLE, mu=mu).holevo == pytest.approx(numeric, abs=1e-3)
+    assert _report(EXAMPLE).holevo == pytest.approx(numeric, abs=1e-3)
 
 
 def test_holevo_degenerate_at_unit_transmissivity():
     p = AttackParams(tau=1.0, omega=1.2, g=0.0, g_prime=0.0)
     for variant in VARIANTS:
         with pytest.raises(DomainError, match="0 < tau < 1"):
-            _report(p, variant, mu=1e4)
+            _report(p, variant)
 
 
 # ------------------------------------------------------------ closed rates
@@ -303,24 +322,25 @@ def test_rates_reject_unphysical_points():
 def test_switching_spectra_coefficients():
     # coefficients of sqrt(mu): sqrt((1-tau)(omega +- g)/tau), the same with
     # g', and sqrt((1-tau) omega/tau) twice for the mixed variant
+    root_mu = math.sqrt(DEFAULT_MU)
     p = AttackParams(tau=0.44, omega=1.2, g=0.0, g_prime=0.0)
-    same = _report(p, SWITCHING, mu=4.0).conditional_spectrum / 2.0
-    mixed = _report(p, SWITCHING_MIXED, mu=4.0).conditional_spectrum / 2.0
+    same = _report(p, SWITCHING).conditional_spectrum / root_mu
+    mixed = _report(p, SWITCHING_MIXED).conditional_spectrum / root_mu
     assert same == pytest.approx([math.sqrt(0.56 * 1.2 / 0.44)] * 4, abs=1e-12)
     assert mixed == pytest.approx(same[:2], abs=1e-12)
     p2 = AttackParams(tau=0.5, omega=1.2, g=0.3, g_prime=0.0)
-    q2 = _report(p2, SWITCHING, mu=4.0).conditional_spectrum / 2.0
+    q2 = _report(p2, SWITCHING).conditional_spectrum / root_mu
     expected = [math.sqrt(1.5), math.sqrt(1.2), math.sqrt(1.2), math.sqrt(0.9)]
     assert q2 == pytest.approx(expected, abs=1e-12)
 
 
 def test_switching_spectra_match_pipeline():
-    mu = 1e6
+    mu = DEFAULT_MU
     V = cm_joint(EXAMPLE, mu)
     piped = np.concatenate(
         [ref_symplectic_spectrum(cm_homodyne(cm_homodyne(V, 3, x), 2, x)) for x in "qp"]
     )
-    asym = _report(EXAMPLE, SWITCHING, mu=mu).conditional_spectrum
+    asym = _report(EXAMPLE, SWITCHING).conditional_spectrum
     assert np.max(np.abs(np.sort(piped)[::-1] - asym) / asym) < 1e-3
 
 
