@@ -27,16 +27,21 @@ variant at five mu values over 16 fixed lens points, as the benchmark's
 ``pipeline`` workload runs them; and the certification side at the same
 (tau, omega): ``verify_minimality`` at resolution 101 for each variant,
 ``critical_point_report`` and ``find_zero_rate_transmissivity`` over the
-variants, and ``key_rates`` over a 100 x 100 grid of lens points.  Before
-timing, each layer's results on the change must equal the parent's bit
-for bit.
+variants, and ``key_rates`` over a 100 x 100 grid of lens points; and
+the command line: ``cli.main`` on ``CLI_RUNS`` (``rate`` and
+``critical`` in CSV and JSON, ``converge``, ``scan`` at resolution 31 as
+JSON and ``boundary`` at resolution 31, at the same point), its stdout
+captured.  Before timing, each layer's results on the change must equal
+the parent's bit for bit; the command line's, its stdout bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib.util
+import io
 import json
 import math
 import os
@@ -63,6 +68,18 @@ MINIMALITY_CALLS = 8  # per variant, at resolution 101
 CRITICAL_CALLS = 40  # per variant
 ZERO_RATE_CALLS = 15  # per variant
 GRID_CALLS = 5  # per variant, over 10,000 points
+CLI_PASSES = 3  # over CLI_RUNS
+_BASE = ["--tau", str(POINT[0]), "--omega", str(POINT[1])]
+_POINT = ["--g", str(POINT[2]), "--gprime", str(POINT[3])]
+CLI_RUNS = (
+    ["rate", *_BASE, *_POINT],
+    ["rate", *_BASE, *_POINT, "--format", "json"],
+    ["critical", *_BASE],
+    ["critical", *_BASE, "--format", "json"],
+    ["converge", *_BASE, *_POINT],
+    ["scan", *_BASE, "--grid-resolution", "31", "--format", "json"],
+    ["boundary", *_BASE, "--grid-resolution", "31"],
+)
 
 
 def load(name: str, package_dir: Path):
@@ -109,7 +126,9 @@ def lens_points(gausskey, n: int) -> list[tuple[float, float, float, float]]:
 
 
 def result_bits(results) -> bytes:
-    """The bits of a batch's results: floats and arrays, nested in lists and tuples."""
+    """The bits of a batch's results: floats, arrays and texts, nested in lists and tuples."""
+    if isinstance(results, str):
+        return results.encode()
     if isinstance(results, (list, tuple)):
         return b"".join(map(result_bits, results))
     return np.asarray(results, dtype=float).tobytes()
@@ -119,7 +138,7 @@ def layers(gausskey) -> dict[str, object]:
     """Each layer's batch on one copy of the package: a function of no arguments.
 
     A batch returns what result_bits reads: of a report, the arrays and
-    floats that it computed.
+    floats that it computed; of the command line, its stdout.
     """
     params, spec = gausskey.AttackParams, gausskey.ProtocolSpec
     numeric = gausskey.key_rate_numeric
@@ -167,6 +186,17 @@ def layers(gausskey) -> dict[str, object]:
         for variant in gausskey.VARIANTS
         for _ in range(GRID_CALLS)
     ]
+    main = importlib.import_module(f"{gausskey.__name__}.cli").main
+
+    def cli():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            for _ in range(CLI_PASSES):
+                for argv in CLI_RUNS:
+                    main(argv)
+        return stdout.getvalue()
+
+    out["cli"] = cli
     return out
 
 
@@ -201,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         dirs = {"parent": Path(tmp) / "src" / "gausskey", "control": Path(tmp) / "src" / "gausskey",
                 "change": ROOT / "src" / "gausskey"}
         packages = {copy: load(f"gausskey_{copy}", dirs[copy]) for copy in COPIES}
-    batches = {copy: layers(package) for copy, package in packages.items()}
+        # while the parent's files exist: layers imports each copy's cli
+        batches = {copy: layers(package) for copy, package in packages.items()}
     summary = {}
     gc.disable()
     try:

@@ -1,4 +1,4 @@
-"""Print three sha256 digests that pin the library's output bits.
+"""Print four sha256 digests that pin the library's output bits.
 
     PYTHONPATH=src python scripts/byte_contract.py
 
@@ -6,6 +6,10 @@
   (protocol, tau, omega, resolution), plus the errors of a few bad calls;
 * ``cli``: exit code, stdout and stderr of a fixed set of ``gausskey``
   commands, run in process through ``gausskey.cli.main``;
+* ``cli_formats``: the same for the command, format and clamp settings
+  that ``cli`` leaves out: ``critical``, ``converge`` and ``boundary`` as
+  JSON, clamped ``rate``, ``boundary`` and ``scan`` in both formats, and
+  error exits as JSON;
 * ``key_rate_numeric``: every ``RateReport`` field of a fixed set of
   finite-modulation calls.
 
@@ -116,6 +120,31 @@ def cli_cases():
     yield ["rate", "--tau", "0.5", "--omega", "2", "--g", "1.9", "--gprime", "1.9"]
 
 
+def cli_format_cases():
+    taus = itertools.cycle(TAUS)
+    for protocol, omega in itertools.product(PROTOCOLS, (1.05, 2.0, 7.0, 1e3)):
+        base = ["--protocol", protocol, "--tau", str(next(taus)), "--omega", str(omega)]
+        point = ["--g", str(0.3 * (omega - 1.0)), "--gprime", str(-0.2 * (omega - 1.0))]
+        yield ["critical", *base, "--format", "json"]
+        yield ["boundary", *base, "--grid-resolution", "41", "--format", "json"]
+        if omega < 10.0:
+            yield ["converge", *base, *point, "--format", "json"]
+        for fmt in ("csv", "json"):
+            clamped = ["--clamp-nonnegative", "--format", fmt]
+            yield ["rate", *base, *point, *clamped]
+            yield ["rate", *base, *point, "--mu", "1e4", *clamped]
+            yield ["boundary", *base, "--grid-resolution", "41", *clamped]
+    for fmt in ("csv", "json"):
+        clamped = ["--clamp-nonnegative", "--format", fmt]
+        yield ["scan", "--tau", "0.9", "--omega", "1.5", "--grid-resolution", "21", *clamped]
+        yield ["boundary", "--tau", "0.5", "--omega", "3", "--mu", "1e3", "--grid-resolution", "5",
+               *clamped]
+        yield ["rate", "--tau", "0.5", "--omega", "2", "--g", "1.9", "--gprime", "1.9", "--format", fmt]
+        yield ["critical", "--tau", "0.5", "--omega", "1.000001", "--format", fmt]
+    yield ["converge", "--tau", "1.5", "--omega", "2", "--format", "json"]
+    yield ["boundary", "--tau", "0.5", "--omega", "1", "--format", "json"]
+
+
 def run_cli(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -140,6 +169,7 @@ def digests() -> dict[str, str]:
             f"{case} -> {outcome(verify_minimality, *case)}" for case in minimality_cases()
         ),
         "cli": digest(run_cli(argv) for argv in cli_cases()),
+        "cli_formats": digest(run_cli(argv) for argv in cli_format_cases()),
         "key_rate_numeric": digest(outcome(key_rate_numeric, *case) for case in numeric_cases()),
     }
 

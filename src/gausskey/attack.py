@@ -88,7 +88,14 @@ def _open_axis(omega: float, n: int) -> np.ndarray:
     return np.linspace(-omega, omega, n + 2)[1:-1]
 
 
+def _mirror_modes(omega, g, g_prime):
+    """The q and p noise (x, y) of the attack's mirror modes + and -: (omega +- g, omega +- g')."""
+    return (omega + g, omega + g_prime), (omega - g, omega - g_prime)
+
+
 def _slack(omega, g, g_prime, minimum):
+    # The products of _mirror_modes' pairs, spelled out: holding all four
+    # noise arrays of a whole grid at once made lens_mask markedly slower.
     return minimum((omega - g) * (omega - g_prime), (omega + g) * (omega + g_prime)) - 1.0
 
 
@@ -134,6 +141,13 @@ def violated_constraint(params: AttackParams) -> str | None:
     lhs = omega * abs(g + gp)  # the linear form, for the message only
     rhs = omega * omega + g * gp - 1.0
     return f"omega*|g + g_prime| <= omega^2 + g*g_prime - 1 ({lhs:g} > {rhs:g})"
+
+
+def _require_physical(params: AttackParams) -> None:
+    """The lens rule's one raise site: (g, g') must pass violated_constraint."""
+    violated = violated_constraint(params)
+    if violated is not None:
+        raise DomainError(f"unphysical attack parameters: violated {violated}")
 
 
 def boundary_curve_arrays(omega: float, n_samples: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,16 @@ reads (``_SUBCOMMANDS``, each setting declared once in ``_SETTINGS``): a
 flag or config key that the command would ignore is a configuration
 error.  A ``--config`` file's ``key=value`` lines are parsed as that
 command's flags, ahead of the command line, so flags win.
+
+Each output is declared once and rendered in both formats.  ``rate``
+and ``critical`` write one record (``_record``): a JSON object, or
+``key,value`` CSV lines (floats as ``fmt`` renders them, float lists
+joined by ``;``, booleans as ``true``/``false``).  A run echoes exactly
+the settings its command reads (``_echo``), in table order, without the
+presentation settings ``output``, ``format`` and ``clamp_nonnegative``;
+``gprime`` is named ``g_prime`` and ``mu`` written as ``asymptotic`` or
+its ``fmt`` text.  The echo heads a ``rate`` or ``critical`` record and
+is the ``params`` object of JSON ``scan``, ``boundary`` and ``converge``.
 ``critical`` takes its finite-difference steps from omega
 (``landscape.critical_point_report``); no flag sets them, so no flag can
 change its ``is_minimum`` verdict.
@@ -55,13 +65,13 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from . import landscape as _landscape
 from . import rates as _rates
-from .attack import AttackParams, boundary_curve_arrays
+from .attack import AttackParams, _require_physical, boundary_curve_arrays
 from .gaussian import DomainError, NumericalDegeneracyError
 
 SCAN_HEADER = "g,g_prime,rate,physical,on_boundary"
@@ -73,6 +83,7 @@ _JSON_ROW = (
     '\n      "physical": true,\n      "on_boundary": %s\n    }'
 )
 CONVERGE_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
+_CONVERGE_COLUMNS = ("mu", "rate_numeric", "rate_asymptotic", "abs_delta")
 
 
 class ConfigError(Exception):
@@ -141,6 +152,17 @@ _SUBCOMMANDS = {
         "finite-modulation sweep against the closed form",
         ("protocol", "tau", "omega", "g", "gprime", "output", "format"),
     ),
+}
+
+
+# Settings that shape how a run is written, not what it computes: no output echoes them.
+_PRESENTATION = ("output", "format", "clamp_nonnegative")
+# The RunConfig fields each command's output echoes: the settings it reads, in table order.
+_ECHOED = {
+    command: tuple(
+        "g_prime" if key == "gprime" else key for key in reads if key not in _PRESENTATION
+    )
+    for command, (_, reads) in _SUBCOMMANDS.items()
 }
 
 
@@ -259,7 +281,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
 
 def _params(cfg: RunConfig) -> AttackParams:
     params = AttackParams(tau=cfg.tau, omega=cfg.omega, g=cfg.g, g_prime=cfg.g_prime)
-    _rates._require_physical(params)
+    _require_physical(params)
     return params
 
 
@@ -278,47 +300,41 @@ def _write(cfg: RunConfig, text: str) -> None:
         raise ConfigError(f"cannot write output file {cfg.output}: {exc}") from exc
 
 
-def _kv_csv(pairs: Iterable[tuple[str, str]]) -> str:
-    lines = ["key,value"]
-    lines += [f"{key},{value}" for key, value in pairs]
-    return "\n".join(lines) + "\n"
+def _echo(cfg: RunConfig) -> list[tuple[str, object]]:
+    """The settings cfg's command reads, as its output echoes them: mu as text."""
+    echoed = {name: getattr(cfg, name) for name in _ECHOED[cfg.command]}
+    if "mu" in echoed:
+        echoed["mu"] = "asymptotic" if cfg.mu is None else fmt(cfg.mu)
+    return list(echoed.items())
+
+
+def _csv_cell(value: object) -> str:
+    if isinstance(value, bool):
+        return _fmt_bool(value)
+    if isinstance(value, float):
+        return fmt(value)
+    if isinstance(value, list):
+        return ";".join(map(fmt, value))
+    return str(value)
+
+
+def _record(cfg: RunConfig, pairs: list[tuple[str, object]]) -> str:
+    """One output record: a JSON object, or CSV key,value lines."""
+    if cfg.format == "json":
+        return json.dumps(dict(pairs), indent=2) + "\n"
+    return "key,value\n" + "".join(f"{key},{_csv_cell(value)}\n" for key, value in pairs)
 
 
 def cmd_rate(cfg: RunConfig) -> str:
-    params = _params(cfg)
-    spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=cfg.mu)
-    report = _rates.rate_report(params, spec)
-    rate = _clamp(cfg, report.rate)
-    mu_text = "asymptotic" if cfg.mu is None else fmt(cfg.mu)
-    if cfg.format == "json":
-        payload = {
-            "protocol": cfg.protocol,
-            "tau": cfg.tau,
-            "omega": cfg.omega,
-            "g": cfg.g,
-            "g_prime": cfg.g_prime,
-            "mu": mu_text,
-            "i_ab": report.i_ab,
-            "holevo": report.holevo,
-            "rate": rate,
-            "total_spectrum": [float(x) for x in report.total_spectrum],
-            "conditional_spectrum": [float(x) for x in report.conditional_spectrum],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    pairs = [
-        ("protocol", cfg.protocol),
-        ("tau", fmt(cfg.tau)),
-        ("omega", fmt(cfg.omega)),
-        ("g", fmt(cfg.g)),
-        ("g_prime", fmt(cfg.g_prime)),
-        ("mu", mu_text),
-        ("i_ab", fmt(report.i_ab)),
-        ("holevo", fmt(report.holevo)),
-        ("rate", fmt(rate)),
-        ("total_spectrum", ";".join(fmt(x) for x in report.total_spectrum)),
-        ("conditional_spectrum", ";".join(fmt(x) for x in report.conditional_spectrum)),
-    ]
-    return _kv_csv(pairs)
+    report = _rates.rate_report(_params(cfg), _rates.ProtocolSpec(cfg.protocol, cfg.mu))
+    return _record(cfg, [
+        *_echo(cfg),
+        ("i_ab", report.i_ab),
+        ("holevo", report.holevo),
+        ("rate", _clamp(cfg, report.rate)),
+        ("total_spectrum", report.total_spectrum.tolist()),
+        ("conditional_spectrum", report.conditional_spectrum.tolist()),
+    ])
 
 
 def _csv_texts(column: np.ndarray) -> list[str]:
@@ -358,13 +374,7 @@ def _render_rows(
     values = tuple(cells.ravel().tolist())
     if cfg.format == "json":
         payload = {
-            "params": {
-                "protocol": cfg.protocol,
-                "tau": cfg.tau,
-                "omega": cfg.omega,
-                "mu": "asymptotic" if cfg.mu is None else fmt(cfg.mu),
-                "grid_resolution": cfg.grid_resolution,
-            },
+            "params": dict(_echo(cfg)),
             "rows": [],
             "origin_rate": origin_rate,
             "verdict": verdict,
@@ -407,72 +417,38 @@ def cmd_boundary(cfg: RunConfig) -> str:
 def cmd_critical(cfg: RunConfig) -> str:
     _params(cfg)
     report = _landscape.critical_point_report(cfg.protocol, cfg.tau, cfg.omega)
-    residual = abs(report.det_h - report.analytic_det_h) / abs(report.analytic_det_h)
+    gradient, hessian = list(report.gradient_at_origin), report.hessian_at_origin.tolist()
     if cfg.format == "json":
-        payload = {
-            "protocol": report.protocol,
-            "tau": report.tau,
-            "omega": report.omega,
-            "gradient": list(report.gradient_at_origin),
-            "hessian": [list(map(float, row)) for row in report.hessian_at_origin],
-            "det_h": report.det_h,
-            "analytic_det_h": report.analytic_det_h,
-            "det_residual_rel": residual,
-            "is_minimum": report.is_minimum,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    hess = report.hessian_at_origin
-    pairs = [
-        ("protocol", report.protocol),
-        ("tau", fmt(report.tau)),
-        ("omega", fmt(report.omega)),
-        ("gradient_g", fmt(report.gradient_at_origin[0])),
-        ("gradient_g_prime", fmt(report.gradient_at_origin[1])),
-        ("hessian_gg", fmt(hess[0, 0])),
-        ("hessian_ggp", fmt(hess[0, 1])),
-        ("hessian_gpg", fmt(hess[1, 0])),
-        ("hessian_gpgp", fmt(hess[1, 1])),
-        ("det_h", fmt(report.det_h)),
-        ("analytic_det_h", fmt(report.analytic_det_h)),
-        ("det_residual_rel", fmt(residual)),
-        ("is_minimum", _fmt_bool(report.is_minimum)),
-    ]
-    return _kv_csv(pairs)
+        derivatives = [("gradient", gradient), ("hessian", hessian)]
+    else:
+        names = ("gradient_g", "gradient_g_prime")
+        names += ("hessian_gg", "hessian_ggp", "hessian_gpg", "hessian_gpgp")
+        derivatives = list(zip(names, [*gradient, *hessian[0], *hessian[1]]))
+    residual = abs(report.det_h - report.analytic_det_h) / abs(report.analytic_det_h)
+    return _record(cfg, [
+        *_echo(cfg),
+        *derivatives,
+        ("det_h", report.det_h),
+        ("analytic_det_h", report.analytic_det_h),
+        ("det_residual_rel", residual),
+        ("is_minimum", report.is_minimum),
+    ])
 
 
 def cmd_converge(cfg: RunConfig) -> str:
     params = _params(cfg)
-    rate_closed = _rates.key_rate_asymptotic(params, cfg.protocol)
-
-    def row(mu: float) -> tuple[float, float, float, float]:
-        spec = _rates.ProtocolSpec(variant=cfg.protocol, mu=mu, asymptotic=False)
-        numeric = _rates.key_rate_numeric(params, spec).rate
-        return mu, numeric, rate_closed, abs(numeric - rate_closed)
-
-    table = [row(mu) for mu in CONVERGE_SWEEP]
+    closed = _rates.key_rate_asymptotic(params, cfg.protocol)
+    rows = []
+    for mu in CONVERGE_SWEEP:
+        numeric = _rates.key_rate_numeric(params, _rates.ProtocolSpec(cfg.protocol, mu)).rate
+        rows.append((mu, numeric, closed, abs(numeric - closed)))
     if cfg.format == "json":
         payload = {
-            "params": {
-                "protocol": cfg.protocol,
-                "tau": cfg.tau,
-                "omega": cfg.omega,
-                "g": cfg.g,
-                "g_prime": cfg.g_prime,
-            },
-            "rows": [
-                {
-                    "mu": mu,
-                    "rate_numeric": numeric,
-                    "rate_asymptotic": closed,
-                    "abs_delta": delta,
-                }
-                for mu, numeric, closed, delta in table
-            ],
+            "params": dict(_echo(cfg)),
+            "rows": [dict(zip(_CONVERGE_COLUMNS, row)) for row in rows],
         }
         return json.dumps(payload, indent=2) + "\n"
-    lines = ["mu,rate_numeric,rate_asymptotic,abs_delta"]
-    for mu, numeric, closed, delta in table:
-        lines.append(",".join((fmt(mu), fmt(numeric), fmt(closed), fmt(delta))))
+    lines = [",".join(_CONVERGE_COLUMNS)] + [",".join(map(fmt, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

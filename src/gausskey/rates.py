@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, _require_omega, lens_mask, violated_constraint
+from .attack import AttackParams, _mirror_modes, _require_omega, _require_physical, lens_mask
 from .gaussian import (
     DomainError,
     Packed,
@@ -86,8 +86,6 @@ class _Elementwise:
 
     sqrt: Callable
     log2: Callable
-    maximum: Callable
-    minimum: Callable
     entropies: Callable
 
 
@@ -98,10 +96,8 @@ def _entropies_array(*xs: np.ndarray) -> list[np.ndarray]:
 
 
 # log2 is the numpy ufunc in both sets, so scalar and array rates share its bits.
-_SCALAR = _Elementwise(
-    math.sqrt, lambda x: float(np.log2(x)), max, min, lambda *xs: list(map(entropy_h, xs))
-)
-_ARRAY = _Elementwise(np.sqrt, np.log2, np.maximum, np.minimum, _entropies_array)
+_SCALAR = _Elementwise(math.sqrt, lambda x: float(np.log2(x)), lambda *xs: list(map(entropy_h, xs)))
+_ARRAY = _Elementwise(np.sqrt, np.log2, _entropies_array)
 
 # Points per kernel pass: bounds the temporaries (about a dozen arrays of
 # four entries per point) whatever the grid size.  _entropies_array stacks
@@ -167,30 +163,12 @@ class RateReport:
     conditional_spectrum: np.ndarray
 
 
-def _require_physical(params: AttackParams) -> None:
-    violated = violated_constraint(params)
-    if violated is not None:
-        raise DomainError(f"unphysical attack parameters: violated {violated}")
+def _nbar(tau, x, y, ew: _Elementwise = _SCALAR):
+    """Large-mu conditional eigenvalue of the heterodyne protocol on a mirror mode of noise (x, y).
 
-
-def _nu_pm(om, g, gp, ew: _Elementwise = _SCALAR):
-    """Attack-correlation eigenvalues sqrt((omega +- g)(omega +- g'))."""
-    return ew.sqrt((om + g) * (om + gp)), ew.sqrt((om - g) * (om - gp))
-
-
-def _nbar_noswitching(tau, om, g, gp, ew: _Elementwise = _SCALAR):
-    """Large-mu conditional eigenvalues of the heterodyne protocol, larger first.
-
-    sqrt(lam_plus*lam_prime_plus)/tau and sqrt(lam_minus*lam_prime_minus)/tau
-    with lam_pm = 1 + (1-tau)*(omega +- g).
+    sqrt(lam*lam')/tau with lam = 1 + (1-tau)*x and lam' = 1 + (1-tau)*y.
     """
-    lp = 1.0 + (1.0 - tau) * (om + g)
-    lm = 1.0 + (1.0 - tau) * (om - g)
-    lpp = 1.0 + (1.0 - tau) * (om + gp)
-    lmp = 1.0 + (1.0 - tau) * (om - gp)
-    plus = ew.sqrt(lp * lpp) / tau
-    minus = ew.sqrt(lm * lmp) / tau
-    return ew.maximum(plus, minus), ew.minimum(plus, minus)
+    return ew.sqrt((1.0 + (1.0 - tau) * x) * (1.0 + (1.0 - tau) * y)) / tau
 
 
 def _joint_qp(params: AttackParams, mu: float) -> tuple[Packed, Packed]:
@@ -275,11 +253,11 @@ def key_rate_asymptotic(params: AttackParams, variant: str) -> float:
 
 def _closed_form(variant: str, tau: float, om: float, g, gp, ew: _Elementwise):
     """The asymptotic rate formulas, written once for floats and for arrays."""
-    nu_plus, nu_minus = _nu_pm(om, g, gp, ew)
+    (x_plus, y_plus), (x_minus, y_minus) = _mirror_modes(om, g, gp)
+    nu_plus, nu_minus = ew.sqrt(x_plus * y_plus), ew.sqrt(x_minus * y_minus)
     if variant == NO_SWITCHING:
-        nbar_plus, nbar_minus = _nbar_noswitching(tau, om, g, gp, ew)
         h_nbar_plus, h_nbar_minus, h_nu_plus, h_nu_minus = ew.entropies(
-            nbar_plus, nbar_minus, nu_plus, nu_minus
+            _nbar(tau, x_plus, y_plus, ew), _nbar(tau, x_minus, y_minus, ew), nu_plus, nu_minus
         )
         den = 1.0 + tau + (1.0 - tau) * om
         ratio = 2.0 / math.e * tau / ((1.0 - tau) * den)
@@ -424,9 +402,12 @@ def rate_report(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     tau, om, g, gp = params.tau, params.omega, params.g, params.g_prime
     mu = DEFAULT_MU
     i_ab = mutual_information(params, spec)
-    nu_plus, nu_minus = _nu_pm(om, g, gp)
+    (x_plus, y_plus), (x_minus, y_minus) = _mirror_modes(om, g, gp)
+    nu_plus, nu_minus = math.sqrt(x_plus * y_plus), math.sqrt(x_minus * y_minus)
     if spec.variant == NO_SWITCHING:
-        nbar_plus, nbar_minus = _nbar_noswitching(tau, om, g, gp)
+        nbar_plus, nbar_minus = sorted(  # the spectrum is descending
+            (_nbar(tau, x_plus, y_plus), _nbar(tau, x_minus, y_minus)), reverse=True
+        )
         # summed left to right: pre-summing the h terms changes the bits
         holevo = (
             2.0 * (_LOG2_E_HALF + math.log2((1.0 - tau) * mu))
@@ -441,7 +422,7 @@ def rate_report(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         gm = om if mixed else math.sqrt(nu_plus * nu_minus)
         holevo = entropy_h(nu_plus) + entropy_h(nu_minus) + math.log2((1.0 - tau) * tau * mu / gm)
         ratio = (1.0 - tau) / tau
-        spread = (om, om) if mixed else (om + g, om - g, om + gp, om - gp)
+        spread = (om, om) if mixed else (x_plus, x_minus, y_plus, y_minus)
         coeffs = np.array([math.sqrt(ratio * x) for x in spread])
         cond_spectrum = np.sort(coeffs * math.sqrt(mu))[::-1]
     big = (1.0 - tau) * mu

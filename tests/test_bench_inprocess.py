@@ -83,6 +83,7 @@ def test_result_bits_reads_nested_floats_and_arrays(bench_inprocess):
     nested = [1.0, (np.array([[2.0, 3.0]]), (4.0, 5.0))]
     assert bench_inprocess.result_bits(nested) == array("d", [1.0, 2.0, 3.0, 4.0, 5.0]).tobytes()
     assert bench_inprocess.result_bits([0.0]) != bench_inprocess.result_bits([-0.0])
+    assert bench_inprocess.result_bits(["key,value\n", 1.0]) == b"key,value\n" + array("d", [1.0]).tobytes()
 
 
 def test_every_layer_compares_its_results(bench_inprocess, monkeypatch):
@@ -103,4 +104,21 @@ def test_every_layer_compares_its_results(bench_inprocess, monkeypatch):
         for name in [n for n in sys.modules if n.startswith("gausskey_layers_under_test")]:
             del sys.modules[name]
     minimality = {f"minimality:{variant}" for variant in gausskey.VARIANTS}
-    assert differ == minimality | {"critical", "zero_rate", "key_rates"}
+    assert differ == minimality | {"critical", "zero_rate", "key_rates", "cli"}
+
+
+def test_the_cli_layer_compares_stdout_bytes(bench_inprocess, monkeypatch):
+    # a copy that renders one digit fewer: only the command line's bytes differ
+    copy = bench_inprocess.load("gausskey_cli_under_test", Path(gausskey.__file__).parent)
+    try:
+        cli = importlib.import_module("gausskey_cli_under_test.cli")
+        monkeypatch.setattr(cli, "fmt", lambda x: format(float(x), ".16g"))
+        ours, theirs = bench_inprocess.layers(gausskey)["cli"], bench_inprocess.layers(copy)["cli"]
+        text = ours()
+        assert text == ours()  # the batch is deterministic
+        assert text.count("key,value\n") == 2 * bench_inprocess.CLI_PASSES  # rate and critical
+        assert text.count('"verdict": true') == bench_inprocess.CLI_PASSES  # scan
+        assert bench_inprocess.result_bits(text) != bench_inprocess.result_bits(theirs())
+    finally:
+        for name in [n for n in sys.modules if n.startswith("gausskey_cli_under_test")]:
+            del sys.modules[name]

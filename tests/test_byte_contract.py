@@ -13,6 +13,7 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED = {
     "verify_minimality": "6017804ada81436479412540dfde23aa400805fc046c221de00e730a274ddc83",
     "cli": "c06f485d97691c1c051134e0c443cf584459cec173675aa379dc542af11a3d53",
+    "cli_formats": "54e365780c9a7216441ac0545f76e9b8873d1bd4a7cd57ce81962da025542b6e",
     "key_rate_numeric": "133acd4964c62ca5fdadcab02168a979b03f8dfcabebb4561335741cf55e83ba",
 }
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "byte_contract.py"

@@ -75,6 +75,20 @@ def test_critical_is_minimum_at_huge_omega():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
+    reason="the gradient step 1e-5*max(1, omega) does not shrink with the lens, so the stencil "
+    "leaves it; the Hessian's shrinking step alone flips the switching determinant's sign",
+)
+def test_critical_is_minimum_near_unit_omega():
+    for variant in ("noswitching", "switching", "switching-mixed"):
+        argv = ["critical", "--protocol", variant, "--tau", "0.5", "--omega", "1.000001"]
+        code, out, err = run_main(argv)
+        assert code == 0, (variant, err)
+        assert "is_minimum,true" in out.splitlines(), variant
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
     reason="at tau = 1 the joint state is pure; det Q of each half cancels from about mu^2, "
     "so its eigenvalue 1 comes out about eps*mu^2 low",
 )

@@ -28,7 +28,7 @@ from gausskey import (
     rate_report,
     violated_constraint,
 )
-from gausskey import cli, rates
+from gausskey import attack, cli, rates
 from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, VARIANTS
 from conftest import random_attack
 
@@ -442,13 +442,13 @@ def test_rate_report_asymptotic_consistency():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rate_report_checks_the_lens_once(monkeypatch, variant):
     """An asymptotic report checks its point once; a `gausskey rate` call at most twice."""
-    calls, original = [], rates.violated_constraint
+    calls, original = [], attack.violated_constraint
 
     def counted(params):
         calls.append(params)
         return original(params)
 
-    monkeypatch.setattr(rates, "violated_constraint", counted)
+    monkeypatch.setattr(attack, "violated_constraint", counted)  # read by attack._require_physical
     rate_report(EXAMPLE, ProtocolSpec(variant))
     assert len(calls) == 1
     calls.clear()
