@@ -25,9 +25,10 @@ The layers are ``key_rate_numeric`` for each variant at one point (tau
 0.44, omega 7.3, (g, g') = (0.3, -0.1), mu 1e4); a pipeline pass: every
 variant at five mu values over 16 fixed lens points, as the benchmark's
 ``pipeline`` workload runs them; and the certification side at the same
-(tau, omega): ``verify_minimality`` at resolution 101 for each variant,
-``critical_point_report`` and ``find_zero_rate_transmissivity`` over the
-variants, and ``key_rates`` over a 100 x 100 grid of lens points; and
+(tau, omega): ``verify_minimality`` at resolutions 101 (``minimality``)
+and 401 (``minimality401``) for each variant, ``critical_point_report``
+and ``find_zero_rate_transmissivity`` over the variants, and
+``key_rates`` over a 100 x 100 grid of lens points; and
 the command line: ``cli.main`` on ``CLI_RUNS`` (``rate`` and
 ``critical`` in CSV and JSON, ``converge``, ``scan`` at resolution 31 as
 JSON and ``boundary`` at resolution 31, at the same point), its stdout
@@ -65,6 +66,7 @@ PIPELINE_MUS = (1e2, 1e3, 1e4, 1e5, 1e6)
 # Calls per round and layer, about 10 ms a batch on a 2-vCPU x86 host.
 NUMERIC_CALLS = 400
 MINIMALITY_CALLS = 8  # per variant, at resolution 101
+MINIMALITY401_CALLS = 1  # per variant, at resolution 401
 CRITICAL_CALLS = 40  # per variant
 ZERO_RATE_CALLS = 15  # per variant
 GRID_CALLS = 5  # per variant, over 10,000 points
@@ -157,9 +159,9 @@ def layers(gausskey) -> dict[str, object]:
     out = {f"numeric:{variant}": point(variant) for variant in gausskey.VARIANTS}
     out["pipeline"] = lambda: [numeric(p, s).rate for p, s in inputs]
 
-    def minimality(variant):
+    def minimality(variant, resolution, calls):
         def batch():
-            reports = [gausskey.verify_minimality(variant, tau, omega, 101) for _ in range(MINIMALITY_CALLS)]
+            reports = [gausskey.verify_minimality(variant, tau, omega, resolution) for _ in range(calls)]
             return [(r.g, r.g_prime, r.rate) for r in reports]
         return batch
 
@@ -174,7 +176,10 @@ def layers(gausskey) -> dict[str, object]:
     # |g|, |g'| < omega - 1 keeps both attack products above 1: inside the lens
     axis = np.linspace(-0.99, 0.99, 100) * (omega - 1.0)
     grid_g, grid_gp = np.meshgrid(axis, axis, indexing="ij")
-    out.update({f"minimality:{variant}": minimality(variant) for variant in gausskey.VARIANTS})
+    for variant in gausskey.VARIANTS:
+        out[f"minimality:{variant}"] = minimality(variant, 101, MINIMALITY_CALLS)
+    for variant in gausskey.VARIANTS:
+        out[f"minimality401:{variant}"] = minimality(variant, 401, MINIMALITY401_CALLS)
     out["critical"] = critical
     out["zero_rate"] = lambda: [
         gausskey.find_zero_rate_transmissivity(variant, omega)

@@ -40,10 +40,6 @@ from .landscape import (
     critical_point_report,
     f_log,
     find_zero_rate_transmissivity,
-    finite_diff_gradient,
-    hessian_at_origin,
-    origin_is_strict_minimum,
-    rate_function,
     second_derivative_inequality_noswitching,
     verify_minimality,
 )
@@ -68,8 +64,7 @@ __all__ = [
     "entropy_h_array", "CriticalPointReport", "LandscapeReport", "analytic_detH_noswitching",
     "analytic_detH_switching", "analytic_detH_switching_mixed",
     "analytic_second_derivs_switching", "critical_point_report", "f_log",
-    "find_zero_rate_transmissivity", "finite_diff_gradient", "hessian_at_origin",
-    "origin_is_strict_minimum", "rate_function", "second_derivative_inequality_noswitching",
+    "find_zero_rate_transmissivity", "second_derivative_inequality_noswitching",
     "verify_minimality", "DEFAULT_MU", "NO_SWITCHING", "SWITCHING", "SWITCHING_MIXED",
     "VARIANTS", "ProtocolSpec", "RateReport", "key_rate_asymptotic", "key_rate_numeric",
     "key_rates", "mutual_information", "rate_report",

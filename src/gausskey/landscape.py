@@ -4,13 +4,15 @@ For every protocol variant the key rate, seen as a function of the
 attack correlations at fixed (tau, omega), has a single critical point
 at the origin, and the origin is its strict global minimum: correlating
 the ancillas always helps the communicating parties.  This module
-certifies that claim three ways -- finite-difference gradients and
-Hessians, closed-form Hessian data re-derived from the rate formulas,
-and exhaustive grid plus boundary scans.
+certifies that claim three ways -- critical_point_report's
+central-difference gradient and Hessian at the origin, closed-form
+Hessian data re-derived from the rate formulas, and exhaustive grid plus
+boundary scans (verify_minimality).
 
 The closed forms here were obtained by differentiating the asymptotic
-rate expressions directly and are validated against central differences
-at ~1e-9 relative accuracy in the test suite.
+rate expressions directly.  The test suite checks them against the
+central-difference Hessian to 1e-4 relative (1e-5 for the switching
+entries at moderate omega).
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .attack import AttackParams, boundary_curve_arrays, constraint_slack, physical_grid_mirror
+from .attack import AttackParams, boundary_curve_arrays, constraint_slack, lens_mask
+from .attack import physical_grid_mirror
 from .attack import _require_lens_interior, _require_omega, _require_resolution, _require_tau
 from .gaussian import EPS_PHYS, LN2, DomainError, NumericalDegeneracyError
 from .rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, key_rate_asymptotic, key_rates
@@ -38,8 +40,6 @@ HESSIAN_STEP = 1e-4
 # Tau bracket and |rate| stopping tolerance of find_zero_rate_transmissivity.
 ZERO_RATE_BRACKET = (1e-3, 0.999)
 ZERO_RATE_TOL = 1e-10
-
-RateFn = Callable[[float, float], float]
 
 
 @dataclass(frozen=True)
@@ -113,45 +113,6 @@ def f_log(x: float) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"f_log needs 0 < x < 1, got {x}")
     return math.log((1.0 + x) / (1.0 - x))
-
-
-def rate_function(protocol: str, tau: float, omega: float) -> RateFn:
-    """Closed-form asymptotic rate as a function of (g, g') alone."""
-
-    def rate(g: float, g_prime: float) -> float:
-        return key_rate_asymptotic(
-            AttackParams(tau=tau, omega=omega, g=g, g_prime=g_prime), protocol
-        )
-
-    return rate
-
-
-def finite_diff_gradient(
-    rate_fn: RateFn, g: float, g_prime: float, step: float
-) -> tuple[float, float]:
-    """Central-difference gradient of the rate at an interior point."""
-    try:
-        d_g = (rate_fn(g + step, g_prime) - rate_fn(g - step, g_prime)) / (2.0 * step)
-        d_gp = (rate_fn(g, g_prime + step) - rate_fn(g, g_prime - step)) / (2.0 * step)
-    except DomainError as exc:
-        raise DomainError(
-            f"finite-difference stencil at ({g}, {g_prime}) with step {step} "
-            "leaves the physical region"
-        ) from exc
-    return d_g, d_gp
-
-
-def hessian_at_origin(rate_fn: RateFn, omega: float) -> np.ndarray:
-    """Central second differences of the rate at (0, 0), symmetric 2x2."""
-    _require_lens_interior(omega)
-    h = min(HESSIAN_STEP * max(1.0, omega), 1e-3 * (omega * omega - 1.0))
-    r0 = rate_fn(0.0, 0.0)
-    d2_g = (rate_fn(h, 0.0) - 2.0 * r0 + rate_fn(-h, 0.0)) / (h * h)
-    d2_gp = (rate_fn(0.0, h) - 2.0 * r0 + rate_fn(0.0, -h)) / (h * h)
-    cross = (
-        rate_fn(h, h) - rate_fn(h, -h) - rate_fn(-h, h) + rate_fn(-h, -h)
-    ) / (4.0 * h * h)
-    return np.array([[d2_g, cross], [cross, d2_gp]])
 
 
 def analytic_detH_noswitching(tau: float, omega: float) -> float:
@@ -233,18 +194,51 @@ def second_derivative_inequality_noswitching(tau: float, omega: float) -> bool:
 
 
 _ANALYTIC_DET = {
-    NO_SWITCHING: lambda tau, omega: analytic_detH_noswitching(tau, omega),
+    NO_SWITCHING: analytic_detH_noswitching,
     SWITCHING: lambda tau, omega: analytic_detH_switching(omega),
     SWITCHING_MIXED: lambda tau, omega: analytic_detH_switching_mixed(omega),
 }
 
 
+def _origin_stencil(
+    protocol: str, tau: float, omega: float
+) -> tuple[tuple[float, float], np.ndarray]:
+    """Central-difference gradient and symmetric 2x2 Hessian of the rate at (0, 0).
+
+    The gradient step s is GRADIENT_STEP * max(1, omega); the Hessian
+    step h is HESSIAN_STEP * max(1, omega), capped at 1e-3 (omega^2 - 1).
+    One key_rates call evaluates all 13 stencil points, in the order
+    (+-s, 0), (0, +-s), (0, 0), (+-h, 0), (0, +-h), (h, h), (h, -h),
+    (-h, h), (-h, -h), so the first failing point raises its scalar
+    error.  Where a stencil point lies outside the lens, the error says
+    that the stencil leaves the physical region.
+    """
+    s = GRADIENT_STEP * max(1.0, omega)
+    h = min(HESSIAN_STEP * max(1.0, omega), 1e-3 * (omega * omega - 1.0))
+    g = np.array([s, -s, 0.0, 0.0, 0.0, h, -h, 0.0, 0.0, h, h, -h, -h])
+    gp = np.array([0.0, 0.0, s, -s, 0.0, 0.0, 0.0, h, -h, h, -h, h, -h])
+    try:
+        rates = key_rates(protocol, tau, omega, g, gp)
+    except DomainError as exc:
+        if lens_mask(omega, g, gp).all():
+            raise
+        raise DomainError(
+            f"finite-difference stencil at (0.0, 0.0) with step {s} leaves the physical region"
+        ) from exc
+    g_up, g_down, gp_up, gp_down, r0, *second = rates.tolist()
+    h_up, h_down, hp_up, hp_down, up_up, up_down, down_up, down_down = second
+    gradient = ((g_up - g_down) / (2.0 * s), (gp_up - gp_down) / (2.0 * s))
+    d2_g = (h_up - 2.0 * r0 + h_down) / (h * h)
+    d2_gp = (hp_up - 2.0 * r0 + hp_down) / (h * h)
+    cross = (up_up - up_down - down_up + down_down) / (4.0 * h * h)
+    return gradient, np.array([[d2_g, cross], [cross, d2_gp]])
+
+
 def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPointReport:
     """Assemble gradient/Hessian diagnostics of the rate at the origin.
 
-    Both difference steps follow from omega alone (GRADIENT_STEP scaled
-    by max(1, omega), and the Hessian step of hessian_at_origin), so no
-    caller can change the is_minimum verdict by choosing a step.
+    Both difference steps follow from omega alone (see _origin_stencil),
+    so no caller can change the is_minimum verdict by choosing a step.
 
     Raises DomainError where the closed-form determinant cannot be
     represented (it cancels to 0 or overflows at very large omega).
@@ -252,9 +246,7 @@ def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPo
     _require_open_tau(tau)
     _require_lens_interior(omega)
     _receiver(protocol)
-    rate_fn = rate_function(protocol, tau, omega)
-    grad = finite_diff_gradient(rate_fn, 0.0, 0.0, GRADIENT_STEP * max(1.0, omega))
-    hess = hessian_at_origin(rate_fn, omega)
+    grad, hess = _origin_stencil(protocol, tau, omega)
     det_h = float(np.linalg.det(hess))
     try:
         analytic_det_h = _ANALYTIC_DET[protocol](tau, omega)
@@ -277,14 +269,6 @@ def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPo
     )
 
 
-def origin_is_strict_minimum(
-    g: np.ndarray, g_prime: np.ndarray, rates: np.ndarray, origin_rate: float
-) -> bool:
-    """True iff every sampled point other than the origin rates strictly above origin_rate."""
-    off_origin = (g != 0.0) | (g_prime != 0.0)
-    return bool(np.all(rates[off_origin] - origin_rate > 0.0))
-
-
 def _rows(*columns: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(zip(*(column.tolist() for column in columns)))
 
@@ -300,8 +284,8 @@ def verify_minimality(
     finite mu takes key_rate_numeric's, through key_rates(..., mu=mu).
 
     The closed-form rate is symmetric under g <-> g' bit for bit (the
-    closed forms use g and g' only through commutative sums, products,
-    max and min), and so is the grid, so with mu None the kernel
+    closed forms use g and g' only through commutative sums and
+    products), and so is the grid, so with mu None the kernel
     evaluates each mirrored grid pair once, at its g <= g' point, plus
     the boundary, and copies the rate to the mirror.  The g <= g' point
     of a pair comes first in C order, so a failing point raises the same
@@ -328,8 +312,9 @@ def verify_minimality(
     on_boundary = np.concatenate(
         [constraint_slack(omega, grid_g, grid_gp) <= EPS_PHYS, np.ones(edge_g.size, dtype=bool)]
     )
+    off_origin = (g != 0.0) | (gp != 0.0)
     if mu is None:
-        origin_rate = rate_function(protocol, tau, omega)(0.0, 0.0)
+        origin_rate = key_rate_asymptotic(AttackParams(tau, omega, 0.0, 0.0), protocol)
         first = np.flatnonzero(mirror >= np.arange(n_grid))  # the g <= g' point of each pair
         first_rates = key_rates(
             protocol,
@@ -345,8 +330,8 @@ def verify_minimality(
         order = np.lexsort((gp, g))
         rates = np.empty(g.size)
         rates[order] = key_rates(protocol, tau, omega, g[order], gp[order], mu=mu)
-        origin_rate = float(rates[np.flatnonzero((g == 0.0) & (gp == 0.0))[0]])
-    flagged = ((g != 0.0) | (gp != 0.0)) & (rates - origin_rate < 1e-9)
+        origin_rate = float(rates[np.flatnonzero(~off_origin)[0]])
+    flagged = off_origin & (rates - origin_rate < 1e-9)
     for column in (g, gp, rates, on_boundary, flagged):
         column.flags.writeable = False
     return LandscapeReport(
@@ -361,7 +346,7 @@ def verify_minimality(
         near_origin=flagged,
         origin_rate=origin_rate,
         min_over_grid=float(rates[:n_grid].min()),
-        verdict=origin_is_strict_minimum(g, gp, rates, origin_rate),
+        verdict=bool(np.all(rates[off_origin] - origin_rate > 0.0)),
         degenerate=omega == 1.0,
     )
 

@@ -19,12 +19,11 @@ from gausskey import (
     analytic_detH_noswitching,
     analytic_detH_switching,
     analytic_second_derivs_switching,
+    critical_point_report,
     entropy_h,
-    hessian_at_origin,
     key_rate_asymptotic,
     key_rate_numeric,
     find_zero_rate_transmissivity,
-    rate_function,
     rate_report,
     verify_minimality,
 )
@@ -94,8 +93,7 @@ def test_criterion_3_hessian_positivity_noswitching():
     spots = 0
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
         for omega in (1.1, 1.5, 2.0, 3.0, 5.0):
-            fn = rate_function(NO_SWITCHING, tau, omega)
-            fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
+            fd_det = critical_point_report(NO_SWITCHING, tau, omega).det_h
             analytic = analytic_detH_noswitching(tau, omega)
             assert analytic == pytest.approx(fd_det, rel=1e-4), (tau, omega)
             spots += 1
@@ -110,8 +108,8 @@ def test_criterion_4_hessian_positivity_switching():
     omegas = (1.001, 1.01, 1.1, 1.5, 2.0, 5.0, 50.0)
     assert all(analytic_detH_switching(omega) > 0.0 for omega in omegas)
     for omega in omegas:
-        fn = rate_function(SWITCHING, 0.5, omega)
-        H = hessian_at_origin(fn, omega)
+        report = critical_point_report(SWITCHING, 0.5, omega)
+        H = report.hessian_at_origin
         same, cross = analytic_second_derivs_switching(omega)
         assert H[0, 0] == pytest.approx(same, rel=1e-4), omega
         assert H[1, 1] == pytest.approx(same, rel=1e-4), omega
@@ -120,8 +118,7 @@ def test_criterion_4_hessian_positivity_switching():
             # the diagonal, under the double-precision stencil resolution;
             # the determinant check below still covers it there
             assert H[0, 1] == pytest.approx(cross, rel=1e-4), omega
-        fd_det = float(np.linalg.det(H))
-        assert analytic_detH_switching(omega) == pytest.approx(fd_det, rel=1e-4), omega
+        assert analytic_detH_switching(omega) == pytest.approx(report.det_h, rel=1e-4), omega
     _report(
         "criterion 4 (switching Hessian determinant)",
         f"positive and matching finite differences at omega in {omegas}",

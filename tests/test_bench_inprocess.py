@@ -103,7 +103,9 @@ def test_every_layer_compares_its_results(bench_inprocess, monkeypatch):
     finally:
         for name in [n for n in sys.modules if n.startswith("gausskey_layers_under_test")]:
             del sys.modules[name]
-    minimality = {f"minimality:{variant}" for variant in gausskey.VARIANTS}
+    minimality = {
+        f"{layer}:{variant}" for layer in ("minimality", "minimality401") for variant in gausskey.VARIANTS
+    }
     assert differ == minimality | {"critical", "zero_rate", "key_rates", "cli"}
 
 

@@ -65,10 +65,6 @@ ENTRIES = {
     "critical_point_report": (
         "tau omega", lambda x: gk.critical_point_report(VARIANT, x["tau"], x["omega"])
     ),
-    "hessian_at_origin": (
-        "tau omega",
-        lambda x: gk.hessian_at_origin(gk.rate_function(VARIANT, x["tau"], x["omega"]), x["omega"]),
-    ),
     "analytic_detH_noswitching": (
         "tau omega", lambda x: gk.analytic_detH_noswitching(x["tau"], x["omega"])
     ),

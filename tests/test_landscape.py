@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausskey import (
     AttackParams,
@@ -13,16 +15,15 @@ from gausskey import (
     critical_point_report,
     f_log,
     find_zero_rate_transmissivity,
-    finite_diff_gradient,
-    hessian_at_origin,
     key_rate_asymptotic,
-    rate_function,
+    key_rates,
+    lens_mask,
     second_derivative_inequality_noswitching,
     verify_minimality,
 )
 from gausskey.attack import physical_grid_mirror
-from gausskey.landscape import LN2
-from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED
+from gausskey.landscape import GRADIENT_STEP, HESSIAN_STEP, LN2
+from gausskey.rates import NO_SWITCHING, SWITCHING, SWITCHING_MIXED, VARIANTS
 
 LN3 = 1.0986122886681096914
 
@@ -47,50 +48,28 @@ def test_f_log_dominates_inverse():
 
 def test_gradient_vanishes_at_origin():
     for protocol in (NO_SWITCHING, SWITCHING, SWITCHING_MIXED):
-        fn = rate_function(protocol, 0.6, 1.2)
-        grad = finite_diff_gradient(fn, 0.0, 0.0, 1.2e-5)
+        grad = critical_point_report(protocol, 0.6, 1.2).gradient_at_origin
         assert abs(grad[0]) < 1e-6 and abs(grad[1]) < 1e-6
-
-
-def test_gradient_nonzero_off_origin():
-    fn = rate_function(NO_SWITCHING, 0.6, 1.2)
-    grad = finite_diff_gradient(fn, 0.2, -0.1, 1.2e-5)
-    assert math.hypot(*grad) > 1e-3
-
-
-def test_gradient_stencil_outside_region():
-    fn = rate_function(NO_SWITCHING, 0.6, 1.2)
-    # (0.2, 0.2) saturates the constraint at omega = 1.2
-    with pytest.raises(DomainError, match="stencil"):
-        finite_diff_gradient(fn, 0.2, 0.2, 1e-3)
 
 
 # ----------------------------------------------------------------- Hessians
 
 def test_hessian_positive_definite_noswitching():
-    fn = rate_function(NO_SWITCHING, 0.6, 1.2)
-    H = hessian_at_origin(fn, 1.2)
+    H = critical_point_report(NO_SWITCHING, 0.6, 1.2).hessian_at_origin
     assert abs(H[0, 1] - H[1, 0]) < 1e-8
     eigvals = np.linalg.eigvalsh(H)
     assert eigvals[0] > 0.0
 
 
-def test_hessian_rejects_unit_noise():
-    fn = rate_function(SWITCHING, 0.5, 1.2)
-    with pytest.raises(DomainError):
-        hessian_at_origin(fn, 1.0)
-
-
 def test_hessian_switching_structure_and_values():
     for omega in (1.1, 1.5, 2.0, 5.0):
-        fn = rate_function(SWITCHING, 0.5, omega)
-        H = hessian_at_origin(fn, omega)
+        H = critical_point_report(SWITCHING, 0.5, omega).hessian_at_origin
         assert H[0, 0] == pytest.approx(H[1, 1], rel=1e-8)
         same, cross = analytic_second_derivs_switching(omega)
         assert H[0, 0] == pytest.approx(same, rel=1e-5)
         assert H[0, 1] == pytest.approx(cross, rel=1e-5)
         # the Hessian is the same at any transmissivity
-        H2 = hessian_at_origin(rate_function(SWITCHING, 0.85, omega), omega)
+        H2 = critical_point_report(SWITCHING, 0.85, omega).hessian_at_origin
         assert np.allclose(H, H2, rtol=1e-6)
 
 
@@ -102,8 +81,7 @@ def test_detH_noswitching_positive_on_grid():
 
 def test_detH_noswitching_matches_finite_differences():
     for tau, omega in ((0.6, 1.2), (0.44, 1.2), (0.3, 2.0), (0.9, 5.0), (0.1, 1.5)):
-        fn = rate_function(NO_SWITCHING, tau, omega)
-        fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
+        fd_det = critical_point_report(NO_SWITCHING, tau, omega).det_h
         assert analytic_detH_noswitching(tau, omega) == pytest.approx(fd_det, rel=1e-4)
 
 
@@ -125,15 +103,13 @@ def test_detH_switching_positive_and_stable_near_unit_noise():
 
 def test_detH_switching_matches_finite_differences():
     for omega in (1.1, 1.5, 2.0, 5.0):
-        fn = rate_function(SWITCHING, 0.5, omega)
-        fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
+        fd_det = critical_point_report(SWITCHING, 0.5, omega).det_h
         assert analytic_detH_switching(omega) == pytest.approx(fd_det, rel=1e-4)
 
 
 def test_detH_switching_mixed_matches_finite_differences():
     for omega in (1.1, 1.5, 2.0):
-        fn = rate_function(SWITCHING_MIXED, 0.5, omega)
-        fd_det = float(np.linalg.det(hessian_at_origin(fn, omega)))
+        fd_det = critical_point_report(SWITCHING_MIXED, 0.5, omega).det_h
         assert analytic_detH_switching_mixed(omega) == pytest.approx(fd_det, rel=1e-4)
 
 
@@ -157,8 +133,7 @@ def test_second_derivative_closed_form_matches_fd():
             tau / lb
         ) / (8.0 * tau * lb)
         closed = (lead + rest) / LN2
-        fn = rate_function(NO_SWITCHING, tau, omega)
-        fd = hessian_at_origin(fn, omega)[0, 0]
+        fd = critical_point_report(NO_SWITCHING, tau, omega).hessian_at_origin[0, 0]
         assert closed == pytest.approx(fd, rel=1e-4)
 
 
@@ -207,23 +182,70 @@ def test_critical_point_report_contents():
 
 
 def test_gradient_norm_minimized_only_at_origin():
-    # dense interior scan: the gradient norm bottoms out at the node
-    # nearest the origin and nowhere else comes close to zero
+    # dense interior scan: the central-difference gradient norm bottoms
+    # out at the node nearest the origin and nowhere else comes close to zero
+    omega, step = 1.2, 1.2e-5
+    g, gp = physical_grid_mirror(omega, 201)[:2]
+    shifted = ((g + step, gp), (g - step, gp), (g, gp + step), (g, gp - step))
+    # nodes whose stencil stays in the lens; the rest lie next to the boundary
+    inside = np.logical_and.reduce([lens_mask(omega, a, b) for a, b in shifted])
+    g, gp = g[inside], gp[inside]
+    shifted = [(a[inside], b[inside]) for a, b in shifted]
     for protocol in (NO_SWITCHING, SWITCHING):
-        fn = rate_function(protocol, 0.6, 1.2)
-        step = 1.2e-5
-        norms = []
-        for g, gp in zip(*(a.tolist() for a in physical_grid_mirror(1.2, 201)[:2])):
-            try:
-                grad = finite_diff_gradient(fn, g, gp, step)
-            except DomainError:
-                continue  # stencil exits the region near the boundary
-            norms.append((math.hypot(*grad), g, gp))
-        norms.sort()
-        best_norm, best_g, best_gp = norms[0]
-        assert math.hypot(best_g, best_gp) < 1e-9
-        assert best_norm < 1e-6
-        assert norms[1][0] > 1e-6
+        g_up, g_down, gp_up, gp_down = (key_rates(protocol, 0.6, omega, a, b) for a, b in shifted)
+        norms = np.hypot((g_up - g_down) / (2.0 * step), (gp_up - gp_down) / (2.0 * step))
+        best = int(np.argmin(norms))
+        assert math.hypot(g[best], gp[best]) < 1e-9
+        assert norms[best] < 1e-6
+        assert np.all(np.delete(norms, best) > 1e-6)
+
+
+def scalar_origin_stencil(protocol, tau, omega):
+    """The origin stencil as 13 scalar rate calls: gradient, then Hessian."""
+
+    def rate(g, g_prime):
+        return key_rate_asymptotic(AttackParams(tau, omega, g, g_prime), protocol)
+
+    s = GRADIENT_STEP * max(1.0, omega)
+    try:
+        grad = (
+            (rate(s, 0.0) - rate(-s, 0.0)) / (2.0 * s),
+            (rate(0.0, s) - rate(0.0, -s)) / (2.0 * s),
+        )
+    except DomainError as exc:
+        raise DomainError(
+            f"finite-difference stencil at (0.0, 0.0) with step {s} leaves the physical region"
+        ) from exc
+    h = min(HESSIAN_STEP * max(1.0, omega), 1e-3 * (omega * omega - 1.0))
+    r0 = rate(0.0, 0.0)
+    d2_g = (rate(h, 0.0) - 2.0 * r0 + rate(-h, 0.0)) / (h * h)
+    d2_gp = (rate(0.0, h) - 2.0 * r0 + rate(0.0, -h)) / (h * h)
+    cross = (rate(h, h) - rate(h, -h) - rate(-h, h) + rate(-h, -h)) / (4.0 * h * h)
+    return grad, np.array([[d2_g, cross], [cross, d2_gp]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    protocol=st.sampled_from(VARIANTS),
+    tau=st.floats(min_value=0.01, max_value=0.99),
+    omega=st.floats(min_value=math.log(1.0001), max_value=math.log(1e4)).map(math.exp),
+)
+@example(protocol=NO_SWITCHING, tau=0.44, omega=1.0 + 2.0**-52)  # the stencil leaves the lens
+@example(protocol=NO_SWITCHING, tau=5e-324, omega=2.0)  # a stencil rate is not finite
+def test_origin_stencil_matches_scalar_chain(protocol, tau, omega):
+    try:
+        grad, hess = scalar_origin_stencil(protocol, tau, omega)
+    except DomainError as exc:
+        cause = exc.__cause__
+        if cause is not None and not str(cause).startswith("unphysical"):
+            exc = cause  # a rate that is not finite names itself, not the stencil
+        with pytest.raises(type(exc)) as raised:
+            critical_point_report(protocol, tau, omega)
+        assert str(raised.value) == str(exc)
+        return
+    report = critical_point_report(protocol, tau, omega)
+    assert [x.hex() for x in report.gradient_at_origin] == [x.hex() for x in grad]
+    assert report.hessian_at_origin.tobytes() == hess.tobytes()
 
 
 # ------------------------------------------------------------ zero crossing

@@ -16,7 +16,6 @@ from gausskey import (
 )
 from gausskey import landscape
 from gausskey.attack import AttackParams, physical_grid_mirror
-from gausskey.landscape import origin_is_strict_minimum
 from gausskey.rates import VARIANTS
 
 ROW_ATTRIBUTES = (
@@ -42,7 +41,8 @@ def eager_verify_minimality(protocol, tau, omega, resolution):
     gp = np.concatenate([grid_gp, edge_gp])
     rates = key_rates(protocol, tau, omega, g, gp)
     n_grid = grid_g.size
-    flagged = ((g != 0.0) | (gp != 0.0)) & (rates - origin_rate < 1e-9)
+    off_origin = (g != 0.0) | (gp != 0.0)
+    flagged = off_origin & (rates - origin_rate < 1e-9)
 
     def rows(*columns):
         return tuple(zip(*(column.tolist() for column in columns)))
@@ -52,7 +52,7 @@ def eager_verify_minimality(protocol, tau, omega, resolution):
         grid_rates=rows(grid_g, grid_gp, rates[:n_grid]),
         boundary_rates=rows(edge_g, edge_gp, rates[n_grid:]),
         origin_rate=origin_rate, min_over_grid=float(rates[:n_grid].min()),
-        verdict=origin_is_strict_minimum(g, gp, rates, origin_rate),
+        verdict=bool(np.all(rates[off_origin] - origin_rate > 0.0)),
         degenerate=False, near_origin_flags=rows(g[flagged], gp[flagged], rates[flagged]),
     )
 
