@@ -52,6 +52,27 @@ def test_gradient_vanishes_at_origin():
         assert abs(grad[0]) < 1e-6 and abs(grad[1]) < 1e-6
 
 
+def test_gradient_nonzero_off_origin():
+    # central difference of the rate kernel at a free point of the lens
+    step = 1.2e-5
+    g_up, g_down, gp_up, gp_down = key_rates(
+        NO_SWITCHING, 0.6, 1.2,
+        np.array([0.2 + step, 0.2 - step, 0.2, 0.2]),
+        np.array([-0.1, -0.1, -0.1 + step, -0.1 - step]),
+    )
+    grad = ((g_up - g_down) / (2.0 * step), (gp_up - gp_down) / (2.0 * step))
+    assert math.hypot(*grad) > 1e-3
+
+
+def test_gradient_stencil_outside_region():
+    # at omega = 1 + 2^-52 the lens is thinner than the gradient step, so
+    # the origin stencil leaves it
+    omega = 1.0 + 2.0**-52
+    for protocol in (NO_SWITCHING, SWITCHING, SWITCHING_MIXED):
+        with pytest.raises(DomainError, match="stencil .* leaves the physical region"):
+            critical_point_report(protocol, 0.6, omega)
+
+
 # ----------------------------------------------------------------- Hessians
 
 def test_hessian_positive_definite_noswitching():
@@ -59,6 +80,12 @@ def test_hessian_positive_definite_noswitching():
     assert abs(H[0, 1] - H[1, 0]) < 1e-8
     eigvals = np.linalg.eigvalsh(H)
     assert eigvals[0] > 0.0
+
+
+def test_hessian_rejects_unit_noise():
+    for protocol in (NO_SWITCHING, SWITCHING, SWITCHING_MIXED):
+        with pytest.raises(DomainError, match="is a point"):
+            critical_point_report(protocol, 0.5, 1.0)
 
 
 def test_hessian_switching_structure_and_values():
