@@ -34,6 +34,10 @@ the command line: ``cli.main`` on ``CLI_RUNS`` (``rate`` and
 JSON and ``boundary`` at resolution 31, at the same point), its stdout
 captured.  Before timing, each layer's results on the change must equal
 the parent's bit for bit; the command line's, its stdout bytes.
+
+The script pins its own process to one CPU, the lowest it may run on,
+so that the three copies share one core's caches and clock; it changes
+no setting of the machine.  The ``--output`` record names that CPU.
 """
 
 from __future__ import annotations
@@ -93,6 +97,15 @@ def load(name: str, package_dir: Path):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def pin_to_one_cpu() -> int | None:
+    """Pin this process to the lowest CPU it may run on and return it; None where os cannot."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
 
 
 def ratio_summary(base: list[float], other: list[float]) -> dict[str, float]:
@@ -228,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=40, help="rounds per layer (default 40)")
     parser.add_argument("--output", help="path of a JSON record to write")
     args = parser.parse_args(argv)
+    cpu = pin_to_one_cpu()
 
     parent_rev = git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="bench-inprocess-") as tmp:
@@ -265,7 +279,12 @@ def main(argv: list[str] | None = None) -> int:
         record = {
             "parent": parent_rev,
             "change": f"working tree on {git('rev-parse', 'HEAD')}",
-            "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
+            "host": {
+                "machine": platform.machine(),
+                "cpus": os.cpu_count(),
+                "cpu": cpu,
+                "python": platform.python_version(),
+            },
             "rounds": args.rounds,
             "summary": summary,
         }

@@ -21,11 +21,13 @@ layout is fixed, modes (a, a', B, B'), and Bob measures B' and then B,
 so each step is straight-line scalar arithmetic.  ``_measure_last``
 conditions on the last mode with one rank-one update per measured
 sector, and rejects non-finite entries with the ``CovMat`` text.
-``_qp_mirror_spectrum`` splits the joint state into two two-mode halves;
-every pipeline spectrum comes from ``_qp_spectrum``, with no ``eigh``,
-``svd`` or ``solve`` and no rate formula.  ``tests/cm_reference.py``
-keeps the mode-indexed kernels on lists of rows, and a dense (eigh/svd)
-spectrum, as the tests' reference chain and oracle.
+Every pipeline spectrum comes from ``_qp_spectrum``, with no ``eigh``,
+``svd`` or ``solve`` and no rate formula: the joint state's from its two
+mirror halves, which ``key_rate_numeric`` reads off the entries that
+``rates._joint_qp`` writes, and each conditional state's directly.
+``tests/cm_reference.py`` keeps the mode-indexed kernels on lists of
+rows, and a dense (eigh/svd) spectrum, as the tests' reference chain and
+oracle.
 
 Everything here is a pure function of its inputs; ``CovMat`` instances
 are immutable after construction and safe to share across threads.
@@ -185,30 +187,6 @@ def _qp_spectrum(q00, q01, q11, p00, p01, p11) -> list[float]:
             "q and p sectors are not both positive definite, or their products overflow"
         )
     return [math.sqrt(big), math.sqrt(small)]
-
-
-def _qp_mirror_spectrum(q: Packed, p: Packed) -> np.ndarray:
-    """Symplectic spectrum of a state of modes (a, a', B, B'), descending.
-
-    The state must be symmetric under swapping (a, B) with (a', B'), its
-    mirror entries bit-equal; anything else raises.  Balanced beam
-    splitters on (a, a') and (B, B'), a passive symplectic map, send each
-    sector X exactly to the halves [[X_aa +- X_aa', X_aB +- X_aB'],
-    [., X_BB +- X_BB']]: their cross terms are differences of equal entries.
-    """
-    q00, q01, q11, q02, q12, q22, q03, q13, q23, q33 = q
-    p00, p01, p11, p02, p12, p22, p03, p13, p23, p33 = p
-    if not (
-        q00 == q11 and q02 == q13 and q03 == q12 and q22 == q33
-        and p00 == p11 and p02 == p13 and p03 == p12 and p22 == p33
-    ):
-        raise NumericalDegeneracyError(
-            "joint state is not symmetric under swapping (a, B) with (a', B')"
-        )
-    nu = _qp_spectrum(q00 + q01, q02 + q03, q22 + q23, p00 + p01, p02 + p03, p22 + p23)
-    nu += _qp_spectrum(q00 - q01, q02 - q03, q22 - q23, p00 - p01, p02 - p03, p22 - p23)
-    nu.sort(reverse=True)
-    return np.array(nu)
 
 
 def _h_above_one(x):

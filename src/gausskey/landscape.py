@@ -247,7 +247,6 @@ def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPo
     _require_lens_interior(omega)
     _receiver(protocol)
     grad, hess = _origin_stencil(protocol, tau, omega)
-    det_h = float(np.linalg.det(hess))
     try:
         analytic_det_h = _ANALYTIC_DET[protocol](tau, omega)
     except OverflowError:  # omega**4 of the switching form
@@ -257,6 +256,7 @@ def critical_point_report(protocol: str, tau: float, omega: float) -> CriticalPo
             f"closed-form Hessian determinant at tau = {tau}, omega = {omega} is "
             f"{analytic_det_h} in floating point; its true value is positive"
         )
+    det_h = float(np.linalg.det(hess))
     return CriticalPointReport(
         protocol=protocol,
         tau=tau,
@@ -285,18 +285,20 @@ def verify_minimality(
 
     The closed-form rate is symmetric under g <-> g' bit for bit (the
     closed forms use g and g' only through commutative sums and
-    products), and so is the grid, so with mu None the kernel
-    evaluates each mirrored grid pair once, at its g <= g' point, plus
-    the boundary, and copies the rate to the mirror.  The g <= g' point
-    of a pair comes first in C order, so a failing point raises the same
-    DomainError as a full scan would.  The covariance-matrix pipeline is
-    not bit-symmetric, so a finite mu evaluates every point, grid and
-    boundary merged in (g, g') order, and the first failing point in that
-    order raises.  The report keeps the columns; its row tuples are built
-    only when read.  At resolution 101 (about 10,000 points) a
-    closed-form call takes about 1.6 ms (0.4-2.6 ms over random
-    (tau, omega)) on one core of a 2-vCPU x86 host, about half of it in
-    key_rates; reading all three row views adds about 3 ms.
+    products), and so is the grid, so with mu None one kernel call
+    evaluates the origin, each mirrored grid pair once, at its g <= g'
+    point, and the boundary, in that order, and the rate is copied to
+    the mirror.  The origin's rate is origin_rate, and its error raises
+    first; after it, the g <= g' point of a pair comes first in C order,
+    so a failing point raises the same DomainError as a full scan would.
+    The covariance-matrix pipeline is not bit-symmetric, so a finite mu
+    evaluates every point, grid and boundary merged in (g, g') order,
+    and the first failing point in that order raises.  The report keeps
+    the columns; its row tuples are built only when read.  At resolution
+    101 (about 10,000 points) a closed-form call takes about 1.6 ms
+    (0.4-2.6 ms over random (tau, omega)) on one core of a 2-vCPU x86
+    host, about half of it in key_rates; reading all three row views adds
+    about 3 ms.
     """
     _require_resolution(resolution)
     _require_omega(omega)
@@ -314,18 +316,18 @@ def verify_minimality(
     )
     off_origin = (g != 0.0) | (gp != 0.0)
     if mu is None:
-        origin_rate = key_rate_asymptotic(AttackParams(tau, omega, 0.0, 0.0), protocol)
         first = np.flatnonzero(mirror >= np.arange(n_grid))  # the g <= g' point of each pair
         first_rates = key_rates(
             protocol,
             tau,
             omega,
-            np.concatenate([grid_g[first], edge_g]),
-            np.concatenate([grid_gp[first], edge_gp]),
+            np.concatenate([[0.0], grid_g[first], edge_g]),
+            np.concatenate([[0.0], grid_gp[first], edge_gp]),
         )
+        origin_rate = float(first_rates[0])
         rates = np.empty(g.size)
-        rates[first] = rates[mirror[first]] = first_rates[: first.size]
-        rates[n_grid:] = first_rates[first.size :]
+        rates[first] = rates[mirror[first]] = first_rates[1 : first.size + 1]
+        rates[n_grid:] = first_rates[first.size + 1 :]
     else:
         order = np.lexsort((gp, g))
         rates = np.empty(g.size)

@@ -48,7 +48,6 @@ from .gaussian import (
     DomainError,
     Packed,
     _measure_last,
-    _qp_mirror_spectrum,
     _qp_spectrum,
     _require_finite,
     entropy_h,
@@ -214,7 +213,18 @@ def mutual_information(params: AttackParams, spec: ProtocolSpec) -> float:
     else:
         lam = tau * (spec.mu + 1.0) + (1.0 - tau) * om
         ratio = (lam + 1.0 if heterodyne else lam) / den
+    if not ratio > 0.0:  # underflows to 0 at tiny tau and huge omega
+        raise _not_finite(spec.variant, "mutual information", params)
     return 2.0 * math.log2(ratio) if heterodyne else math.log2(ratio)
+
+
+def _not_finite(variant: str, quantity: str, params: AttackParams) -> DomainError:
+    """The error of a quantity that leaves the floating-point range at params."""
+    return DomainError(
+        f"{variant} {quantity} at tau = {params.tau!r}, omega = {params.omega!r}, "
+        f"(g, g') = ({params.g!r}, {params.g_prime!r}) is not finite: "
+        "an intermediate value leaves the floating-point range"
+    )
 
 
 def _require_open_tau(tau: float) -> None:
@@ -241,13 +251,9 @@ def key_rate_asymptotic(params: AttackParams, variant: str) -> float:
     _receiver(variant)
     _require_physical(params)
     _require_open_tau(params.tau)
-    tau, omega, g, gp = params.tau, params.omega, params.g, params.g_prime
-    rate = _closed_form(variant, tau, omega, g, gp, _SCALAR)
+    rate = _closed_form(variant, params.tau, params.omega, params.g, params.g_prime, _SCALAR)
     if not math.isfinite(rate):
-        raise DomainError(
-            f"{variant} rate at tau = {tau!r}, omega = {omega!r}, (g, g') = ({g!r}, {gp!r}) "
-            "is not finite: an intermediate value leaves the floating-point range"
-        )
+        raise _not_finite(variant, "rate", params)
     return rate
 
 
@@ -348,23 +354,30 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     The rate carries half of it; i_ab stays within about 2 ulps.
 
     Every stage is straight-line arithmetic on packed q/p sectors: the
-    joint state of ``_joint_qp``, then Bob's measurement of B' and of B
-    (``gaussian._measure_last``) in each of his branches.  No CM is
-    formed, and no ``eigh``, ``svd`` or ``solve`` is called; each entry
-    rounds as the mode-indexed reference chain of
+    joint state of ``_joint_qp`` and its two mirror halves, then Bob's
+    measurement of B' and of B (``gaussian._measure_last``) in each of
+    his branches.  No CM is formed, and no ``eigh``, ``svd`` or ``solve``
+    is called; each entry rounds as the mode-indexed reference chain of
     ``tests/cm_reference.py`` rounds it, so the report matches that chain
     byte for byte, errors included.
     """
     if spec.asymptotic:
         raise DomainError("key_rate_numeric needs a finite-modulation ProtocolSpec")
     q, p = _joint_qp(params, spec.mu)
-    total_spectrum = _qp_mirror_spectrum(q, p)
+    # Balanced beam splitters on (a, a') and (B, B') split the mirror-symmetric
+    # joint state into halves [[X_aa +- X_aa', X_aB +- X_aB'], [., X_BB +- X_BB']];
+    # _joint_qp writes X_aa' = X_aB' = +0.0, so X_aa and X_aB pass unchanged.
+    m, _, _, cq, _, vq, _, _, eq, _ = q
+    _, _, _, cp, _, vp, _, _, ep, _ = p
+    total = _qp_spectrum(m, cq, vq + eq, m, cp, vp + ep)
+    total += _qp_spectrum(m, cq, vq - eq, m, cp, vp - ep)
+    total.sort(reverse=True)
     spectra = []  # the spectrum of (a, a') given each of Bob's branches
     for on_b, on_bp in _RECEIVER[spec.variant]:
         (q00, q01, q11), (p00, p01, p11) = _measure_last(*_measure_last(q, p, on_bp), on_b)
         spectra.append(_qp_spectrum(q00, q01, q11, p00, p01, p11))
     # every spectrum, then the h sums, the total first: its unphysical eigenvalue raises first
-    s_total = sum(map(entropy_h, total_spectrum.tolist()))
+    s_total = sum(map(entropy_h, total))
     s_cond, cond = 0.0, []
     for spectrum in spectra:
         s_cond += sum(map(entropy_h, spectrum))
@@ -378,7 +391,7 @@ def key_rate_numeric(params: AttackParams, spec: ProtocolSpec) -> RateReport:
         i_ab=i_ab,
         holevo=holevo,
         rate=(i_ab - holevo) / 2.0,
-        total_spectrum=total_spectrum,
+        total_spectrum=np.array(total),
         conditional_spectrum=np.array(cond),
     )
 
@@ -420,7 +433,10 @@ def rate_report(params: AttackParams, spec: ProtocolSpec) -> RateReport:
     else:
         mixed = spec.variant == SWITCHING_MIXED
         gm = om if mixed else math.sqrt(nu_plus * nu_minus)
-        holevo = entropy_h(nu_plus) + entropy_h(nu_minus) + math.log2((1.0 - tau) * tau * mu / gm)
+        lead = (1.0 - tau) * tau * mu / gm
+        if not lead > 0.0:  # as in mutual_information
+            raise _not_finite(spec.variant, "Holevo bound", params)
+        holevo = entropy_h(nu_plus) + entropy_h(nu_minus) + math.log2(lead)
         ratio = (1.0 - tau) / tau
         spread = (om, om) if mixed else (x_plus, x_minus, y_plus, y_minus)
         coeffs = np.array([math.sqrt(ratio * x) for x in spread])

@@ -165,9 +165,10 @@ def qp_homodyne(state, mode, quadrature):
 def qp_mirror_spectrum(state):
     """Symplectic spectrum of a state of modes (a, a', B, B') held as rows, descending.
 
-    The rows form of ``gaussian._qp_mirror_spectrum``: the mirror entries
-    must be bit-equal, and each sector splits into the halves
-    [[X_aa +- X_aa', X_aB +- X_aB'], [., X_BB +- X_BB']].
+    The rows form of the mirror split in ``rates.key_rate_numeric``: the
+    mirror entries must be bit-equal (the library's packed joint state
+    has them so by construction and does not check), and each sector
+    splits into the halves [[X_aa +- X_aa', X_aB +- X_aB'], [., X_BB +- X_BB']].
     """
     (q00, q01, q02, q03), (_, q11, q12, q13), (_, _, q22, q23), (_, _, _, q33) = state[0]
     (p00, p01, p02, p03), (_, p11, p12, p13), (_, _, p22, p23), (_, _, _, p33) = state[1]

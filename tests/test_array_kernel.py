@@ -294,8 +294,21 @@ def test_entropy_array_names_first_unphysical_value():
         entropy_h_array([2.0, 0.5, 0.25])
 
 
-def test_verify_minimality_rows_match_scalar_rates():
-    report = verify_minimality("switching", 0.3, 1.5, 21)
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=variants,
+    tau=taus,
+    omega=st.one_of(
+        st.just(1.0),
+        st.floats(min_value=math.log(1.0001), max_value=math.log(1e4)).map(math.exp),
+    ),
+    resolution=st.sampled_from([2, 3, 21]),
+)
+def test_verify_minimality_rows_match_scalar_rates(variant, tau, omega, resolution):
+    """Every row, and the origin rate taken from the kernel call, is the scalar rate bit for bit."""
+    report = verify_minimality(variant, tau, omega, resolution)
     for g, gp, rate in report.grid_rates + report.boundary_rates:
-        assert rate == key_rate_asymptotic(AttackParams(0.3, 1.5, g, gp), "switching")
+        assert rate.hex() == key_rate_asymptotic(AttackParams(tau, omega, g, gp), variant).hex()
+    origin = key_rate_asymptotic(AttackParams(tau, omega, 0.0, 0.0), variant)
+    assert report.origin_rate.hex() == origin.hex()
     assert report.min_over_grid == min(r for _, _, r in report.grid_rates)

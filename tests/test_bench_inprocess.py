@@ -124,3 +124,18 @@ def test_the_cli_layer_compares_stdout_bytes(bench_inprocess, monkeypatch):
     finally:
         for name in [n for n in sys.modules if n.startswith("gausskey_cli_under_test")]:
             del sys.modules[name]
+
+
+def test_pins_its_own_process_to_its_lowest_cpu(bench_inprocess, monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench_inprocess.os, "sched_getaffinity", lambda pid: {3, 1, 2}, raising=False)
+    monkeypatch.setattr(
+        bench_inprocess.os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)), raising=False
+    )
+    assert bench_inprocess.pin_to_one_cpu() == 1
+    assert calls == [(0, {1})]
+
+
+def test_pins_nothing_where_os_cannot(bench_inprocess, monkeypatch):
+    monkeypatch.delattr(bench_inprocess.os, "sched_setaffinity", raising=False)
+    assert bench_inprocess.pin_to_one_cpu() is None

@@ -284,6 +284,27 @@ def test_critical_at_huge_omega_exits_two(args, value):
     assert f" is {value} in floating point" in line
 
 
+def test_critical_warns_nothing_before_its_domain_error():
+    """Under -W error a numpy warning from the stencil's determinant would end in a traceback."""
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gausskey", "critical", "--tau", "0.5", "--omega", "1e154"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("domain error: closed-form Hessian determinant at tau = 0.5")
+
+
+def test_underflowing_mutual_information_exits_two():
+    result = run_cli("rate", "--protocol", "switching", "--tau", "5e-324", "--omega", "1e10")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("domain error: switching mutual information at tau = 5e-324")
+    assert line.endswith("is not finite: an intermediate value leaves the floating-point range")
+
+
 def test_converge_table():
     result = run_cli(
         "converge", "--tau", "0.44", "--omega", "1.2", "--g", "0.3", "--gprime", "-0.1"

@@ -1,7 +1,8 @@
 """Known faults, pinned as strict xfails: a fix turns each into a visible XPASS failure.
 
 Each test asserts the correct behaviour.  When the fault is mended, drop
-its xfail mark and keep the test.
+its xfail mark and keep the test.  The first two tests here are such
+regressions: their faults are mended, and they carry no mark.
 """
 
 import contextlib

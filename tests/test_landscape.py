@@ -208,6 +208,24 @@ def test_critical_point_report_contents():
         critical_point_report(NO_SWITCHING, 0.6, 1.0)
 
 
+@pytest.mark.parametrize(
+    "tau, omega",
+    [
+        (0.5, 1e154),
+        (0.5947144859011315, 1.1960387855021472e152),
+        (0.8253772518337423, 5.999040304436011e153),
+    ],
+)
+def test_critical_point_report_checks_the_closed_form_before_the_determinant(tau, omega):
+    """np.linalg.det warns on these stencil Hessians; the closed form's error comes first."""
+    with pytest.raises(DomainError) as exc:
+        critical_point_report(NO_SWITCHING, tau, omega)
+    assert str(exc.value) == (
+        f"closed-form Hessian determinant at tau = {tau}, omega = {omega} is 0.0 "
+        "in floating point; its true value is positive"
+    )
+
+
 def test_gradient_norm_minimized_only_at_origin():
     # dense interior scan: the central-difference gradient norm bottoms
     # out at the node nearest the origin and nowhere else comes close to zero

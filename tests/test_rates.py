@@ -166,6 +166,48 @@ def test_mutual_information_rejects_small_mu():
         ProtocolSpec(NO_SWITCHING, mu=1.0, asymptotic=False)
 
 
+_NOT_FINITE = "is not finite: an intermediate value leaves the floating-point range"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_mutual_information_names_a_ratio_that_underflows(variant):
+    """tau*mu over the receiver's noise rounds to 0, whose log2 is -inf: a DomainError."""
+    p = AttackParams(5e-324, 1e10, 0.0, 0.0)
+    with pytest.raises(DomainError) as exc:
+        mutual_information(p, ProtocolSpec(variant))
+    assert str(exc.value) == (
+        f"{variant} mutual information at tau = 5e-324, omega = 10000000000.0, "
+        f"(g, g') = (0.0, 0.0) {_NOT_FINITE}"
+    )
+
+
+@pytest.mark.parametrize("variant", [SWITCHING, SWITCHING_MIXED])
+@pytest.mark.parametrize("tau, omega", [(5e-324, 1e10), (1e-300, 2.7e55)])
+def test_asymptotic_report_names_a_ratio_that_underflows(variant, tau, omega):
+    """The switching rates stay finite here, but the report's i_ab does not."""
+    p = AttackParams(tau, omega, 0.0, 0.0)
+    assert math.isfinite(key_rate_asymptotic(p, variant))
+    with pytest.raises(DomainError) as exc:
+        rate_report(p, ProtocolSpec(variant))
+    assert str(exc.value) == (
+        f"{variant} mutual information at tau = {tau!r}, omega = {omega!r}, "
+        f"(g, g') = (0.0, 0.0) {_NOT_FINITE}"
+    )
+
+
+def test_switching_holevo_names_a_ratio_that_underflows():
+    """i_ab's ratio rounds up to the least subnormal; the Holevo bound's, over
+    sqrt(nu_+ nu_-) one ulp above omega, rounds to 0."""
+    p = AttackParams(2.5e-323, 9999999.999999998, 2.2289189953856866e-09, 3.297576660140532e-05)
+    assert mutual_information(p, ProtocolSpec(SWITCHING)) == -1074.0
+    with pytest.raises(DomainError) as exc:
+        rate_report(p, ProtocolSpec(SWITCHING))
+    assert str(exc.value) == (
+        f"switching Holevo bound at tau = 2.5e-323, omega = 9999999.999999998, "
+        f"(g, g') = (2.2289189953856866e-09, 3.297576660140532e-05) {_NOT_FINITE}"
+    )
+
+
 # --------------------------------------------------------------- spectra
 
 def test_total_spectrum_asymptotic_values():

@@ -178,22 +178,18 @@ def test_public_entry_points_share_the_route():
 
 
 def test_mirror_split_refuses_an_asymmetric_state():
-    """The joint state's spectrum has no other route: a broken mirror entry raises.
-
-    The packed form of the library and the rows form of the reference both.
-    """
-    q, p = rates._joint_qp(AttackParams(0.44, 7.3, 0.3, -0.1), 1e4)
+    """The pipeline's joint spectrum is the rows oracle's, which refuses a broken mirror entry."""
+    params = AttackParams(0.44, 7.3, 0.3, -0.1)
+    q, p = rates._joint_qp(params, 1e4)
     rows = [qp_unpack(q), qp_unpack(p)]
-    spectrum = gaussian._qp_mirror_spectrum(q, p)
+    spectrum = rates.key_rate_numeric(params, rates.ProtocolSpec("noswitching", mu=1e4)).total_spectrum
     assert spectrum.shape == (4,)
     assert spectrum.tobytes() == qp_mirror_spectrum(rows).tobytes()
     broken = math.nextafter(q[3], math.inf)  # X_a'B' one ulp off X_aB
-    q = q[:7] + (broken,) + q[8:]
     rows[0][1][3] = rows[0][3][1] = broken
-    for split, state in ((gaussian._qp_mirror_spectrum, (q, p)), (qp_mirror_spectrum, (rows,))):
-        with pytest.raises(NumericalDegeneracyError) as exc:
-            split(*state)
-        assert str(exc.value) == "joint state is not symmetric under swapping (a, B) with (a', B')"
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        qp_mirror_spectrum(rows)
+    assert str(exc.value) == "joint state is not symmetric under swapping (a, B) with (a', B')"
 
 
 @pytest.mark.parametrize(
