@@ -4,9 +4,9 @@
 
 Whole benchmark runs (``scripts/bench_pairs.py``) flip between host speeds
 and cannot resolve a change of a few percent.  This script loads gausskey
-three times in one process: the parent revision (exported with ``git
-archive``) as ``gausskey_parent``, the same tree again as
-``gausskey_control``, and this checkout's ``src/gausskey`` as
+three times in one process: the parent revision (exported by
+``bench_pairs.export_revision``) as ``gausskey_parent``, the same tree
+again as ``gausskey_control``, and this checkout's ``src/gausskey`` as
 ``gausskey_change``.  For each layer it runs ``--rounds`` rounds; a round
 times one batch of calls on each of the three copies, in an order that
 rotates from round to round.  Per round it forms change/parent and
@@ -29,11 +29,13 @@ variant at five mu values over 16 fixed lens points, as the benchmark's
 and 401 (``minimality401``) for each variant, ``critical_point_report``
 and ``find_zero_rate_transmissivity`` over the variants, and
 ``key_rates`` over a 100 x 100 grid of lens points; and
-the command line: ``cli.main`` on ``CLI_RUNS`` (``rate`` and
-``critical`` in CSV and JSON, ``converge``, ``scan`` at resolution 31 as
-JSON and ``boundary`` at resolution 31, at the same point), its stdout
-captured.  Before timing, each layer's results on the change must equal
-the parent's bit for bit; the command line's, its stdout bytes.
+the command line as two layers of ``cli.main`` calls at the same point,
+each command in CSV and in JSON, stdout captured: ``cli:tables`` runs the
+table commands (``scan`` and ``boundary`` at resolution 31, and
+``converge``) and ``cli:records`` the record commands (``rate`` and
+``critical``).  Before timing, each layer's results on the change must
+equal the parent's bit for bit; a command-line layer's, its stdout
+bytes.
 
 The script pins its own process to one CPU, the lowest it may run on,
 so that the three copies share one core's caches and clock; it changes
@@ -51,14 +53,12 @@ import json
 import math
 import os
 import platform
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
-from bench_pairs import quartiles
+from bench_pairs import export_revision, git, quartiles
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIES = ("parent", "change", "control")
@@ -74,18 +74,27 @@ MINIMALITY401_CALLS = 1  # per variant, at resolution 401
 CRITICAL_CALLS = 40  # per variant
 ZERO_RATE_CALLS = 15  # per variant
 GRID_CALLS = 5  # per variant, over 10,000 points
-CLI_PASSES = 3  # over CLI_RUNS
+CLI_PASSES = 3  # over each command-line layer's runs
 _BASE = ["--tau", str(POINT[0]), "--omega", str(POINT[1])]
 _POINT = ["--g", str(POINT[2]), "--gprime", str(POINT[3])]
-CLI_RUNS = (
-    ["rate", *_BASE, *_POINT],
-    ["rate", *_BASE, *_POINT, "--format", "json"],
-    ["critical", *_BASE],
-    ["critical", *_BASE, "--format", "json"],
-    ["converge", *_BASE, *_POINT],
-    ["scan", *_BASE, "--grid-resolution", "31", "--format", "json"],
-    ["boundary", *_BASE, "--grid-resolution", "31"],
-)
+_FORMATS = (["--format", "csv"], ["--format", "json"])
+# Each command-line layer's argv lists: every command in both formats.
+CLI_RUNS = {
+    "cli:tables": [
+        [*command, *fmt]
+        for command in (
+            ["scan", *_BASE, "--grid-resolution", "31"],
+            ["boundary", *_BASE, "--grid-resolution", "31"],
+            ["converge", *_BASE, *_POINT],
+        )
+        for fmt in _FORMATS
+    ],
+    "cli:records": [
+        [*command, *fmt]
+        for command in (["rate", *_BASE, *_POINT], ["critical", *_BASE])
+        for fmt in _FORMATS
+    ],
+}
 
 
 def load(name: str, package_dir: Path):
@@ -206,15 +215,18 @@ def layers(gausskey) -> dict[str, object]:
     ]
     main = importlib.import_module(f"{gausskey.__name__}.cli").main
 
-    def cli():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            for _ in range(CLI_PASSES):
-                for argv in CLI_RUNS:
-                    main(argv)
-        return stdout.getvalue()
+    def cli(runs):
+        def batch():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                for _ in range(CLI_PASSES):
+                    for argv in runs:
+                        main(argv)
+            return stdout.getvalue()
+        return batch
 
-    out["cli"] = cli
+    for layer, runs in CLI_RUNS.items():
+        out[layer] = cli(runs)
     return out
 
 
@@ -231,10 +243,6 @@ def time_rounds(batches: dict[str, object], rounds: int) -> dict[str, list[float
     return times
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against (default HEAD)")
@@ -244,10 +252,8 @@ def main(argv: list[str] | None = None) -> int:
     cpu = pin_to_one_cpu()
 
     parent_rev = git("rev-parse", args.parent)
-    with tempfile.TemporaryDirectory(prefix="bench-inprocess-") as tmp:
-        archive = subprocess.run(["git", "archive", parent_rev, "src"], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        dirs = {"parent": Path(tmp) / "src" / "gausskey", "control": Path(tmp) / "src" / "gausskey",
+    with export_revision(parent_rev, "src") as parent_root:
+        dirs = {"parent": parent_root / "src" / "gausskey", "control": parent_root / "src" / "gausskey",
                 "change": ROOT / "src" / "gausskey"}
         packages = {copy: load(f"gausskey_{copy}", dirs[copy]) for copy in COPIES}
         # while the parent's files exist: layers imports each copy's cli

@@ -6,7 +6,8 @@ Each pair runs the benchmark command of BENCHMARK.json (``bench/run.py``)
 once on each side, for each workload, with one fresh seed per pair and
 BENCHMARK.json's ``run_seconds``; pairs alternate which side runs first.
 The parent is exported with ``git archive REV | tar -x`` into a temporary
-directory; the change is this checkout as it stands.  The output file
+directory (``export_revision``, which ``bench_inprocess.py`` shares); the
+change is this checkout as it stands.  The output file
 keeps the last JSON line of every run, and for each workload and
 end-to-end metric each side's median and quartiles, the pairs the
 change won (ties count for neither side), "better" as BENCHMARK.json
@@ -24,6 +25,7 @@ says, and a verdict, which is also printed:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -125,6 +127,19 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
+@contextlib.contextmanager
+def export_revision(rev: str, *paths: str):
+    """A temporary directory holding rev's committed files (those under paths, if any are given).
+
+    The files come from ``git archive rev [paths] | tar -x``; the directory
+    is removed when the context exits.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        archive = subprocess.run(["git", "archive", rev, *paths], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        yield Path(tmp)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare against (default HEAD)")
@@ -137,10 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     parent_rev = git("rev-parse", args.parent)
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        roots = {"parent": Path(tmp), "change": ROOT}
+    with export_revision(parent_rev) as parent_root:
+        roots = {"parent": parent_root, "change": ROOT}
         for workload in (w["name"] for w in spec["workloads"]):
             for pair in range(args.pairs):
                 seed = args.first_seed + pair

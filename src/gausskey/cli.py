@@ -8,7 +8,12 @@ form).  Each command takes exactly the settings its ``cmd_*`` function
 reads (``_SUBCOMMANDS``, each setting declared once in ``_SETTINGS``): a
 flag or config key that the command would ignore is a configuration
 error.  A ``--config`` file's ``key=value`` lines are parsed as that
-command's flags, ahead of the command line, so flags win.
+command's flags, ahead of the command line, so flags win; a line whose
+first non-blank character is ``#`` is a comment, and a ``#`` anywhere
+else is part of the value.  A run's settings are a ``RunConfig``: the
+command's name, then one field per ``_SETTINGS`` key under that key's
+name (``gprime``, ``grid_resolution``, ...), the table's default where
+neither flag nor file sets it.
 
 Each output is declared once and rendered in both formats.  ``rate``
 and ``critical`` write one record (``_record``): a JSON object, or
@@ -16,9 +21,10 @@ and ``critical`` write one record (``_record``): a JSON object, or
 joined by ``;``, booleans as ``true``/``false``).  A run echoes exactly
 the settings its command reads (``_echo``), in table order, without the
 presentation settings ``output``, ``format`` and ``clamp_nonnegative``;
-``gprime`` is named ``g_prime`` and ``mu`` written as ``asymptotic`` or
-its ``fmt`` text.  The echo heads a ``rate`` or ``critical`` record and
-is the ``params`` object of JSON ``scan``, ``boundary`` and ``converge``.
+``gprime`` is echoed as ``g_prime`` (the one place that renames it) and
+``mu`` written as ``asymptotic`` or its ``fmt`` text.  The echo heads a
+``rate`` or ``critical`` record and is the ``params`` object of JSON
+``scan``, ``boundary`` and ``converge``.
 ``critical`` takes its finite-difference steps from omega
 (``landscape.critical_point_report``); no flag sets them, so no flag can
 change its ``is_minimum`` verdict.
@@ -43,16 +49,18 @@ rates; a ``boundary`` run with no sample is a domain error.
 
 Cost per in-process ``main`` call.  ``main`` parses with one parser per
 process, built on first use (``build_parser`` still returns a fresh
-one).  Scan and boundary rows are rendered straight from their columns.
-Each distinct bit pattern among a table's g, g' and rate cells is
-rendered once (CSV in one ``%.17g`` format call, JSON in one C-encoder
-call) and its text set into a fixed row template: a scan's columns
-repeat, since g and g' run over the grid axis and the rates come in
-bit-equal mirror pairs.  Bits, not values, tell floats apart: -0.0 == 0.0
-but renders as ``-0`` (``-0.0`` in JSON), and NaN equals nothing.  The
-bytes are those of ``fmt`` and of ``json.dumps(..., indent=2)``.  Medians
+one).  The ``scan``, ``boundary`` and ``converge`` tables are rendered
+by one function (``_table``) straight from their named columns.  Each
+distinct bit pattern among a table's float cells is rendered once (CSV
+in one ``%.17g`` format call, JSON in one C-encoder call) and its text
+set into a row template, which one ``%`` call fills over all rows: a
+scan's columns repeat, since g and g' run over the grid axis and the
+rates come in bit-equal mirror pairs.  Bits, not values, tell floats
+apart: -0.0 == 0.0 but renders as ``-0`` (``-0.0`` in JSON), and NaN
+equals nothing.  The bytes are those of ``fmt`` and of
+``json.dumps(..., indent=2)``.  Medians
 on a shared 2-vCPU Intel Xeon host (tau 0.44, omega 7.3): ``rate`` and
-``critical`` 0.1-0.2 ms, ``converge`` 0.2-0.25 ms, ``boundary`` at
+``critical`` 0.1-0.2 ms, ``converge`` 0.2-0.3 ms, ``boundary`` at
 resolution 101 0.8 ms, ``scan`` at resolution 31 (about 1,000 rows)
 1.7 ms as CSV and 2.1-2.4 ms as JSON, at resolution 101 11 and 20 ms.
 """
@@ -64,7 +72,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -75,15 +83,7 @@ from .attack import AttackParams, _require_physical, boundary_curve_arrays
 from .gaussian import DomainError, NumericalDegeneracyError
 
 SCAN_HEADER = "g,g_prime,rate,physical,on_boundary"
-# One scan row, from the texts of its g, g', rate and on_boundary, as fmt
-# and json.dumps(..., indent=2) render it.
-_CSV_ROW = "%s,%s,%s,true,%s"
-_JSON_ROW = (
-    '\n    {\n      "g": %s,\n      "g_prime": %s,\n      "rate": %s,'
-    '\n      "physical": true,\n      "on_boundary": %s\n    }'
-)
 CONVERGE_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
-_CONVERGE_COLUMNS = ("mu", "rate_numeric", "rate_asymptotic", "abs_delta")
 
 
 class ConfigError(Exception):
@@ -157,32 +157,14 @@ _SUBCOMMANDS = {
 
 # Settings that shape how a run is written, not what it computes: no output echoes them.
 _PRESENTATION = ("output", "format", "clamp_nonnegative")
-# The RunConfig fields each command's output echoes: the settings it reads, in table order.
-_ECHOED = {
-    command: tuple(
-        "g_prime" if key == "gprime" else key for key in reads if key not in _PRESENTATION
-    )
-    for command, (_, reads) in _SUBCOMMANDS.items()
-}
+# The command's name, then one field per setting, named by its config key.
+RunConfig = make_dataclass(
+    "RunConfig", ["command", *_SETTINGS], frozen=True, namespace={"__module__": __name__}
+)
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    protocol: str
-    tau: float
-    omega: float
-    g: float
-    g_prime: float
-    mu: float | None          # None means asymptotic
-    grid_resolution: int
-    output: str | None
-    format: str
-    clamp_nonnegative: bool
 
 
 def fmt(x: float) -> str:
@@ -243,8 +225,8 @@ def _read_config_file(path: str, command: str, parser: _Parser) -> dict[str, obj
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
+                line = raw.strip()
+                if not line or line.startswith("#"):  # a # later in the line is part of the value
                     continue
                 where = f"{path}:{lineno}"
                 if "=" not in line:
@@ -276,11 +258,11 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     for key, value in settings.items():
         if value is _REQUIRED:
             raise ConfigError(f"missing required parameter {_flag(key)}")
-    return RunConfig(command=command, g_prime=settings.pop("gprime"), **settings)
+    return RunConfig(command=command, **settings)
 
 
 def _params(cfg: RunConfig) -> AttackParams:
-    params = AttackParams(tau=cfg.tau, omega=cfg.omega, g=cfg.g, g_prime=cfg.g_prime)
+    params = AttackParams(tau=cfg.tau, omega=cfg.omega, g=cfg.g, g_prime=cfg.gprime)
     _require_physical(params)
     return params
 
@@ -301,8 +283,15 @@ def _write(cfg: RunConfig, text: str) -> None:
 
 
 def _echo(cfg: RunConfig) -> list[tuple[str, object]]:
-    """The settings cfg's command reads, as its output echoes them: mu as text."""
-    echoed = {name: getattr(cfg, name) for name in _ECHOED[cfg.command]}
+    """The non-presentation settings cfg's command reads, in table order, as its output names them.
+
+    gprime is echoed as g_prime and mu as text.
+    """
+    echoed = {
+        "g_prime" if key == "gprime" else key: getattr(cfg, key)
+        for key in _SUBCOMMANDS[cfg.command][1]
+        if key not in _PRESENTATION
+    }
     if "mu" in echoed:
         echoed["mu"] = "asymptotic" if cfg.mu is None else fmt(cfg.mu)
     return list(echoed.items())
@@ -348,43 +337,44 @@ def _json_texts(column: np.ndarray) -> list[str]:
     return json.dumps(column.tolist())[1:-1].split(", ")
 
 
-def _render_rows(
-    cfg: RunConfig,
-    points: tuple[np.ndarray, ...],
-    origin_rate: float | None = None,
-    verdict: bool | None = None,
-) -> str:
-    """Scan rows from their (g, g', rate, on_boundary) columns.
+def _table(cfg: RunConfig, columns: dict[str, object], **after: object) -> str:
+    """A table from its named columns; after holds the JSON fields that follow its rows.
 
-    origin_rate is unclamped; it and verdict are None for a boundary run.
-    Each distinct float of the three columns is rendered once, and its text
-    set into every cell that holds it.  Floats are told apart by their bits,
-    not their values: -0.0 == 0.0 but the two render differently.
+    A column is a float array, a bool array, or one bool that every row
+    holds, which goes into the row template.  Each distinct float among the
+    cells is rendered once, and its text set into every cell that holds it;
+    one % call then fills the row template over all rows.  Floats are told
+    apart by their bits, not their values: -0.0 == 0.0 but the two render
+    differently.
     """
-    g, gp, rates, on_boundary = points
-    if origin_rate is not None:
-        origin_rate = _clamp(cfg, origin_rate)
-    if cfg.clamp_nonnegative:  # max(rate, 0.0) per row: -0.0 and NaN pass through
-        rates = np.where(rates < 0.0, 0.0, rates)
-    texts = _json_texts if cfg.format == "json" else _csv_texts
-    bits, index = np.unique(np.concatenate((g, gp, rates)).view(np.uint64), return_inverse=True)
-    cells = np.empty((g.size, 4), dtype=object)
-    cells[:, :3] = np.array(texts(bits.view(np.float64)), dtype=object)[index].reshape(3, -1).T
-    cells[:, 3] = np.array(("false", "true"), dtype=object)[on_boundary.astype(np.intp)]
+    arrays = [column for column in columns.values() if isinstance(column, np.ndarray)]
+    floats = [column for column in arrays if column.dtype != bool]
+    bits, index = np.unique(np.concatenate(floats).view(np.uint64), return_inverse=True)
+    texts = (_json_texts if cfg.format == "json" else _csv_texts)(bits.view(np.float64))
+    # Each cell's index into texts: a float's by its bits, a bool's into the two texts after them.
+    float_index = iter(index.reshape(len(floats), -1))
+    cell_index = [column + bits.size if column.dtype == bool else next(float_index) for column in arrays]
+    cells = np.array(texts + ["false", "true"], dtype=object)[np.array(cell_index).T]
     values = tuple(cells.ravel().tolist())
+    n_rows = arrays[0].size
+    slots = {name: "%s" if isinstance(c, np.ndarray) else _fmt_bool(c) for name, c in columns.items()}
     if cfg.format == "json":
-        payload = {
-            "params": dict(_echo(cfg)),
-            "rows": [],
-            "origin_rate": origin_rate,
-            "verdict": verdict,
-        }
-        text = json.dumps(payload, indent=2)
-        if g.size:
-            body = ",".join([_JSON_ROW] * g.size) % values
+        text = json.dumps({"params": dict(_echo(cfg)), "rows": [], **after}, indent=2)
+        if n_rows:
+            row = ",".join(f'\n      "{name}": {slot}' for name, slot in slots.items())
+            body = ",".join([f"\n    {{{row}\n    }}"] * n_rows) % values
             text = text.replace('"rows": []', f'"rows": [{body}\n  ]', 1)
         return text + "\n"
-    return "\n".join([SCAN_HEADER] + [_CSV_ROW] * g.size) % values + "\n"
+    return "\n".join([",".join(columns)] + [",".join(slots.values())] * n_rows) % values + "\n"
+
+
+def _scan_columns(
+    cfg: RunConfig, g: np.ndarray, gp: np.ndarray, rates: np.ndarray, on_boundary: np.ndarray
+) -> dict[str, object]:
+    """The SCAN_HEADER columns of scan and boundary rows, each row physical."""
+    if cfg.clamp_nonnegative:  # max(rate, 0.0) per row: -0.0 and NaN pass through
+        rates = np.where(rates < 0.0, 0.0, rates)
+    return dict(zip(SCAN_HEADER.split(","), (g, gp, rates, True, on_boundary)))
 
 
 def cmd_scan(cfg: RunConfig) -> str:
@@ -398,8 +388,8 @@ def cmd_scan(cfg: RunConfig) -> str:
     first = np.ones(g.size, dtype=bool)
     first[1:] = (g[1:] != g[:-1]) | (gp[1:] != gp[:-1])
     on_boundary = np.logical_or.reduceat(report.on_boundary[order], np.flatnonzero(first))
-    points = (g[first], gp[first], report.rate[order][first], on_boundary)
-    return _render_rows(cfg, points, report.origin_rate, report.verdict)
+    columns = _scan_columns(cfg, g[first], gp[first], report.rate[order][first], on_boundary)
+    return _table(cfg, columns, origin_rate=_clamp(cfg, report.origin_rate), verdict=report.verdict)
 
 
 def cmd_boundary(cfg: RunConfig) -> str:
@@ -411,7 +401,8 @@ def cmd_boundary(cfg: RunConfig) -> str:
             f"boundary is empty: no boundary sample at omega = {cfg.omega} "
             f"and grid resolution {cfg.grid_resolution}"
         )
-    return _render_rows(cfg, (g, gp, rates, np.ones(g.size, dtype=bool)))
+    columns = _scan_columns(cfg, g, gp, rates, np.ones(g.size, dtype=bool))
+    return _table(cfg, columns, origin_rate=None, verdict=None)
 
 
 def cmd_critical(cfg: RunConfig) -> str:
@@ -438,18 +429,16 @@ def cmd_critical(cfg: RunConfig) -> str:
 def cmd_converge(cfg: RunConfig) -> str:
     params = _params(cfg)
     closed = _rates.key_rate_asymptotic(params, cfg.protocol)
-    rows = []
-    for mu in CONVERGE_SWEEP:
-        numeric = _rates.key_rate_numeric(params, _rates.ProtocolSpec(cfg.protocol, mu)).rate
-        rows.append((mu, numeric, closed, abs(numeric - closed)))
-    if cfg.format == "json":
-        payload = {
-            "params": dict(_echo(cfg)),
-            "rows": [dict(zip(_CONVERGE_COLUMNS, row)) for row in rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(_CONVERGE_COLUMNS)] + [",".join(map(fmt, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    numeric = np.array([
+        _rates.key_rate_numeric(params, _rates.ProtocolSpec(cfg.protocol, mu)).rate
+        for mu in CONVERGE_SWEEP
+    ])
+    return _table(cfg, {
+        "mu": np.array(CONVERGE_SWEEP),
+        "rate_numeric": numeric,
+        "rate_asymptotic": np.full(numeric.size, closed),
+        "abs_delta": np.abs(numeric - closed),
+    })
 
 
 _COMMANDS = {

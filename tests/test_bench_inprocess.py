@@ -106,20 +106,43 @@ def test_every_layer_compares_its_results(bench_inprocess, monkeypatch):
     minimality = {
         f"{layer}:{variant}" for layer in ("minimality", "minimality401") for variant in gausskey.VARIANTS
     }
-    assert differ == minimality | {"critical", "zero_rate", "key_rates", "cli"}
+    assert differ == minimality | {"critical", "zero_rate", "key_rates", "cli:tables", "cli:records"}
 
 
-def test_the_cli_layer_compares_stdout_bytes(bench_inprocess, monkeypatch):
-    # a copy that renders one digit fewer: only the command line's bytes differ
+def test_the_cli_layers_run_every_command_in_both_formats(bench_inprocess):
+    runs = bench_inprocess.CLI_RUNS
+    commands = {"cli:tables": ("boundary", "converge", "scan"), "cli:records": ("critical", "rate")}
+    for layer, names in commands.items():
+        expected = [(name, fmt) for name in names for fmt in ("csv", "json")]
+        assert sorted((argv[0], argv[-1]) for argv in runs[layer]) == expected
+
+
+@pytest.mark.parametrize(
+    "layer, name, shortened, marks",
+    [
+        # rate and critical as CSV and as JSON
+        ("cli:records", "fmt", lambda x: format(float(x), ".16g"), {"key,value\n": 2, '"is_minimum"': 1}),
+        # scan, boundary and converge: CSV headers, and scan's JSON verdict
+        (
+            "cli:tables",
+            "_csv_texts",
+            lambda column: [format(x, ".16g") for x in column.tolist()],
+            {"g,g_prime,rate,physical,on_boundary\n": 2, '"verdict": true': 1, "mu,rate_numeric": 1},
+        ),
+    ],
+    ids=["cli:records", "cli:tables"],
+)
+def test_each_cli_layer_compares_stdout_bytes(bench_inprocess, monkeypatch, layer, name, shortened, marks):
+    # a copy that renders one digit fewer: the layer's stdout bytes differ
     copy = bench_inprocess.load("gausskey_cli_under_test", Path(gausskey.__file__).parent)
     try:
         cli = importlib.import_module("gausskey_cli_under_test.cli")
-        monkeypatch.setattr(cli, "fmt", lambda x: format(float(x), ".16g"))
-        ours, theirs = bench_inprocess.layers(gausskey)["cli"], bench_inprocess.layers(copy)["cli"]
+        monkeypatch.setattr(cli, name, shortened)
+        ours, theirs = bench_inprocess.layers(gausskey)[layer], bench_inprocess.layers(copy)[layer]
         text = ours()
         assert text == ours()  # the batch is deterministic
-        assert text.count("key,value\n") == 2 * bench_inprocess.CLI_PASSES  # rate and critical
-        assert text.count('"verdict": true') == bench_inprocess.CLI_PASSES  # scan
+        for mark, per_pass in marks.items():
+            assert text.count(mark) == per_pass * bench_inprocess.CLI_PASSES, mark
         assert bench_inprocess.result_bits(text) != bench_inprocess.result_bits(theirs())
     finally:
         for name in [n for n in sys.modules if n.startswith("gausskey_cli_under_test")]:

@@ -1,6 +1,7 @@
-"""The summary of scripts/bench_pairs.py, on made-up benchmark run lines."""
+"""The summary of scripts/bench_pairs.py, on made-up benchmark run lines, and its revision exporter."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,24 @@ def test_verdict_of_a_lower_is_better_metric(bench_pairs):
     same = pairs_of(points, points)
     assert bench_pairs.summarize(same, SPEC)["pipeline"]["metrics"]["setup_s"]["verdict"] == "level"
     assert bench_pairs.summarize(same, SPEC)["pipeline"]["metrics"]["points_per_s"]["verdict"] == "level"
+
+
+def test_export_revision_holds_the_committed_files(bench_pairs, tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "module.py").write_text("committed\n")
+    (repo / "top.txt").write_text("top\n")
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@example.invalid", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], [*identity, "commit", "-q", "-m", "first"]):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+    (repo / "src" / "module.py").write_text("working tree\n")  # not committed: not exported
+    (repo / "src" / "new.py").write_text("untracked\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    with bench_pairs.export_revision("HEAD", "src") as exported:
+        assert sorted(str(path.relative_to(exported)) for path in exported.rglob("*")) == ["src", "src/module.py"]
+        assert (exported / "src" / "module.py").read_text() == "committed\n"
+    assert not exported.exists()
+    with bench_pairs.export_revision("HEAD") as exported:
+        assert (exported / "top.txt").read_text() == "top\n"
+        assert (exported / "src" / "module.py").read_text() == "committed\n"
+    assert not exported.exists()

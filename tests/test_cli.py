@@ -426,6 +426,25 @@ def test_config_bad_value_names_file_and_line(tmp_path, line, text):
     assert result == (1, "", f"config error: {config}:2: {text}\n", None)
 
 
+def test_config_hash_inside_a_value_is_part_of_it(tmp_path):
+    """Only a line whose first non-blank character is # is a comment."""
+    output = tmp_path / "run#1.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"  # indented comment\ntau = 0.5\n#omega = 9\nomega = 2\noutput = {output}\n")
+    code, out, err, written = run_main(["rate", "--config", str(config)], output)
+    assert (code, out, err) == (0, "", "")
+    assert written == run_main(["rate", "--tau", "0.5", "--omega", "2"])[1]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_config_inline_comment_is_an_error(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("omega = 2\ntau = 0.44 # note\n")
+    result = run_main(["rate", "--config", str(config)])
+    text = "argument --tau: invalid float value: '0.44 # note'"
+    assert result == (1, "", f"config error: {config}:2: {text}\n", None)
+
+
 def test_config_file_and_precedence(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(

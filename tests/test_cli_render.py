@@ -1,14 +1,18 @@
-"""The scan row renderer and the per-process argument parser of gausskey.cli.
+"""The table renderer and the per-process argument parser of gausskey.cli.
 
-The renderer works from the (g, g', rate, on_boundary) columns plus the
-raw origin rate and verdict that the scan's report carries; it must give
-the bytes of the dict-per-row renderer it replaced, kept here as
-reference_render_rows.  It renders each distinct bit pattern once, so the
-suites draw columns full of repeats, of -0.0 next to 0.0 and of NaNs with
-different payloads, and compare whole scans and boundaries at the sizes
-where the repeats pay.  main parses with one parser per process; a run
-of calls must give the bytes and exit codes of the same calls each made
-with a fresh parser.
+The renderer works from named columns.  A scan or boundary table has the
+(g, g', rate, on_boundary) columns plus the raw origin rate and verdict
+that the scan's report carries; it must give the bytes of the
+dict-per-row renderer it replaced, kept here as reference_render_rows.
+A converge table has the (mu, rate_numeric, rate_asymptotic, abs_delta)
+columns; it must give the bytes of the dict-per-row renderer that
+converge used before, kept here as reference_render_converge.  The
+renderer renders each distinct bit pattern once, so the suites draw
+columns full of repeats, of -0.0 next to 0.0 and of NaNs with different
+payloads, and compare whole scans, boundaries and converge tables at the
+sizes where the repeats pay.  main parses with one parser per process; a
+run of calls must give the bytes and exit codes of the same calls each
+made with a fresh parser.
 """
 
 import contextlib
@@ -68,6 +72,38 @@ def reference_render_rows(cfg, points, raw_origin=None, verdict=None):
     return "\n".join(lines) + "\n"
 
 
+CONVERGE_COLUMNS = ("mu", "rate_numeric", "rate_asymptotic", "abs_delta")
+
+
+def reference_render_converge(cfg, rows):
+    """converge's table before columns: one dict per row, json.dumps and fmt."""
+    if cfg.format == "json":
+        payload = {
+            "params": {
+                "protocol": cfg.protocol,
+                "tau": cfg.tau,
+                "omega": cfg.omega,
+                "g": cfg.g,
+                "g_prime": cfg.gprime,
+            },
+            "rows": [dict(zip(CONVERGE_COLUMNS, row)) for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join(CONVERGE_COLUMNS)] + [",".join(map(cli.fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def render_rows(cfg, points, origin_rate=None, verdict=None):
+    """cli's table of scan columns, as cmd_scan (with an origin) or cmd_boundary renders it."""
+    origin_rate = None if origin_rate is None else cli._clamp(cfg, origin_rate)
+    return cli._table(cfg, cli._scan_columns(cfg, *points), origin_rate=origin_rate, verdict=verdict)
+
+
+def render_converge(cfg, columns):
+    """cli's table of converge columns, as cmd_converge renders it."""
+    return cli._table(cfg, dict(zip(CONVERGE_COLUMNS, columns)))
+
+
 def scan_config(fmt, clamp, mu=None, protocol="noswitching", tau=0.44, omega=1.2, resolution=21):
     return cli.RunConfig(
         command="scan",
@@ -75,12 +111,28 @@ def scan_config(fmt, clamp, mu=None, protocol="noswitching", tau=0.44, omega=1.2
         tau=tau,
         omega=omega,
         g=0.0,
-        g_prime=0.0,
+        gprime=0.0,
         mu=mu,
         grid_resolution=resolution,
         output=None,
         format=fmt,
         clamp_nonnegative=clamp,
+    )
+
+
+def converge_config(fmt, protocol="noswitching", tau=0.44, omega=1.2, g=0.0, gprime=0.0):
+    return cli.RunConfig(
+        command="converge",
+        protocol=protocol,
+        tau=tau,
+        omega=omega,
+        g=g,
+        gprime=gprime,
+        mu=None,
+        grid_resolution=101,
+        output=None,
+        format=fmt,
+        clamp_nonnegative=False,
     )
 
 
@@ -107,7 +159,7 @@ def assert_same_render(cfg, g, gp, rates, on_boundary, origin_rate=None, verdict
         np.array(on_boundary, dtype=bool),
     )
     expected = reference_render_rows(cfg, points, origin_rate, verdict)
-    assert_same_text(cli._render_rows(cfg, points, origin_rate, verdict), expected)
+    assert_same_text(render_rows(cfg, points, origin_rate, verdict), expected)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -127,6 +179,22 @@ def test_edge_columns_render_as_before(fmt, clamp):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_empty_rows_render_as_before(fmt):
     assert_same_render(scan_config(fmt, True), [], [], [], [])
+
+
+def assert_same_converge(cfg, *columns):
+    columns = [np.array(column, dtype=float) for column in columns]
+    expected = reference_render_converge(cfg, list(zip(*(column.tolist() for column in columns))))
+    assert_same_text(render_converge(cfg, columns), expected)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_edge_converge_columns_render_as_before(fmt):
+    values = EDGE_FLOATS + NON_FINITE
+    mu, numeric, delta = values, values[::-1], values[3:] + values[:3]
+    cfg = converge_config(fmt, "switching", 0.3, 1.5, -0.0, 0.1)
+    for closed in (-0.0, 0.0, 5e-324, math.nan, -math.inf, -2.5910136975535956):
+        assert_same_converge(cfg, mu, numeric, [closed] * len(values), delta)
+    assert_same_converge(converge_config(fmt), [], [], [], [])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
@@ -153,6 +221,23 @@ def test_column_renderer_equals_dict_renderer(cfg, drawn, origin):
         drawn = [(0.0, 0.0, origin_rate, True), *drawn]
     columns = list(zip(*drawn)) or [(), (), (), ()]
     assert_same_render(cfg, *columns, origin_rate, verdict)
+
+
+converge_configs = st.builds(
+    converge_config,
+    fmt=st.sampled_from(["csv", "json"]),
+    protocol=st.sampled_from(["noswitching", "switching", "switching-mixed"]),
+    tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    omega=st.floats(1.0, 1e6),
+    g=finite,
+    gprime=finite,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=converge_configs, drawn=st.lists(st.tuples(any_rate, any_rate, any_rate, any_rate), max_size=25))
+def test_converge_column_renderer_equals_dict_renderer(cfg, drawn):
+    assert_same_converge(cfg, *(list(zip(*drawn)) or [(), (), (), ()]))
 
 
 def run_main(argv):
@@ -200,7 +285,19 @@ def test_repeated_bit_patterns_render_as_before(fmt, clamp, n_rows, runs, flag_r
     cfg = scan_config(fmt, clamp)
     points = (g, gp, rate, flags)
     expected = reference_render_rows(cfg, points, origin_rate, verdict)
-    assert_same_text(cli._render_rows(cfg, points, origin_rate, verdict), expected)
+    assert_same_text(render_rows(cfg, points, origin_rate, verdict), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    fmt=st.sampled_from(["csv", "json"]),
+    n_rows=st.integers(0, 2000),
+    runs=st.tuples(pool_runs, pool_runs, pool_runs, pool_runs),
+)
+def test_repeated_converge_bit_patterns_render_as_before(fmt, n_rows, runs):
+    """Up to 2,000 converge rows whose columns each hold at most 12 distinct bit patterns."""
+    columns = [np.resize(POOL_BITS[run], n_rows).view(np.float64) for run in runs]
+    assert_same_converge(converge_config(fmt), *columns)
 
 
 def main_output(argv):
@@ -252,6 +349,20 @@ def test_boundary_output_equals_reference_render(fmt):
     g, gp = attack.boundary_curve_arrays(cfg.omega, cfg.grid_resolution)
     rate = rates.key_rates(cfg.protocol, cfg.tau, cfg.omega, g, gp)
     assert_same_text(out, reference_render_rows(cfg, (g, gp, rate, np.ones(g.size, dtype=bool))))
+
+
+@pytest.mark.parametrize("protocol", ["noswitching", "switching", "switching-mixed"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_converge_output_equals_reference_render(protocol, fmt):
+    argv = ["converge", *SCAN, "--g", "0.3", "--gprime", "-0.1", "--protocol", protocol, "--format", fmt]
+    cfg, out = main_output(argv)
+    params = attack.AttackParams(cfg.tau, cfg.omega, cfg.g, cfg.gprime)
+    closed = rates.key_rate_asymptotic(params, protocol)
+    rows = []
+    for mu in cli.CONVERGE_SWEEP:
+        numeric = rates.key_rate_numeric(params, rates.ProtocolSpec(protocol, mu)).rate
+        rows.append((mu, numeric, closed, abs(numeric - closed)))
+    assert_same_text(out, reference_render_converge(cfg, rows))
 
 
 def test_shared_parser_gives_fresh_parser_results(tmp_path, monkeypatch):

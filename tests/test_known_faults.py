@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from gausskey import verify_minimality
+from gausskey import DomainError, find_zero_rate_transmissivity, verify_minimality
 from gausskey.attack import boundary_curve_arrays
 from gausskey.cli import main
 
@@ -108,3 +108,39 @@ def test_boundary_keeps_every_rim_sample_at_large_omega():
     """All 2 x 2001 rim points lie in the lens (50-digit mpmath, g' = s*(omega - 1/(omega - s*g)))."""
     g, _ = boundary_curve_arrays(1e8, 2001)
     assert g.size == 2 * 2001
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DomainError,
+    reason="the bisection bracket ends at tau = 0.999, below the zero-rate transmissivity",
+)
+def test_zero_rate_transmissivity_above_the_bracket():
+    """tau* = 0.999615481375 at omega = 1e3 (50-digit mpmath bisection of the closed form at g = g' = 0)."""
+    assert find_zero_rate_transmissivity("noswitching", 1e3) == pytest.approx(0.999615481375, abs=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="rim samples fail the pipeline's eigenvalue check once mu*omega is large",
+)
+def test_finite_mu_scan_at_huge_mu():
+    code, _, err = run_main(["scan", "--tau", "0.5", "--omega", "3", "--mu", "1e8", "--grid-resolution", "5"])
+    assert code == 0, err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="rate and scan take the origin's asymptotic rate from different derivations, "
+    "which differ in the last bits",
+)
+def test_rate_and_scan_agree_on_the_origin_rate():
+    point = ["--tau", "0.44", "--omega", "7.3"]
+    code, out, err = run_main(["rate", *point, "--g", "0", "--gprime", "0", "--format", "json"])
+    assert code == 0, err
+    rate = json.loads(out)["rate"]
+    code, out, err = run_main(["scan", *point, "--grid-resolution", "5", "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["origin_rate"] == rate
